@@ -90,8 +90,10 @@ impl TruthTable {
         self.words.iter().zip(&other.words).all(|(a, b)| a & !b == 0)
     }
 
-    /// The restriction of this table to the slots of `mask` — the key the
-    /// sweep prefilter groups models by.
+    /// The restriction of this table to the slots of `mask`. Two tables
+    /// with equal restrictions to a test's relaxation signature force the
+    /// same program-order edges on it; the sweep prefilter decides that
+    /// equality from the set slots alone, without building restrictions.
     #[must_use]
     pub fn restrict(&self, mask: &TruthTable) -> TruthTable {
         assert_eq!(self.len, mask.len, "tables over different universes");

@@ -41,7 +41,7 @@ use mcm_sat::{SatResult, Solver, SolverStats};
 
 use crate::checker::{Checker, Verdict, Witness};
 use crate::co::enumerate_co_orders;
-use crate::hb::{base_edges, forced_po_pairs, required_edges};
+use crate::hb::{base_edges, collect_edges, forced_po_pairs};
 use crate::rf::{enumerate_rf_maps, read_candidates};
 use crate::sat_common::{
     add_rf_selector_clauses, extract_rf, ClauseSink, GuardedSink, OrderVars,
@@ -175,23 +175,24 @@ impl<C: Checker> BatchChecker for C {
 /// The model row quotiented by forced program-order pairs: two models
 /// whose formulas force the same same-thread orderings *on this
 /// execution* are indistinguishable here and share every downstream
-/// answer.
+/// answer — the witness edges included, which are built from the group's
+/// pairs rather than re-derived from a representative's formula.
 struct ModelGroups {
-    /// One entry per group: the forced pairs and a representative model
-    /// index (used to rebuild labeled witness edges).
-    groups: Vec<(Vec<(EventId, EventId)>, usize)>,
+    /// One entry per group: the forced program-order pairs its models
+    /// share, in [`forced_po_pairs`] order.
+    groups: Vec<Vec<(EventId, EventId)>>,
     /// Model index → group index.
     group_of: Vec<usize>,
 }
 
 fn group_models(exec: &Execution, models: &[MemoryModel]) -> ModelGroups {
-    let mut groups: Vec<(Vec<(EventId, EventId)>, usize)> = Vec::new();
+    let mut groups: Vec<Vec<(EventId, EventId)>> = Vec::new();
     let mut index: HashMap<Vec<(EventId, EventId)>, usize> = HashMap::new();
     let mut group_of = Vec::with_capacity(models.len());
-    for (m, model) in models.iter().enumerate() {
+    for model in models {
         let pairs = forced_po_pairs(model, exec);
         let group = *index.entry(pairs.clone()).or_insert_with(|| {
-            groups.push((pairs, m));
+            groups.push(pairs);
             groups.len() - 1
         });
         group_of.push(group);
@@ -256,16 +257,16 @@ impl BatchChecker for BatchExplicitChecker {
                 if !base.respects_ignore_local(exec) {
                     continue;
                 }
-                for (g, (pairs, rep)) in groups.iter().enumerate() {
+                for (g, pairs) in groups.iter().enumerate() {
                     if verdicts[g].is_some() {
                         continue;
                     }
                     stats.group_evals += 1;
                     if base.acyclic_with(pairs) {
-                        // Rebuild the labeled edge set through the shared
-                        // constructor so the witness matches the per-cell
-                        // checker's exactly.
-                        let edges = required_edges(&models[*rep], exec, rf, co);
+                        // The group's pairs are every member's
+                        // `forced_po_pairs`, so the shared constructor
+                        // yields the per-cell checker's witness exactly.
+                        let edges = collect_edges(exec, rf, co, pairs);
                         verdicts[g] = Some(Verdict::allowed(Witness {
                             rf: rf.clone(),
                             co: co.clone(),
@@ -356,7 +357,7 @@ impl BatchChecker for BatchSatChecker {
         // literal so they are inert unless assumed.
         let group_lits: Vec<_> = groups
             .iter()
-            .map(|(pairs, _)| {
+            .map(|pairs| {
                 let guard = solver.new_var().positive();
                 let mut guarded = GuardedSink::new(&mut solver, guard);
                 for &(x, y) in pairs {
@@ -369,7 +370,7 @@ impl BatchChecker for BatchSatChecker {
         let group_verdicts: Vec<Verdict> = groups
             .iter()
             .zip(&group_lits)
-            .map(|((_, rep), &guard)| {
+            .map(|(pairs, &guard)| {
                 stats.assumption_solves += 1;
                 if solver.solve_with_assumptions(&[guard]) != SatResult::Sat {
                     return Verdict::forbidden();
@@ -380,7 +381,7 @@ impl BatchChecker for BatchSatChecker {
                 // (rf, co) witnesses the verdict.
                 let rf = extract_rf(&solver, &candidates, &selectors);
                 let co = order.extract_co(&solver, exec);
-                let edges = required_edges(&models[*rep], exec, &rf, &co);
+                let edges = collect_edges(exec, &rf, &co, pairs);
                 debug_assert!(edges.admits_partial_order(exec));
                 Verdict::allowed(Witness {
                     rf,

@@ -144,8 +144,11 @@ pub fn required_edges(
 }
 
 /// Shared edge collection: the program-order pairs first (labels take
-/// precedence on duplicate edges), then the `(rf, co)` axioms.
-fn collect_edges(
+/// precedence on duplicate edges), then the `(rf, co)` axioms. With `po`
+/// = [`forced_po_pairs`] of a model this is exactly [`required_edges`],
+/// which lets the batched checkers build a group's witness from the pairs
+/// they already grouped by.
+pub(crate) fn collect_edges(
     exec: &Execution,
     rf: &RfMap,
     co: &CoOrder,

@@ -1,6 +1,7 @@
 //! Memory models as named must-not-reorder functions.
 
 use std::fmt;
+use std::sync::Arc;
 
 use crate::execution::Execution;
 use crate::formula::Formula;
@@ -12,19 +13,25 @@ use crate::ids::EventId;
 /// The model's meaning — the set of allowed program executions — is given
 /// by the happens-before axioms, implemented in the `mcm-axiomatic` crate;
 /// this type only carries the specification.
+///
+/// The name and the formula are shared behind [`Arc`], so cloning a model
+/// (as sweeps do for every checked row) is O(1). `Hash`, `Eq` and `Debug`
+/// see through the `Arc`s and match a plain `String` + [`Formula`] pair
+/// byte for byte, so fingerprints derived from them are unaffected.
 #[derive(Clone, PartialEq, Eq, Hash, Debug)]
 pub struct MemoryModel {
-    name: String,
-    formula: Formula,
+    name: Arc<str>,
+    formula: Arc<Formula>,
 }
 
 impl MemoryModel {
     /// Creates a model from a name and its must-not-reorder function.
     #[must_use]
     pub fn new(name: impl Into<String>, formula: Formula) -> Self {
+        let name: String = name.into();
         MemoryModel {
-            name: name.into(),
-            formula,
+            name: Arc::from(name),
+            formula: Arc::new(formula),
         }
     }
 
@@ -50,12 +57,14 @@ impl MemoryModel {
     }
 
     /// Returns a copy with a different display name (used when a digit
-    /// model is given its conventional name, e.g. `M4044` → `TSO`).
+    /// model is given its conventional name, e.g. `M4044` → `TSO`); the
+    /// formula is shared, not copied.
     #[must_use]
     pub fn renamed(&self, name: impl Into<String>) -> Self {
+        let name: String = name.into();
         MemoryModel {
-            name: name.into(),
-            formula: self.formula.clone(),
+            name: Arc::from(name),
+            formula: Arc::clone(&self.formula),
         }
     }
 }
@@ -102,6 +111,41 @@ mod tests {
         let renamed = m.renamed("TSO");
         assert_eq!(renamed.name(), "TSO");
         assert_eq!(renamed.formula(), m.formula());
+        assert!(
+            std::ptr::eq(renamed.formula(), m.formula()),
+            "formula is shared"
+        );
+    }
+
+    #[test]
+    fn clones_share_and_hash_like_owned_fields() {
+        use std::collections::hash_map::DefaultHasher;
+        use std::hash::{Hash, Hasher};
+        let m = MemoryModel::new("TSO", Formula::always());
+        let copy = m.clone();
+        assert_eq!(copy, m);
+        assert!(std::ptr::eq(copy.formula(), m.formula()));
+        // Hash sees through the Arcs: same bytes as (String, Formula).
+        let digest = |h: &dyn Fn(&mut DefaultHasher)| {
+            let mut hasher = DefaultHasher::new();
+            h(&mut hasher);
+            hasher.finish()
+        };
+        assert_eq!(
+            digest(&|h| m.hash(h)),
+            digest(&|h| {
+                String::from("TSO").hash(h);
+                Formula::always().hash(h);
+            })
+        );
+        assert_eq!(
+            format!("{m:?}"),
+            format!(
+                "MemoryModel {{ name: {:?}, formula: {:?} }}",
+                "TSO",
+                Formula::always()
+            )
+        );
     }
 
     #[test]

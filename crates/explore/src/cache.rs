@@ -540,4 +540,29 @@ mod tests {
             VerdictCache::model_fingerprint(&c)
         );
     }
+
+    #[test]
+    fn model_fingerprints_are_pinned() {
+        // Verdict logs and checkpoint `model_fps` persist these values
+        // (docs/STORE_FORMAT.md); a change to how `MemoryModel` stores
+        // its formula must not silently orphan existing stores.
+        use mcm_models::{named, DigitModel};
+        let m4044 = "M4044".parse::<DigitModel>().unwrap().to_model();
+        let pinned = [
+            (named::sc(), 0xc8d9_2d1f_e77b_6f16_u64),
+            (named::tso(), 0x044a_b8e5_a9be_a3a6),
+            (m4044, 0x3a98_4efb_3f04_be67),
+        ];
+        for (model, fingerprint) in pinned {
+            assert_eq!(
+                VerdictCache::model_fingerprint(&model),
+                fingerprint,
+                "fingerprint of {} moved",
+                model.name()
+            );
+            let renamed = model.renamed("renamed");
+            assert_eq!(VerdictCache::model_fingerprint(&renamed), fingerprint);
+            assert_eq!(model.clone(), model);
+        }
+    }
 }

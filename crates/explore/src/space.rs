@@ -369,8 +369,9 @@ where
     let batch = config.batch_size.max(1);
     let workers = jobs.min(reps.div_ceil(batch)).max(1);
 
-    // The distinct-formula models, cloned once per sweep so the (common)
-    // all-miss rows check against a ready-made slice.
+    // The distinct-formula models, cloned once per sweep so rows that
+    // reach the checker whole (no prefilter, or every row its own group)
+    // check against a ready-made slice.
     let row_models: Vec<MemoryModel> = rows
         .row_models
         .iter()
@@ -437,8 +438,10 @@ where
                 let verdicts = if groups.len() == row_count {
                     checker.check_all_executions(&execs[rep], &row_models)
                 } else {
-                    // Partial coverage: batch only the representatives
-                    // (cloned — rare next to all-hit / all-miss).
+                    // Partial coverage — the common case once the
+                    // prefilter groups rows: batch only the group
+                    // representatives. `MemoryModel` clones share their
+                    // name and formula, so this costs O(1) per group.
                     missing_models.clear();
                     missing_models.extend(groups.iter().map(|g| row_models[g[0]].clone()));
                     checker.check_all_executions(&execs[rep], &missing_models)

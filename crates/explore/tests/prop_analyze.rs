@@ -7,13 +7,19 @@
 //! dependency template suite, which decides equivalence for the model
 //! class (Theorem 1 / Corollary 1). `elision_theorem_exhaustive` covers
 //! the *whole* finite domain of Theorem A, so the elision rule is
-//! machine-verified, not sampled.
+//! machine-verified, not sampled. The sweep prefilter's grouping is
+//! pinned to the checker's own quotient, `forced_po_pairs`, on every test
+//! it is checked against.
 
-use mcm_analyze::{elidable, minimized_dnf, AtomUniverse, StrengthAnalysis, TruthTable};
+use mcm_analyze::{
+    elidable, minimized_dnf, AtomUniverse, StrengthAnalysis, SweepPrefilter, TruthTable,
+};
+use mcm_axiomatic::hb::forced_po_pairs;
 use mcm_axiomatic::ExplicitChecker;
 use mcm_core::formula::{ArgPos, Atom, Formula};
-use mcm_core::MemoryModel;
+use mcm_core::{EventId, Execution, LitmusTest, MemoryModel};
 use mcm_explore::space::Exploration;
+use mcm_gen::stream::{leaders, StreamBounds};
 use mcm_models::DigitModel;
 
 fn ninety_models() -> Vec<MemoryModel> {
@@ -175,4 +181,97 @@ fn non_guarded_wr_elision_is_observable() {
     ];
     let expl = Exploration::run(models, comparison_suite(), &ExplicitChecker::new());
     assert_ne!(expl.verdicts[0], expl.verdicts[1]);
+}
+
+/// Labels each input row with the index of its class, classes numbered
+/// in order of first appearance in `rows`.
+fn first_appearance_labels<K: PartialEq>(rows: &[usize], key: impl Fn(usize) -> K) -> Vec<usize> {
+    let mut seen: Vec<K> = Vec::new();
+    rows.iter()
+        .map(|&row| {
+            let k = key(row);
+            seen.iter().position(|s| *s == k).unwrap_or_else(|| {
+                seen.push(k);
+                seen.len() - 1
+            })
+        })
+        .collect()
+}
+
+/// Asserts that `group_rows` partitions `rows` exactly as equality of
+/// `forced_po_pairs` does, with groups in first-appearance order and
+/// members in input order.
+fn assert_prefilter_matches_forced_pairs(
+    prefilter: &SweepPrefilter,
+    models: &[MemoryModel],
+    test: &LitmusTest,
+    rows: &[usize],
+) {
+    let exec: Execution = test.execution();
+    let pairs: Vec<Vec<(EventId, EventId)>> =
+        models.iter().map(|m| forced_po_pairs(m, &exec)).collect();
+    let groups = prefilter.group_rows(&exec, rows);
+    let mut group_labels = vec![usize::MAX; models.len()];
+    for (g, group) in groups.iter().enumerate() {
+        for &row in group {
+            group_labels[row] = g;
+        }
+    }
+    let grouped: Vec<usize> = rows.iter().map(|&row| group_labels[row]).collect();
+    let expected = first_appearance_labels(rows, |row| pairs[row].clone());
+    // Equal label vectors under first-appearance numbering mean the same
+    // partition *and* the same group order.
+    assert_eq!(
+        grouped,
+        expected,
+        "prefilter groups differ from forced_po_pairs classes on {}",
+        test.name()
+    );
+    let flattened: usize = groups.iter().map(Vec::len).sum();
+    assert_eq!(flattened, rows.len(), "every row lands in one group");
+    for group in &groups {
+        let positions: Vec<usize> = group
+            .iter()
+            .map(|row| rows.iter().position(|r| r == row).unwrap())
+            .collect();
+        assert!(
+            positions.windows(2).all(|w| w[0] < w[1]),
+            "members keep input order on {}",
+            test.name()
+        );
+    }
+}
+
+#[test]
+fn prefilter_groups_exactly_when_forced_pairs_agree() {
+    let models = ninety_models();
+    let refs: Vec<&MemoryModel> = models.iter().collect();
+    let prefilter = SweepPrefilter::new(&refs);
+    let forward: Vec<usize> = (0..models.len()).collect();
+    let reversed: Vec<usize> = forward.iter().rev().copied().collect();
+
+    // The batched-core property space: at most 3 accesses, fences and
+    // data dependencies on.
+    let sampled = StreamBounds {
+        max_accesses_per_thread: 2,
+        threads: 2,
+        max_locs: 2,
+        include_fences: true,
+        include_deps: true,
+    };
+    let sampled: Vec<LitmusTest> = leaders(&sampled)
+        .filter(|t| t.program().access_count() <= 3)
+        .collect();
+    assert!(sampled.len() > 100);
+    // And the head of the default stream the 90-model sweep runs.
+    let stream: Vec<LitmusTest> = leaders(&StreamBounds::default()).take(1000).collect();
+    assert_eq!(stream.len(), 1000);
+
+    for test in sampled.iter().chain(&stream) {
+        assert_prefilter_matches_forced_pairs(&prefilter, &models, test, &forward);
+    }
+    // Order is first appearance in the *input*, not in model order.
+    for test in stream.iter().step_by(10) {
+        assert_prefilter_matches_forced_pairs(&prefilter, &models, test, &reversed);
+    }
 }

@@ -6,7 +6,9 @@
 //!    idioms in the sample space), for both the explicit and the SAT
 //!    (assumption-selected) backends;
 //! 2. **Witness validity** — every batched "allowed" verdict carries a
-//!    witness whose forced edges admit a partial order;
+//!    witness whose forced edges admit a partial order; the explicit
+//!    backend's witness *equals* the per-cell explicit witness (same
+//!    `rf`, `co` and labeled happens-before edges);
 //! 3. **Restriction** — the 90-model streamed sweep, restricted to the 36
 //!    dependency-free models, reproduces the Figure-4 sweep exactly, row
 //!    for row.
@@ -46,22 +48,19 @@ proptest! {
         let test = &tests[index % tests.len()];
         let models = paper::digit_space_models(false);
         let per_cell = ExplicitChecker::new();
-        let expected: Vec<bool> = models
-            .iter()
-            .map(|m| per_cell.check(m, test).allowed)
-            .collect();
+        let expected: Vec<_> = models.iter().map(|m| per_cell.check(m, test)).collect();
         for batch in [
             Box::new(BatchExplicitChecker::new()) as Box<dyn BatchChecker>,
             Box::new(BatchSatChecker::new()),
         ] {
             let verdicts = batch.check_all(test, &models);
             prop_assert_eq!(verdicts.len(), models.len());
-            for ((model, verdict), &expected) in
+            for ((model, verdict), expected) in
                 models.iter().zip(&verdicts).zip(&expected)
             {
                 prop_assert_eq!(
                     verdict.allowed,
-                    expected,
+                    expected.allowed,
                     "{} disagrees with per-cell explicit on {} under {}",
                     batch.name(),
                     test.name(),
@@ -82,6 +81,20 @@ proptest! {
                         batch.name(),
                         test.name()
                     );
+                    // The explicit backend visits candidates in the
+                    // per-cell order, so its witness is the same one.
+                    if batch.name() == "batch-explicit" {
+                        let cell = expected.witness.as_ref().expect("allowed per cell");
+                        let at = format!("{} on {}", model.name(), test.name());
+                        prop_assert_eq!(&witness.rf, &cell.rf, "rf of {}", at);
+                        prop_assert_eq!(&witness.co, &cell.co, "co of {}", at);
+                        prop_assert_eq!(
+                            &witness.hb_edges,
+                            &cell.hb_edges,
+                            "hb edges of {}",
+                            at
+                        );
+                    }
                 }
             }
         }
