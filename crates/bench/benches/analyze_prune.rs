@@ -19,7 +19,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use mcm_axiomatic::{BatchChecker, BatchExplicitChecker};
-use mcm_explore::{paper, report, EngineConfig, Exploration, SweepStats};
+use mcm_explore::{paper, report, EngineConfig, Exploration, StreamControl, SweepStats};
 use mcm_gen::stream::{self, StreamBounds};
 use std::hint::black_box;
 
@@ -47,13 +47,15 @@ fn run_sweep(
         prefilter,
         ..EngineConfig::default()
     };
-    Exploration::run_engine_streaming(
+    Exploration::run_engine_streaming_with(
         models,
         stream::leaders(&dep_bounds()).take(limit),
         factory,
         &config,
         None,
+        StreamControl::default(),
     )
+    .expect("a cold sweep cannot fail to resume")
 }
 
 fn report_prefilter_soundness_and_savings(limit: usize) {

@@ -16,7 +16,7 @@ use std::hint::black_box;
 use std::time::{Duration, Instant};
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use mcm_explore::{paper, EngineConfig, Exploration, SweepStats};
+use mcm_explore::{paper, EngineConfig, Exploration, StreamControl, SweepStats};
 use mcm_gen::stream::{self, StreamBounds};
 use mcm_query::CheckerKind;
 
@@ -35,13 +35,15 @@ fn config() -> EngineConfig {
 }
 
 fn streamed_sweep() -> (Exploration, SweepStats) {
-    Exploration::run_engine_streaming(
+    Exploration::run_engine_streaming_with(
         paper::digit_space_models(true),
         stream::leaders(&bounds()),
         || CheckerKind::Explicit.build_batch(),
         &config(),
         None,
+        StreamControl::default(),
     )
+    .expect("a cold sweep cannot fail to resume")
 }
 
 /// The verdict matrix as plain bits, for exact comparison.

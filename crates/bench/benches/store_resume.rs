@@ -142,13 +142,15 @@ fn engine_config() -> EngineConfig {
 }
 
 fn run_cold_engine(models: Vec<mcm_core::MemoryModel>) -> (Exploration, SweepStats) {
-    Exploration::run_engine_streaming(
+    Exploration::run_engine_streaming_with(
         models,
         stream::leaders(&tiny_bounds()),
         factory,
         &engine_config(),
         None,
+        StreamControl::default(),
     )
+    .expect("a cold sweep cannot fail to resume")
 }
 
 fn run_resumed_engine(

@@ -22,7 +22,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use mcm_axiomatic::{BatchChecker, BatchExplicitChecker};
-use mcm_explore::{paper, report, EngineConfig, Exploration, Relation};
+use mcm_explore::{paper, report, EngineConfig, Exploration, Relation, StreamControl};
 use mcm_gen::stream::{self, StreamBounds};
 use mcm_gen::naive;
 use std::hint::black_box;
@@ -71,13 +71,15 @@ fn run_streamed(
     bounds: &StreamBounds,
     limit: usize,
 ) -> (Exploration, mcm_explore::SweepStats) {
-    Exploration::run_engine_streaming(
+    Exploration::run_engine_streaming_with(
         models,
         stream::leaders(bounds).take(limit),
         factory,
         &EngineConfig::default(),
         None,
+        StreamControl::default(),
     )
+    .expect("a cold sweep cannot fail to resume")
 }
 
 /// Every pairwise model relation must agree — the two paths may order

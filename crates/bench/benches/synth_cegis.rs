@@ -19,8 +19,8 @@
 //! synth_cegis`; CI runs it with `-- --test` (everything once, untimed).
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use mcm_axiomatic::{Checker, ExplicitChecker};
-use mcm_explore::Exploration;
+use mcm_axiomatic::{BatchExplicitChecker, Checker, ExplicitChecker};
+use mcm_explore::{EngineConfig, Exploration};
 use mcm_gen::stream::{self, StreamBounds};
 use mcm_models::named;
 use mcm_synth::{SynthBounds, Synthesizer};
@@ -53,7 +53,14 @@ fn small_synth_bounds() -> SynthBounds {
 /// Per-pair minimal lengths by exhaustive sweep of the streamed leaders.
 fn sweep_lengths(models: &[mcm_core::MemoryModel]) -> Vec<Vec<Option<usize>>> {
     let tests: Vec<_> = stream::leaders(&small_stream_bounds()).collect();
-    let expl = Exploration::run_parallel(models.to_vec(), tests);
+    let expl = Exploration::run_engine(
+        models.to_vec(),
+        tests,
+        || Box::new(BatchExplicitChecker::new()),
+        &EngineConfig::default(),
+        None,
+    )
+    .0;
     mcm_explore::distinguish::minimal_length_matrix(&expl)
 }
 

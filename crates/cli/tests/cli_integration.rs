@@ -563,11 +563,36 @@ fn trace_out_writes_a_balanced_chrome_trace() {
             })
             .count()
     };
-    // The CLI wraps the whole command in one span; the engine adds its
-    // phases underneath. Every begin has its end.
-    for name in ["cli.explore", "engine.run", "engine.grid"] {
+    // The CLI wraps the whole command in one span; the query layer and
+    // the engine add their phases underneath. Every begin has its end.
+    for name in [
+        "cli.explore",
+        "query.resolve",
+        "query.load",
+        "engine.run",
+        "engine.grid",
+        "query.report",
+    ] {
         assert_eq!(phase_count(name, "B"), phase_count(name, "E"), "{name}");
         assert!(phase_count(name, "B") >= 1, "missing span {name}");
+    }
+    std::fs::remove_file(&trace).ok();
+
+    // A streamed sweep also names its raw-space count.
+    let (ok, _, stderr) = mcm(&[
+        "explore", "--models", "SC,TSO", "--stream", "--limit", "1", "--trace-out", trace_str,
+    ]);
+    assert!(ok, "{stderr}");
+    let doc = Json::parse(&std::fs::read_to_string(&trace).unwrap()).unwrap();
+    let names: Vec<&str> = doc
+        .get("traceEvents")
+        .and_then(Json::as_array)
+        .expect("traceEvents array")
+        .iter()
+        .filter_map(|e| e.get("name").and_then(Json::as_str))
+        .collect();
+    for name in ["query.raw_count", "engine.stream", "query.report"] {
+        assert!(names.contains(&name), "missing span {name}");
     }
     std::fs::remove_file(&trace).ok();
 }

@@ -1,12 +1,13 @@
 //! One-call reproduction of the paper's §4.2 exploration.
 
+use mcm_axiomatic::BatchExplicitChecker;
 use mcm_core::{LitmusTest, MemoryModel};
 use mcm_gen::suite::template_suite;
 use mcm_models::{catalog, DigitModel};
 
 use crate::distinguish::{self, MinimalSet};
 use crate::lattice::Lattice;
-use crate::space::Exploration;
+use crate::space::{EngineConfig, Exploration};
 
 /// The models of the §4.2 space: all 90 digit models, or the 36
 /// dependency-free ones drawn in Figure 4.
@@ -72,7 +73,13 @@ pub struct SpaceReport {
 pub fn explore_digit_space(with_deps: bool) -> SpaceReport {
     let models = digit_space_models(with_deps);
     let tests = comparison_tests(with_deps);
-    let exploration = Exploration::run_parallel(models, tests);
+    let (exploration, _) = Exploration::run_engine(
+        models,
+        tests,
+        || Box::new(BatchExplicitChecker::new()),
+        &EngineConfig::default(),
+        None,
+    );
     report_from(exploration)
 }
 
@@ -81,16 +88,7 @@ pub fn explore_digit_space(with_deps: bool) -> SpaceReport {
 #[must_use]
 pub fn report_from(exploration: Exploration) -> SpaceReport {
     let lattice = Lattice::build(&exploration);
-    let equivalent_pairs = exploration
-        .equivalent_pairs()
-        .into_iter()
-        .map(|(i, j)| {
-            (
-                exploration.models[i].name().to_string(),
-                exploration.models[j].name().to_string(),
-            )
-        })
-        .collect();
+    let equivalent_pairs = exploration.equivalent_pair_names();
     let minimal_set = distinguish::minimal_distinguishing_set(&exploration);
     let nine_test_indices: Vec<usize> = ["L1", "L2", "L3", "L4", "L5", "L6", "L7", "L8", "L9"]
         .iter()

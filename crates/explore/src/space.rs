@@ -1,32 +1,29 @@
 //! Exploring a space of memory models over a litmus suite (§4.2).
 //!
-//! Four entry points, in increasing order of machinery:
+//! Two sweeps, one core:
 //!
-//! * [`Exploration::run`] — sequential, any [`Checker`], no deduplication;
-//! * [`Exploration::run_parallel`] — the explicit checker fanned out over
-//!   all cores (a thin wrapper over the engine with default settings);
-//! * [`Exploration::run_engine`] — the materialized sweep engine:
-//!   optional symmetry canonicalization (checking one representative per
-//!   orbit), optional cross-sweep verdict memoization through a
-//!   [`VerdictCache`], and a work-stealing parallel schedule. Since the
-//!   streaming engine landed this is a thin front-end: it runs the same
-//!   layers, pushes the deduplicated suite through the shared
-//!   `sweep_grid` core in one batch, and expands the verdicts back to
-//!   the input order.
-//! * [`Exploration::run_engine_streaming`] — the bounded-memory sweep:
-//!   consumes **any** test iterator (typically
-//!   `mcm_gen::stream::leaders`, which yields one canonical
-//!   representative per symmetry orbit without materialising the raw
-//!   space) in fixed-size chunks, runs each chunk through the same
-//!   formula-dedup + cache + work-stealing layers, and grows the verdict
-//!   vectors incrementally. Peak memory is one chunk of tests plus the
-//!   verdict bits, never the whole space.
+//! * [`Exploration::run`] — the sequential reference: any [`Checker`],
+//!   no deduplication, no cache. Every engine test compares against it.
+//! * [`Exploration::run_engine_streaming_with`] — **the** sweep engine:
+//!   consumes any test iterator (typically `mcm_gen::stream::leaders`,
+//!   which yields one canonical representative per symmetry orbit
+//!   without materialising the raw space) in fixed-size chunks, runs each
+//!   chunk through formula dedup, optional canonicalization, the
+//!   [`VerdictCache`], the sweep prefilter and a work-stealing test-major
+//!   grid, and grows the verdict vectors incrementally. Peak memory is one
+//!   chunk of tests plus the verdict bits; a [`StreamControl`] adds
+//!   per-chunk checkpoints and resume.
+//!
+//! [`Exploration::run_engine`] is that core over a `Vec`: it collapses
+//! the suite to orbit representatives when asked, streams them through
+//! the core as a single chunk, and expands the verdicts back over the
+//! input order.
 
 use std::collections::HashSet;
 use std::sync::atomic::{AtomicU64, AtomicU8, AtomicUsize, Ordering};
 
 use mcm_analyze::SweepPrefilter;
-use mcm_axiomatic::{BatchChecker, BatchExplicitChecker, BatchStats, Checker};
+use mcm_axiomatic::{BatchChecker, BatchStats, Checker};
 use mcm_core::{Execution, LitmusTest, MemoryModel};
 use mcm_gen::canon;
 use mcm_sat::SolverStats;
@@ -35,7 +32,7 @@ use crate::cache::VerdictCache;
 use crate::verdict::{Relation, VerdictVector};
 
 /// Tuning knobs for [`Exploration::run_engine`] and
-/// [`Exploration::run_engine_streaming`].
+/// [`Exploration::run_engine_streaming_with`].
 #[derive(Clone, Debug)]
 pub struct EngineConfig {
     /// Collapse the suite to canonical symmetry-orbit representatives
@@ -52,7 +49,8 @@ pub struct EngineConfig {
     /// per-row cost is uneven; large batches lower contention.
     pub batch_size: usize,
     /// Tests materialized per chunk by the streaming engine — the memory
-    /// high-water mark of a streamed sweep.
+    /// high-water mark of a streamed sweep. [`Exploration::run_engine`]
+    /// ignores it: a materialized suite is a single chunk.
     pub stream_chunk: usize,
     /// Group models that provably agree on a test before calling the
     /// checker ([`mcm_analyze::SweepPrefilter`]): per test, models whose
@@ -208,7 +206,7 @@ impl std::error::Error for ResumeError {}
 /// Per-chunk control of a streaming sweep: checkpoint capture and resume.
 ///
 /// The default value changes nothing — no checkpoints are taken and the
-/// sweep starts cold, exactly like [`Exploration::run_engine_streaming`].
+/// sweep starts cold.
 #[derive(Default)]
 pub struct StreamControl<'a> {
     /// Called after every processed chunk with the current resumable
@@ -282,21 +280,6 @@ fn formula_rows(models: &[MemoryModel]) -> FormulaRows {
     }
 }
 
-/// Builds the sweep prefilter for the distinct-formula rows, when the
-/// config asks for one and there is anything to group.
-fn build_prefilter(
-    models: &[MemoryModel],
-    rows: &FormulaRows,
-    config: &EngineConfig,
-) -> Option<SweepPrefilter> {
-    if !config.prefilter || rows.row_models.len() < 2 {
-        return None;
-    }
-    let _span = mcm_obs::trace::span("engine.prefilter");
-    let refs: Vec<&MemoryModel> = rows.row_models.iter().map(|&m| &models[m]).collect();
-    Some(SweepPrefilter::new(&refs))
-}
-
 fn resolve_jobs(config: &EngineConfig) -> usize {
     config
         .jobs
@@ -316,20 +299,6 @@ struct ModelSide<'a> {
     prefilter: Option<&'a SweepPrefilter>,
 }
 
-/// What one `sweep_grid` call produced: the row-major allowed bits plus
-/// the layer counters the engines fold into [`SweepStats`].
-struct GridOutcome {
-    /// `bits[row * execs.len() + rep]`: is the outcome allowed?
-    bits: Vec<bool>,
-    cache_hits: u64,
-    cache_hits_disk: u64,
-    checker_calls: u64,
-    prefilter_groups: u64,
-    prefilter_saved_calls: u64,
-    sat: SolverStats,
-    batch: BatchStats,
-}
-
 /// The shared sweep core, test-major: the unit of parallel work is a
 /// **test row** — one execution checked against every distinct-formula
 /// model at once through a [`BatchChecker`] — scheduled work-stealing
@@ -340,6 +309,9 @@ struct GridOutcome {
 /// representative per group and the verdict fans out (and is cached once
 /// per member). Warm rows cost no checker work and cold rows amortize
 /// candidate enumeration / encoding across the whole model space.
+///
+/// Returns the row-major allowed bits (`bits[row * execs.len() + rep]`)
+/// and adds the layer counters into `stats`.
 fn sweep_grid<F>(
     side: &ModelSide<'_>,
     execs: &[Execution],
@@ -347,7 +319,8 @@ fn sweep_grid<F>(
     make_checker: &F,
     config: &EngineConfig,
     cache: Option<&VerdictCache>,
-) -> GridOutcome
+    stats: &mut SweepStats,
+) -> Vec<bool>
 where
     F: Fn() -> Box<dyn BatchChecker> + Sync,
 {
@@ -464,21 +437,14 @@ where
         prefilter_saved.fetch_add(saved, Ordering::Relaxed);
     };
 
-    let mut sat = SolverStats::default();
-    let mut amortized = BatchStats::default();
-    if workers <= 1 {
+    let work = || {
         let checker = make_checker();
         let mut local = Vec::new();
         sweep(&mut local, checker.as_ref());
-        if let Some(cache) = cache {
-            cache.merge(local);
-        }
-        if let Some(stats) = checker.solver_stats() {
-            sat.absorb(stats);
-        }
-        if let Some(stats) = checker.batch_stats() {
-            amortized.absorb(stats);
-        }
+        (local, checker.solver_stats(), checker.batch_stats())
+    };
+    let outcomes = if workers <= 1 {
+        vec![work()]
     } else {
         std::thread::scope(|scope| {
             let handles: Vec<_> = (0..workers)
@@ -489,43 +455,36 @@ where
                         // threads must do themselves (they are joined
                         // before TLS destructors run).
                         let _span = mcm_obs::trace::span("engine.grid.worker");
-                        let checker = make_checker();
-                        let mut local = Vec::new();
-                        sweep(&mut local, checker.as_ref());
-                        (local, checker.solver_stats(), checker.batch_stats())
+                        work()
                     })
                 })
                 .collect();
-            for handle in handles {
-                let (local, solver, batched) =
-                    handle.join().expect("sweep workers do not panic");
-                if let Some(cache) = cache {
-                    cache.merge(local);
-                }
-                if let Some(stats) = solver {
-                    sat.absorb(stats);
-                }
-                if let Some(stats) = batched {
-                    amortized.absorb(stats);
-                }
-            }
-        });
+            handles
+                .into_iter()
+                .map(|handle| handle.join().expect("sweep workers do not panic"))
+                .collect()
+        })
+    };
+    for (local, solver, batched) in outcomes {
+        if let Some(cache) = cache {
+            cache.merge(local);
+        }
+        if let Some(solver) = solver {
+            stats.sat.absorb(solver);
+        }
+        if let Some(batched) = batched {
+            stats.batch.absorb(batched);
+        }
     }
-
-    let bits = results
+    stats.cache_hits += cache_hits.into_inner();
+    stats.cache_hits_disk += cache_hits_disk.into_inner();
+    stats.checker_calls += checker_calls.into_inner();
+    stats.prefilter_groups += prefilter_groups.into_inner();
+    stats.prefilter_saved_calls += prefilter_saved.into_inner();
+    results
         .into_iter()
         .map(|slot| slot.into_inner() == 2)
-        .collect();
-    GridOutcome {
-        bits,
-        cache_hits: cache_hits.load(Ordering::Relaxed),
-        cache_hits_disk: cache_hits_disk.load(Ordering::Relaxed),
-        checker_calls: checker_calls.load(Ordering::Relaxed),
-        prefilter_groups: prefilter_groups.load(Ordering::Relaxed),
-        prefilter_saved_calls: prefilter_saved.load(Ordering::Relaxed),
-        sat,
-        batch: amortized,
-    }
+        .collect()
 }
 
 impl Exploration {
@@ -544,44 +503,25 @@ impl Exploration {
         }
     }
 
-    /// Runs the exploration with the batched explicit checker fanned out
-    /// over all available cores, one test row at a time.
-    #[must_use]
-    pub fn run_parallel(models: Vec<MemoryModel>, tests: Vec<LitmusTest>) -> Self {
-        Exploration::run_engine(
-            models,
-            tests,
-            || Box::new(BatchExplicitChecker::new()),
-            &EngineConfig::default(),
-            None,
-        )
-        .0
-    }
-
-    /// The materialized sweep engine, test-major: the unit of parallel
-    /// work is a **canonical test row**, checked against every
-    /// distinct-formula model in one [`BatchChecker`] call.
+    /// The materialized sweep: [`Exploration::run_engine_streaming_with`]
+    /// over a `Vec`, returning verdicts in the input order.
     ///
-    /// 1. models with structurally identical must-not-reorder formulas are
+    /// 1. models with semantically identical must-not-reorder formulas are
     ///    checked once (`TSO` and `x86` share a row);
     /// 2. with [`EngineConfig::canonicalize`], tests are collapsed to one
-    ///    representative per symmetry orbit;
-    /// 3. with a [`VerdictCache`], rows answered in an earlier sweep are
-    ///    never re-checked — workers do one row-keyed lookup per test,
-    ///    batch only the missing models, and merge their newly computed
-    ///    verdicts into the cache shard-by-shard when the sweep completes.
+    ///    representative per symmetry orbit up front (fanned over the
+    ///    worker budget) and the verdicts expanded back afterwards;
+    /// 3. with a [`VerdictCache`], rows answered in an earlier sweep — by
+    ///    either entry point, the keys are the same orbit fingerprints —
+    ///    are never re-checked.
     ///
     /// `make_checker` is called once per worker thread, so checkers need
     /// not be `Sync` (the SAT checkers carry per-instance solver state).
     /// Any per-cell [`Checker`] coerces through its blanket
     /// [`BatchChecker`] adapter; pass a natively batched checker
-    /// ([`BatchExplicitChecker`], [`mcm_axiomatic::BatchSatChecker`]) to
-    /// amortize candidate enumeration / encoding across each row.
-    ///
-    /// This is the materialized front-end of the streaming core: the
-    /// deduplicated suite goes through the same `sweep_grid` the
-    /// streaming engine chunks over, and the verdict matrix is expanded
-    /// back over the input suite at the end.
+    /// ([`mcm_axiomatic::BatchExplicitChecker`],
+    /// [`mcm_axiomatic::BatchSatChecker`]) to amortize candidate
+    /// enumeration / encoding across each row.
     #[must_use]
     pub fn run_engine<F>(
         models: Vec<MemoryModel>,
@@ -594,106 +534,60 @@ impl Exploration {
         F: Fn() -> Box<dyn BatchChecker> + Sync,
     {
         let _span = mcm_obs::trace::span_with("engine.run", &[("tests", &tests.len().to_string())]);
-        let rows = formula_rows(&models);
-        let jobs = resolve_jobs(config);
-
-        // Layer 2: symmetry canonicalization (or per-test fingerprints
-        // when only the cache needs keys), fanned over the same worker
-        // budget as the sweep — each test canonicalizes independently.
-        let (rep_execs, rep_fps, rep_of): (Vec<Execution>, Vec<u64>, Vec<usize>) =
-            if config.canonicalize || cache.is_some() {
+        let (reps, expand) = if config.canonicalize {
+            let canonical = {
                 let _canon_span = mcm_obs::trace::span("engine.canon");
-                let canonical = canon::dedup_parallel(&tests, jobs);
-                if config.canonicalize {
-                    (
-                        canonical.tests.iter().map(LitmusTest::execution).collect(),
-                        canonical.fingerprints,
-                        canonical.class_of,
-                    )
-                } else {
-                    // Cache keys only: keep every test as its own work
-                    // item but key it by its orbit fingerprint.
-                    let fps = canonical
-                        .class_of
-                        .iter()
-                        .map(|&c| canonical.fingerprints[c])
-                        .collect();
-                    (
-                        tests.iter().map(LitmusTest::execution).collect(),
-                        fps,
-                        (0..tests.len()).collect(),
-                    )
-                }
-            } else {
-                (
-                    tests.iter().map(LitmusTest::execution).collect(),
-                    vec![0; tests.len()],
-                    (0..tests.len()).collect(),
-                )
+                canon::dedup_parallel(&tests, resolve_jobs(config))
             };
-
-        let reps = rep_execs.len();
-        let prefilter = build_prefilter(&models, &rows, config);
-        let grid = sweep_grid(
-            &ModelSide {
-                models: &models,
-                rows: &rows,
-                prefilter: prefilter.as_ref(),
-            },
-            &rep_execs,
-            &rep_fps,
-            &make_checker,
-            config,
-            cache,
-        );
-
-        // Expand the deduplicated matrix back to (model, test) verdicts.
-        let verdicts: Vec<VerdictVector> = rows
-            .row_of
-            .iter()
-            .map(|&row| {
-                let mut vector = VerdictVector::new(tests.len());
-                for (t, &rep) in rep_of.iter().enumerate() {
-                    vector.set(t, grid.bits[row * reps + rep]);
-                }
-                vector
-            })
-            .collect();
-
-        let stats = SweepStats {
-            total_pairs: (models.len() * tests.len()) as u64,
-            unique_pairs: (rows.row_models.len() * reps) as u64,
-            cache_hits: grid.cache_hits,
-            cache_hits_disk: grid.cache_hits_disk,
-            checker_calls: grid.checker_calls,
-            canonical_tests: reps,
-            distinct_models: rows.row_models.len(),
-            tests_streamed: tests.len() as u64,
-            peak_batch: reps,
-            semantic_merged_models: rows.semantic_merged,
-            prefilter_groups: grid.prefilter_groups,
-            prefilter_saved_calls: grid.prefilter_saved_calls,
-            sat: grid.sat,
-            batch: grid.batch,
+            (canonical.tests, Some((tests, canonical.class_of)))
+        } else {
+            (tests, None)
         };
-        (
-            Exploration {
-                models,
-                tests,
-                verdicts,
-            },
-            stats,
+        let core = EngineConfig {
+            canonicalize: false,
+            stream_chunk: reps.len().max(1),
+            ..config.clone()
+        };
+        let (swept, mut stats) = Exploration::run_engine_streaming_with(
+            models,
+            reps,
+            make_checker,
+            &core,
+            cache,
+            StreamControl::default(),
         )
+        .expect("a cold sweep cannot fail to resume");
+        let exploration = match expand {
+            None => swept,
+            Some((tests, class_of)) => Exploration {
+                verdicts: swept
+                    .verdicts
+                    .iter()
+                    .map(|rep_verdicts| {
+                        let mut vector = VerdictVector::new(class_of.len());
+                        for (t, &rep) in class_of.iter().enumerate() {
+                            vector.set(t, rep_verdicts.allowed(rep));
+                        }
+                        vector
+                    })
+                    .collect(),
+                models: swept.models,
+                tests,
+            },
+        };
+        stats.total_pairs = (exploration.models.len() * exploration.tests.len()) as u64;
+        stats.tests_streamed = exploration.tests.len() as u64;
+        (exploration, stats)
     }
 
-    /// The bounded-memory streaming sweep engine.
+    /// The sweep engine core, bounded-memory and streaming.
     ///
     /// Consumes any test iterator — typically
     /// `mcm_gen::stream::leaders(..)`, which yields exactly one canonical
     /// representative per symmetry orbit of a bounded space — in chunks of
     /// [`EngineConfig::stream_chunk`] tests, runs each chunk through the
-    /// shared formula-dedup + [`VerdictCache`] + work-stealing core, and
-    /// grows per-model [`VerdictVector`]s incrementally. The raw space
+    /// formula-dedup + [`VerdictCache`] + prefilter + work-stealing grid,
+    /// and grows per-model [`VerdictVector`]s incrementally. The raw space
     /// behind the iterator is never materialized; peak memory is one
     /// chunk plus the kept tests and their verdict bits.
     ///
@@ -703,31 +597,8 @@ impl Exploration {
     /// non-canonical streams are deduplicated on the fly. Duplicates are
     /// dropped from the returned [`Exploration`], whose `tests` are the
     /// kept representatives in stream order.
-    #[must_use]
-    pub fn run_engine_streaming<I, F>(
-        models: Vec<MemoryModel>,
-        tests: I,
-        make_checker: F,
-        config: &EngineConfig,
-        cache: Option<&VerdictCache>,
-    ) -> (Self, SweepStats)
-    where
-        I: IntoIterator<Item = LitmusTest>,
-        F: Fn() -> Box<dyn BatchChecker> + Sync,
-    {
-        Exploration::run_engine_streaming_with(
-            models,
-            tests,
-            make_checker,
-            config,
-            cache,
-            StreamControl::default(),
-        )
-        .expect("a cold streaming sweep cannot fail to resume")
-    }
-
-    /// [`Exploration::run_engine_streaming`] with per-chunk
-    /// [`StreamControl`]: a checkpoint hook observing a
+    ///
+    /// Per-chunk [`StreamControl`] adds a checkpoint hook observing a
     /// [`StreamCheckpoint`] after every chunk (and able to stop the sweep
     /// early), and an optional resume state from an earlier run.
     ///
@@ -753,7 +624,11 @@ impl Exploration {
     {
         let _span = mcm_obs::trace::span("engine.stream");
         let rows = formula_rows(&models);
-        let prefilter = build_prefilter(&models, &rows, config);
+        let prefilter = (config.prefilter && rows.row_models.len() >= 2).then(|| {
+            let _span = mcm_obs::trace::span("engine.prefilter");
+            let refs: Vec<&MemoryModel> = rows.row_models.iter().map(|&m| &models[m]).collect();
+            SweepPrefilter::new(&refs)
+        });
         let jobs = resolve_jobs(config);
         let chunk_size = config.stream_chunk.max(1);
         let mut iter = tests.into_iter();
@@ -854,7 +729,7 @@ impl Exploration {
             let (batch, fps) = dedup(chunk, &mut seen);
             if !batch.is_empty() {
                 let execs: Vec<Execution> = batch.iter().map(LitmusTest::execution).collect();
-                let grid = sweep_grid(
+                let bits = sweep_grid(
                     &ModelSide {
                         models: &models,
                         rows: &rows,
@@ -865,17 +740,11 @@ impl Exploration {
                     &make_checker,
                     config,
                     cache,
+                    &mut stats,
                 );
-                stats.cache_hits += grid.cache_hits;
-                stats.cache_hits_disk += grid.cache_hits_disk;
-                stats.checker_calls += grid.checker_calls;
-                stats.prefilter_groups += grid.prefilter_groups;
-                stats.prefilter_saved_calls += grid.prefilter_saved_calls;
-                stats.sat.absorb(grid.sat);
-                stats.batch.absorb(grid.batch);
                 for (r, vector) in row_verdicts.iter_mut().enumerate() {
                     for t in 0..batch.len() {
-                        vector.push(grid.bits[r * batch.len() + t]);
+                        vector.push(bits[r * batch.len() + t]);
                     }
                 }
                 kept.extend(batch);
@@ -966,6 +835,18 @@ impl Exploration {
         }
         pairs
     }
+
+    /// [`Exploration::equivalent_pairs`] by model name.
+    #[must_use]
+    pub fn equivalent_pair_names(&self) -> Vec<(String, String)> {
+        self.equivalent_pairs()
+            .into_iter()
+            .map(|(i, j)| {
+                let name = |m: usize| self.models[m].name().to_string();
+                (name(i), name(j))
+            })
+            .collect()
+    }
 }
 
 fn verdict_vector(
@@ -983,9 +864,27 @@ fn verdict_vector(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mcm_axiomatic::ExplicitChecker;
+    use mcm_axiomatic::{BatchExplicitChecker, ExplicitChecker};
     use mcm_models::catalog;
     use mcm_models::named;
+
+    /// A cold streaming sweep with the explicit checker.
+    fn stream<I: IntoIterator<Item = LitmusTest>>(
+        models: Vec<MemoryModel>,
+        tests: I,
+        config: &EngineConfig,
+        cache: Option<&VerdictCache>,
+    ) -> (Exploration, SweepStats) {
+        Exploration::run_engine_streaming_with(
+            models,
+            tests,
+            || Box::new(ExplicitChecker::new()),
+            config,
+            cache,
+            StreamControl::default(),
+        )
+        .unwrap()
+    }
 
     fn small_exploration() -> Exploration {
         let models = vec![named::sc(), named::tso(), named::x86(), named::pso()];
@@ -1024,7 +923,13 @@ mod tests {
             tests.clone(),
             &ExplicitChecker::new(),
         );
-        let par = Exploration::run_parallel(models, tests);
+        let (par, _) = Exploration::run_engine(
+            models,
+            tests,
+            || Box::new(BatchExplicitChecker::new()),
+            &EngineConfig::default(),
+            None,
+        );
         assert_eq!(seq.verdicts, par.verdicts);
     }
 
@@ -1157,10 +1062,9 @@ mod tests {
         let tests = catalog::all_tests();
         let seq = Exploration::run(models.clone(), tests.clone(), &ExplicitChecker::new());
         // Tiny chunks force many grid sweeps and verdict growth.
-        let (streamed, stats) = Exploration::run_engine_streaming(
+        let (streamed, stats) = stream(
             models,
             tests.clone(),
-            || Box::new(ExplicitChecker::new()),
             &EngineConfig {
                 stream_chunk: 3,
                 ..EngineConfig::default()
@@ -1185,10 +1089,9 @@ mod tests {
         let tests = catalog::all_tests();
         let doubled: Vec<LitmusTest> =
             tests.iter().chain(tests.iter()).cloned().collect();
-        let (streamed, stats) = Exploration::run_engine_streaming(
+        let (streamed, stats) = stream(
             models.clone(),
             doubled,
-            || Box::new(ExplicitChecker::new()),
             &EngineConfig {
                 canonicalize: true,
                 stream_chunk: 4,
@@ -1212,18 +1115,16 @@ mod tests {
             stream_chunk: 5,
             ..EngineConfig::default()
         };
-        let (_, cold) = Exploration::run_engine_streaming(
+        let (_, cold) = stream(
             models.clone(),
             tests.clone(),
-            || Box::new(ExplicitChecker::new()),
             &config,
             Some(&cache),
         );
         assert!(cold.checker_calls > 0);
-        let (warm_expl, warm) = Exploration::run_engine_streaming(
+        let (warm_expl, warm) = stream(
             models,
             tests,
-            || Box::new(ExplicitChecker::new()),
             &config,
             Some(&cache),
         );
@@ -1297,10 +1198,9 @@ mod tests {
 
     #[test]
     fn streaming_an_empty_iterator_is_empty() {
-        let (expl, stats) = Exploration::run_engine_streaming(
+        let (expl, stats) = stream(
             vec![named::sc()],
             std::iter::empty(),
-            || Box::new(ExplicitChecker::new()),
             &EngineConfig::default(),
             None,
         );

@@ -7,7 +7,7 @@ use std::sync::Arc;
 
 use mcm_axiomatic::{BatchChecker, Checker, ExplicitChecker, Verdict};
 use mcm_core::{Execution, MemoryModel};
-use mcm_explore::{cache::VerdictCache, EngineConfig, Exploration};
+use mcm_explore::{cache::VerdictCache, EngineConfig, Exploration, StreamControl, SweepStats};
 use mcm_models::{catalog, named};
 
 /// An explicit checker that counts its invocations.
@@ -77,6 +77,69 @@ fn second_sweep_hits_the_cache_for_every_pair() {
     assert_eq!(second_calls, 0, "checker was invoked despite a warm cache");
     assert_eq!(second_stats.cache_hits, second_stats.unique_pairs);
     assert_eq!(first.verdicts, second.verdicts);
+}
+
+/// Both entry points key verdicts by orbit fingerprint, so whatever one
+/// computed answers the other: after a cold sweep through either path, a
+/// sweep through the other makes no checker call — with canonicalization
+/// off and on, in both orders. Verdict logs written by either path stay
+/// warm for both.
+#[test]
+fn materialized_and_streamed_sweeps_share_cache_keys() {
+    let (models, tests) = space();
+    for canonicalize in [false, true] {
+        let config = EngineConfig {
+            canonicalize,
+            stream_chunk: 7,
+            ..EngineConfig::default()
+        };
+        for materialized_first in [true, false] {
+            let cache = VerdictCache::new();
+            let calls = Arc::new(AtomicU64::new(0));
+            let factory = || {
+                Box::new(CountingChecker {
+                    inner: ExplicitChecker::new(),
+                    calls: Arc::clone(&calls),
+                }) as Box<dyn BatchChecker>
+            };
+            let materialized = || {
+                Exploration::run_engine(
+                    models.clone(),
+                    tests.clone(),
+                    factory,
+                    &config,
+                    Some(&cache),
+                )
+                .1
+            };
+            let streamed = || {
+                Exploration::run_engine_streaming_with(
+                    models.clone(),
+                    tests.clone(),
+                    factory,
+                    &config,
+                    Some(&cache),
+                    StreamControl::default(),
+                )
+                .unwrap()
+                .1
+            };
+            let (cold, warm): (&dyn Fn() -> SweepStats, &dyn Fn() -> SweepStats) =
+                if materialized_first {
+                    (&materialized, &streamed)
+                } else {
+                    (&streamed, &materialized)
+                };
+            let context =
+                format!("canonicalize={canonicalize} materialized_first={materialized_first}");
+            assert!(cold().checker_calls > 0, "{context}: cold sweep");
+            let cold_calls = calls.load(Ordering::Relaxed);
+            let warm_stats = warm();
+            assert_eq!(warm_stats.checker_calls, 0, "{context}: warm sweep");
+            assert_eq!(warm_stats.cache_hits, warm_stats.unique_pairs, "{context}");
+            assert_eq!(calls.load(Ordering::Relaxed), cold_calls, "{context}");
+        }
+    }
 }
 
 #[test]

@@ -18,7 +18,7 @@ use mcm_axiomatic::{
 };
 use mcm_core::LitmusTest;
 use mcm_explore::paper;
-use mcm_explore::{EngineConfig, Exploration};
+use mcm_explore::{EngineConfig, Exploration, StreamControl};
 use mcm_gen::stream::{leaders, StreamBounds};
 use proptest::prelude::*;
 
@@ -132,20 +132,24 @@ fn ninety_model_sweep_restricts_to_the_figure4_sweep() {
         include_deps: true,
     };
     let config = EngineConfig::default();
-    let (full, _) = Exploration::run_engine_streaming(
+    let (full, _) = Exploration::run_engine_streaming_with(
         paper::digit_space_models(true),
         leaders(&bounds),
         || Box::new(BatchExplicitChecker::new()),
         &config,
         None,
-    );
-    let (figure4, _) = Exploration::run_engine_streaming(
+        StreamControl::default(),
+    )
+    .expect("a cold sweep cannot fail to resume");
+    let (figure4, _) = Exploration::run_engine_streaming_with(
         paper::digit_space_models(false),
         leaders(&bounds),
         || Box::new(BatchExplicitChecker::new()),
         &config,
         None,
-    );
+        StreamControl::default(),
+    )
+    .expect("a cold sweep cannot fail to resume");
     assert_eq!(full.models.len(), 90);
     assert_eq!(figure4.models.len(), 36);
     assert_eq!(full.tests.len(), figure4.tests.len());

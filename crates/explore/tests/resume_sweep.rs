@@ -40,13 +40,15 @@ fn config(chunk: usize) -> EngineConfig {
 }
 
 fn run_cold(models: Vec<MemoryModel>, chunk: usize) -> (Exploration, SweepStats) {
-    Exploration::run_engine_streaming(
+    Exploration::run_engine_streaming_with(
         models,
         stream::leaders(&tiny_bounds()),
         factory,
         &config(chunk),
         None,
+        StreamControl::default(),
     )
+    .expect("a cold sweep cannot fail to resume")
 }
 
 /// Asserts two finished sweeps are bit-identical: same kept tests (names

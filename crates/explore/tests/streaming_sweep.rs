@@ -9,7 +9,7 @@ use std::collections::HashMap;
 
 use mcm_axiomatic::{BatchChecker, BatchExplicitChecker};
 use mcm_core::MemoryModel;
-use mcm_explore::{paper, EngineConfig, Exploration};
+use mcm_explore::{paper, EngineConfig, Exploration, StreamControl};
 use mcm_gen::stream::{self, StreamBounds};
 use mcm_gen::{canon, naive};
 use proptest::prelude::*;
@@ -60,7 +60,7 @@ fn materialized_verdicts(models: &[MemoryModel]) -> Vec<HashMap<u64, bool>> {
 }
 
 fn streamed(models: Vec<MemoryModel>, chunk: usize) -> (Exploration, mcm_explore::SweepStats) {
-    Exploration::run_engine_streaming(
+    Exploration::run_engine_streaming_with(
         models,
         stream::leaders(&tiny_bounds()),
         factory,
@@ -69,7 +69,9 @@ fn streamed(models: Vec<MemoryModel>, chunk: usize) -> (Exploration, mcm_explore
             ..EngineConfig::default()
         },
         None,
+        StreamControl::default(),
     )
+    .expect("a cold sweep cannot fail to resume")
 }
 
 #[test]

@@ -65,7 +65,7 @@ pub mod wire;
 pub use error::QueryError;
 pub use query::{
     AnalyzeQuery, CheckQuery, CompareQuery, DistinguishQuery, Query, SuiteQuery, SweepQuery,
-    SynthQuery,
+    SynthMode, SynthQuery,
 };
 pub use render::{Format, Render, SCHEMA_VERSION};
 pub use reports::{

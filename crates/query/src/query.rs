@@ -1,11 +1,11 @@
 //! The [`Query`] constructors and per-kind builders.
 
 use std::cell::Cell;
-use std::path::PathBuf;
-use std::sync::Arc;
+use std::path::{Path, PathBuf};
 use std::time::Instant;
 
 use mcm_axiomatic::{explain, Checker, CheckerKind, ExplicitChecker};
+use mcm_core::MemoryModel;
 use mcm_explore::dot::{render_dot, DotOptions};
 use mcm_explore::{
     distinguish, paper, EngineConfig, Exploration, Lattice, StreamControl, VerdictCache,
@@ -52,9 +52,8 @@ impl Query {
             models: ModelSpec::Figure4,
             source: TestSource::TemplateSuite { with_deps: false },
             checker: CheckerKind::Explicit,
-            config: EngineConfig::default(),
-            cache: false,
-            shared: None,
+            engine: EngineConfig::default(),
+            cache: None,
             store: None,
             checkpoint: None,
             resume: None,
@@ -91,9 +90,8 @@ impl Query {
             models: ModelSpec::Full90,
             with_deps: true,
             checker: CheckerKind::Explicit,
-            config: EngineConfig::default(),
-            cache: false,
-            shared: None,
+            engine: EngineConfig::default(),
+            cache: None,
         }
     }
 
@@ -105,9 +103,7 @@ impl Query {
                 left: left.into(),
                 right: right.into(),
             },
-            bounds: SynthBounds::default(),
-            max_size: None,
-            verbose: false,
+            ..Query::synth_matrix(ModelSpec::Figure4)
         }
     }
 
@@ -170,103 +166,104 @@ impl Query {
     }
 }
 
-/// Builder for [`Query::sweep`].
+/// Builder for [`Query::sweep`]. Like every query builder, its fields
+/// are public: the wire format parses a request into one, and a policy
+/// layer (the server's ceilings) may edit it before it runs.
 #[derive(Clone, Debug)]
 pub struct SweepQuery {
-    models: ModelSpec,
-    source: TestSource,
-    checker: CheckerKind,
-    config: EngineConfig,
-    cache: bool,
-    shared: Option<Arc<VerdictCache>>,
-    store: Option<PathBuf>,
-    checkpoint: Option<PathBuf>,
-    resume: Option<PathBuf>,
-    warm_figure4_demo: bool,
+    /// The model space to sweep.
+    pub models: ModelSpec,
+    /// Where the tests come from (materialized or streamed).
+    pub source: TestSource,
+    /// The checker backend (built test-major via
+    /// [`CheckerKind::build_batch`]).
+    pub checker: CheckerKind,
+    /// Engine tuning: canonicalization, worker count, batch sizes.
+    pub engine: EngineConfig,
+    /// Verdict memoization: `Some(true)` asks for a [`VerdictCache`],
+    /// `Some(false)` refuses one, `None` lets the runner decide — a server
+    /// supplies its process-wide shared cache, a direct [`SweepQuery::run`]
+    /// uses none. The report carries the cache's totals.
+    pub cache: Option<bool>,
+    /// Back the verdict cache with the append-only log at this path
+    /// ([`mcm_store::DiskCache`]): known verdicts hydrate from disk before
+    /// the sweep, fresh ones are written through batch by batch. Outranks
+    /// every other cache.
+    pub store: Option<PathBuf>,
+    /// For streamed sweeps: save a resumable checkpoint here after every
+    /// processed chunk (atomic rename-over, so a kill mid-save keeps the
+    /// previous one). Ignored for materialized sources.
+    pub checkpoint: Option<PathBuf>,
+    /// For streamed sweeps: resume from the checkpoint here instead of
+    /// starting cold. A missing file is a cold start (first run of a
+    /// `--checkpoint F --resume F` loop); a checkpoint taken over a
+    /// different sweep (models, bounds, shard, chunking) is rejected.
+    pub resume: Option<PathBuf>,
+    /// After a cached full-space template sweep, re-sweep the Figure 4
+    /// subspace to demonstrate cross-sweep memoization (ignored unless
+    /// both the cache and the with-deps template suite are in play).
+    pub warm_figure4_demo: bool,
 }
 
 impl SweepQuery {
-    /// The model space to sweep.
+    /// Sets [`SweepQuery::models`].
     #[must_use]
     pub fn models(mut self, models: ModelSpec) -> Self {
         self.models = models;
         self
     }
 
-    /// Where the tests come from (materialized or streamed).
+    /// Sets [`SweepQuery::source`].
     #[must_use]
     pub fn tests(mut self, source: TestSource) -> Self {
         self.source = source;
         self
     }
 
-    /// The checker backend (built test-major via
-    /// [`CheckerKind::build_batch`]).
+    /// Sets [`SweepQuery::checker`].
     #[must_use]
     pub fn checker(mut self, checker: CheckerKind) -> Self {
         self.checker = checker;
         self
     }
 
-    /// Engine tuning: canonicalization, worker count, batch sizes.
+    /// Sets [`SweepQuery::engine`].
     #[must_use]
     pub fn engine(mut self, config: EngineConfig) -> Self {
-        self.config = config;
+        self.engine = config;
         self
     }
 
-    /// Memoize verdicts in a fresh [`VerdictCache`] and report its
-    /// totals.
+    /// Memoize verdicts in a fresh [`VerdictCache`] (or refuse any
+    /// cache); see [`SweepQuery::cache`].
     #[must_use]
     pub fn cache(mut self, cache: bool) -> Self {
-        self.cache = cache;
+        self.cache = Some(cache);
         self
     }
 
-    /// Memoize verdicts in an **externally owned** cache instead of a
-    /// fresh one — the cross-request sharing hook the serve layer uses so
-    /// one process-wide warm cache accelerates every sweep. Takes
-    /// precedence over [`SweepQuery::cache`]; the reported cache summary
-    /// then carries the shared cache's process-wide totals.
-    #[must_use]
-    pub fn cache_with(mut self, cache: Arc<VerdictCache>) -> Self {
-        self.shared = Some(cache);
-        self
-    }
-
-    /// Back the verdict cache with the append-only log at `path`
-    /// ([`mcm_store::DiskCache`]): known verdicts hydrate from disk
-    /// before the sweep, fresh ones are written through batch by batch.
-    /// Takes precedence over [`SweepQuery::cache`] and
-    /// [`SweepQuery::cache_with`] as the sweep's cache.
+    /// Sets [`SweepQuery::store`].
     #[must_use]
     pub fn store(mut self, path: impl Into<PathBuf>) -> Self {
         self.store = Some(path.into());
         self
     }
 
-    /// For streamed sweeps: save a resumable checkpoint to `path` after
-    /// every processed chunk (atomic rename-over, so a kill mid-save
-    /// keeps the previous one). Ignored for materialized sources.
+    /// Sets [`SweepQuery::checkpoint`].
     #[must_use]
     pub fn checkpoint(mut self, path: impl Into<PathBuf>) -> Self {
         self.checkpoint = Some(path.into());
         self
     }
 
-    /// For streamed sweeps: resume from the checkpoint at `path` instead
-    /// of starting cold. A missing file is a cold start (first run of a
-    /// `--checkpoint F --resume F` loop); a checkpoint taken over a
-    /// different sweep (models, bounds, shard, chunking) is rejected.
+    /// Sets [`SweepQuery::resume`].
     #[must_use]
     pub fn resume(mut self, path: impl Into<PathBuf>) -> Self {
         self.resume = Some(path.into());
         self
     }
 
-    /// After a cached full-space template sweep, re-sweep the Figure 4
-    /// subspace to demonstrate cross-sweep memoization (ignored unless
-    /// both the cache and the with-deps template suite are in play).
+    /// Sets [`SweepQuery::warm_figure4_demo`].
     #[must_use]
     pub fn warm_figure4_demo(mut self, demo: bool) -> Self {
         self.warm_figure4_demo = demo;
@@ -281,23 +278,30 @@ impl SweepQuery {
     /// [`QueryError::Io`] / [`QueryError::Parse`] for file-backed test
     /// sources.
     pub fn run(self) -> Result<SweepReport, QueryError> {
-        let models = self.models.resolve()?;
+        self.run_with(None)
+    }
+
+    /// [`SweepQuery::run`] with the runner's shared cache, used unless
+    /// the query refused caching.
+    pub(crate) fn run_with(self, shared: Option<&VerdictCache>) -> Result<SweepReport, QueryError> {
+        let models = resolve_models(&self.models)?;
         // A disk-backed store supplies the cache when requested; it
         // outranks the shared and owned caches so its write-through sink
         // sees every fresh verdict of the sweep.
         let disk = match &self.store {
-            Some(path) => Some(DiskCache::open(path).map_err(|e| QueryError::Io {
-                path: path.display().to_string(),
-                message: e.to_string(),
-            })?),
+            Some(path) => {
+                let _span = mcm_obs::trace::span("query.store_open");
+                Some(DiskCache::open(path).map_err(|e| io_error(path, &e))?)
+            }
             None => None,
         };
-        let owned =
-            (disk.is_none() && self.shared.is_none() && self.cache).then(VerdictCache::new);
+        let shared = shared.filter(|_| self.cache != Some(false));
+        let owned = (disk.is_none() && shared.is_none() && self.cache == Some(true))
+            .then(VerdictCache::new);
         let cache: Option<&VerdictCache> = disk
             .as_ref()
             .map(|d| d.cache().as_ref())
-            .or(self.shared.as_deref())
+            .or(shared)
             .or(owned.as_ref());
         let checker = self.checker;
         if let TestSource::Stream {
@@ -306,22 +310,22 @@ impl SweepQuery {
             shard,
         } = &self.source
         {
-            let raw_space = mcm_gen::stream::try_count_raw(bounds, 20_000_000);
+            let raw_space = {
+                let _span = mcm_obs::trace::span("query.raw_count");
+                mcm_gen::stream::try_count_raw(bounds, 20_000_000)
+            };
             let meta = SweepMeta {
                 bounds: *bounds,
                 limit: limit.map(|l| l as u64),
                 shard: *shard,
-                canonicalize: self.config.canonicalize,
-                stream_chunk: self.config.stream_chunk as u64,
+                canonicalize: self.engine.canonicalize,
+                stream_chunk: self.engine.stream_chunk as u64,
             };
             let resume_state = match &self.resume {
                 None => None,
                 Some(path) => {
-                    let loaded = CheckpointFile::load(path).map_err(|e| QueryError::Io {
-                        path: path.display().to_string(),
-                        message: e.to_string(),
-                    })?;
-                    match loaded {
+                    let _span = mcm_obs::trace::span("query.checkpoint_load");
+                    match CheckpointFile::load(path).map_err(|e| io_error(path, &e))? {
                         // Cold start: the checkpoint was never written
                         // (first run of a `--checkpoint F --resume F` loop).
                         None => None,
@@ -367,15 +371,18 @@ impl SweepQuery {
                 models,
                 stream,
                 || checker.build_batch(),
-                &self.config,
+                &self.engine,
                 cache,
                 control,
             )
             .map_err(|e| QueryError::InvalidSpec(e.to_string()))?;
             let elapsed = start.elapsed();
             let timings = timings.finish();
-            let lattice = Lattice::build(&exploration);
-            let equivalent_pairs = named_pairs(&exploration);
+            let (lattice, equivalent_pairs) = {
+                let _span = mcm_obs::trace::span("query.report");
+                let pairs = exploration.equivalent_pair_names();
+                (Lattice::build(&exploration), pairs)
+            };
             return Ok(SweepReport {
                 exploration,
                 stats,
@@ -409,17 +416,18 @@ impl SweepQuery {
                 elapsed,
             });
         }
-        let tests = self.source.load()?;
+        let tests = {
+            let _span = mcm_obs::trace::span("query.load");
+            self.source.load()?
+        };
         let timings = TimingsCapture::start();
         let start = Instant::now();
-        let (exploration, stats) = Exploration::run_engine(
-            models,
-            tests,
-            || checker.build_batch(),
-            &self.config,
-            cache,
-        );
-        let space = paper::report_from(exploration);
+        let (exploration, stats) =
+            Exploration::run_engine(models, tests, || checker.build_batch(), &self.engine, cache);
+        let space = {
+            let _span = mcm_obs::trace::span("query.report");
+            paper::report_from(exploration)
+        };
         let elapsed = start.elapsed();
         let timings = timings.finish();
         // The warm re-sweep demo is only honest after a sweep that covered
@@ -427,12 +435,13 @@ impl SweepQuery {
         // anything smaller leaves the Figure 4 subspace cold.
         let warm = match (cache, self.warm_figure4_demo, &self.source) {
             (Some(cache), true, TestSource::TemplateSuite { with_deps: true }) => {
+                let _span = mcm_obs::trace::span("query.warm");
                 let warm_start = Instant::now();
                 let (_, warm_stats) = Exploration::run_engine(
                     paper::digit_space_models(false),
                     paper::comparison_tests(false),
                     || checker.build_batch(),
-                    &self.config,
+                    &self.engine,
                     Some(cache),
                 );
                 Some(WarmSummary {
@@ -465,20 +474,22 @@ impl SweepQuery {
 /// Builder for [`Query::analyze`].
 #[derive(Clone, Debug)]
 pub struct AnalyzeQuery {
-    models: ModelSpec,
-    tests: Option<TestSource>,
+    /// The model set to analyze.
+    pub models: ModelSpec,
+    /// Also lint the tests of a (materialized) source: never-read writes,
+    /// non-canonical form.
+    pub tests: Option<TestSource>,
 }
 
 impl AnalyzeQuery {
-    /// The model set to analyze.
+    /// Sets [`AnalyzeQuery::models`].
     #[must_use]
     pub fn models(mut self, models: ModelSpec) -> Self {
         self.models = models;
         self
     }
 
-    /// Also lint the tests of a (materialized) source: never-read writes,
-    /// non-canonical form.
+    /// Sets [`AnalyzeQuery::tests`].
     #[must_use]
     pub fn tests(mut self, source: TestSource) -> Self {
         self.tests = Some(source);
@@ -558,13 +569,16 @@ impl AnalyzeQuery {
 /// Builder for [`Query::compare`].
 #[derive(Clone, Debug)]
 pub struct CompareQuery {
-    left: String,
-    right: String,
-    with_deps: bool,
+    /// Left model name.
+    pub left: String,
+    /// Right model name.
+    pub right: String,
+    /// Include the dependency-idiom templates in the comparison suite.
+    pub with_deps: bool,
 }
 
 impl CompareQuery {
-    /// Include the dependency-idiom templates in the comparison suite.
+    /// Sets [`CompareQuery::with_deps`].
     #[must_use]
     pub fn with_deps(mut self, with_deps: bool) -> Self {
         self.with_deps = with_deps;
@@ -617,56 +631,52 @@ impl CompareQuery {
 /// Builder for [`Query::distinguish`].
 #[derive(Clone, Debug)]
 pub struct DistinguishQuery {
-    models: ModelSpec,
-    with_deps: bool,
-    checker: CheckerKind,
-    config: EngineConfig,
-    cache: bool,
-    shared: Option<Arc<VerdictCache>>,
+    /// The model space to separate (at least two models).
+    pub models: ModelSpec,
+    /// Include the dependency-idiom templates in the comparison suite.
+    pub with_deps: bool,
+    /// The checker backend.
+    pub checker: CheckerKind,
+    /// Engine tuning: canonicalization, worker count, batch sizes.
+    pub engine: EngineConfig,
+    /// Verdict memoization, as [`SweepQuery::cache`].
+    pub cache: Option<bool>,
 }
 
 impl DistinguishQuery {
-    /// The model space to separate (at least two models).
+    /// Sets [`DistinguishQuery::models`].
     #[must_use]
     pub fn models(mut self, models: ModelSpec) -> Self {
         self.models = models;
         self
     }
 
-    /// Include the dependency-idiom templates in the comparison suite.
+    /// Sets [`DistinguishQuery::with_deps`].
     #[must_use]
     pub fn with_deps(mut self, with_deps: bool) -> Self {
         self.with_deps = with_deps;
         self
     }
 
-    /// The checker backend.
+    /// Sets [`DistinguishQuery::checker`].
     #[must_use]
     pub fn checker(mut self, checker: CheckerKind) -> Self {
         self.checker = checker;
         self
     }
 
-    /// Engine tuning: canonicalization, worker count, batch sizes.
+    /// Sets [`DistinguishQuery::engine`].
     #[must_use]
     pub fn engine(mut self, config: EngineConfig) -> Self {
-        self.config = config;
+        self.engine = config;
         self
     }
 
-    /// Memoize verdicts in a fresh [`VerdictCache`].
+    /// Memoize verdicts in a fresh [`VerdictCache`] (or refuse any
+    /// cache); see [`DistinguishQuery::cache`].
     #[must_use]
     pub fn cache(mut self, cache: bool) -> Self {
-        self.cache = cache;
-        self
-    }
-
-    /// Memoize verdicts in an externally owned cache (see
-    /// [`SweepQuery::cache_with`]); takes precedence over
-    /// [`DistinguishQuery::cache`].
-    #[must_use]
-    pub fn cache_with(mut self, cache: Arc<VerdictCache>) -> Self {
-        self.shared = Some(cache);
+        self.cache = Some(cache);
         self
     }
 
@@ -677,27 +687,40 @@ impl DistinguishQuery {
     /// [`QueryError::InvalidSpec`] for unresolvable models or a space of
     /// fewer than two.
     pub fn run(self) -> Result<DistinguishReport, QueryError> {
-        let models = self.models.resolve()?;
+        self.run_with(None)
+    }
+
+    /// [`DistinguishQuery::run`] with the runner's shared cache, used
+    /// unless the query refused caching.
+    pub(crate) fn run_with(
+        self,
+        shared: Option<&VerdictCache>,
+    ) -> Result<DistinguishReport, QueryError> {
+        let models = resolve_models(&self.models)?;
         if models.len() < 2 {
             return Err(QueryError::InvalidSpec(
                 "distinguish needs at least two models".to_string(),
             ));
         }
-        let owned = (self.shared.is_none() && self.cache).then(VerdictCache::new);
-        let cache: Option<&VerdictCache> = self.shared.as_deref().or(owned.as_ref());
+        let shared = shared.filter(|_| self.cache != Some(false));
+        let owned = (shared.is_none() && self.cache == Some(true)).then(VerdictCache::new);
+        let cache: Option<&VerdictCache> = shared.or(owned.as_ref());
         let checker = self.checker;
-        let tests = paper::comparison_tests(self.with_deps);
+        let tests = {
+            let _span = mcm_obs::trace::span("query.load");
+            paper::comparison_tests(self.with_deps)
+        };
         let start = Instant::now();
-        let (exploration, stats) = Exploration::run_engine(
-            models,
-            tests,
-            || checker.build_batch(),
-            &self.config,
-            cache,
-        );
+        let (exploration, stats) =
+            Exploration::run_engine(models, tests, || checker.build_batch(), &self.engine, cache);
         let elapsed = start.elapsed();
-        let classes = exploration.equivalence_classes();
-        let minimal = distinguish::minimal_distinguishing_set(&exploration);
+        let (classes, minimal) = {
+            let _span = mcm_obs::trace::span("query.report");
+            (
+                exploration.equivalence_classes(),
+                distinguish::minimal_distinguishing_set(&exploration),
+            )
+        };
         Ok(DistinguishReport {
             exploration,
             stats,
@@ -709,37 +732,50 @@ impl DistinguishQuery {
     }
 }
 
+/// What a [`SynthQuery`] synthesizes.
 #[derive(Clone, Debug)]
-enum SynthMode {
-    Pair { left: String, right: String },
+pub enum SynthMode {
+    /// One minimal distinguishing test for a named pair.
+    Pair {
+        /// Left model name.
+        left: String,
+        /// Right model name.
+        right: String,
+    },
+    /// The pairwise minimal-length matrix of a model space (at least two
+    /// models once resolved).
     Matrix(ModelSpec),
 }
 
 /// Builder for [`Query::synth`] / [`Query::synth_matrix`].
 #[derive(Clone, Debug)]
 pub struct SynthQuery {
-    mode: SynthMode,
-    bounds: SynthBounds,
-    max_size: Option<usize>,
-    verbose: bool,
+    /// Pair or matrix.
+    pub mode: SynthMode,
+    /// The bounded search box.
+    pub bounds: SynthBounds,
+    /// Cap on the searched test length (default: the box maximum).
+    pub max_size: Option<usize>,
+    /// Include solver counters in the text rendering.
+    pub verbose: bool,
 }
 
 impl SynthQuery {
-    /// The bounded search box.
+    /// Sets [`SynthQuery::bounds`].
     #[must_use]
     pub fn bounds(mut self, bounds: SynthBounds) -> Self {
         self.bounds = bounds;
         self
     }
 
-    /// Cap the searched test length (defaults to the box maximum).
+    /// Sets [`SynthQuery::max_size`].
     #[must_use]
     pub fn max_size(mut self, max_size: usize) -> Self {
         self.max_size = Some(max_size);
         self
     }
 
-    /// Include solver counters in the text rendering.
+    /// Sets [`SynthQuery::verbose`].
     #[must_use]
     pub fn verbose(mut self, verbose: bool) -> Self {
         self.verbose = verbose;
@@ -755,84 +791,78 @@ impl SynthQuery {
     /// bounds or a model.
     pub fn run(self) -> Result<SynthReport, QueryError> {
         let max_size = self.max_size.unwrap_or_else(|| self.bounds.max_total());
-        match &self.mode {
-            SynthMode::Pair { left, right } => {
-                let models = vec![resolve::model(left)?, resolve::model(right)?];
-                let timings = TimingsCapture::start();
-                let start = Instant::now();
-                let mut synthesizer = mcm_synth::Synthesizer::new(models, self.bounds)
-                    .map_err(|e| QueryError::Synth(e.to_string()))?;
-                let pair = synthesizer.pair(0, 1, max_size);
-                let elapsed = start.elapsed();
-                let timings = timings.finish();
-                Ok(SynthReport {
-                    bounds: self.bounds,
-                    max_size,
-                    pair: Some(SynthPair {
-                        left: left.clone(),
-                        right: right.clone(),
-                        length: pair.length,
-                        witness: pair.witness,
-                        allowed_by: pair.allowed_by,
-                        forbidden_by: pair.forbidden_by,
-                    }),
-                    matrix: None,
-                    stats: synthesizer.stats(),
-                    verbose: self.verbose,
-                    timings,
-                    elapsed,
-                })
-            }
-            SynthMode::Matrix(spec) => {
-                let models = spec.resolve()?;
-                if models.len() < 2 {
-                    return Err(QueryError::InvalidSpec(
-                        "a synthesis matrix needs at least two models".to_string(),
-                    ));
-                }
-                let timings = TimingsCapture::start();
-                let start = Instant::now();
-                let mut synthesizer = mcm_synth::Synthesizer::new(models, self.bounds)
-                    .map_err(|e| QueryError::Synth(e.to_string()))?;
-                let matrix = synthesizer.matrix(max_size);
-                let elapsed = start.elapsed();
-                let timings = timings.finish();
-                Ok(SynthReport {
-                    bounds: self.bounds,
-                    max_size,
-                    pair: None,
-                    matrix: Some(SynthMatrix {
-                        names: matrix.names,
-                        lengths: matrix.lengths,
-                    }),
-                    stats: synthesizer.stats(),
-                    verbose: self.verbose,
-                    timings,
-                    elapsed,
-                })
-            }
+        let models = match &self.mode {
+            SynthMode::Pair { left, right } => vec![resolve::model(left)?, resolve::model(right)?],
+            SynthMode::Matrix(spec) => spec.resolve()?,
+        };
+        if models.len() < 2 {
+            return Err(QueryError::InvalidSpec(
+                "a synthesis matrix needs at least two models".to_string(),
+            ));
         }
+        let timings = TimingsCapture::start();
+        let start = Instant::now();
+        let mut synthesizer = mcm_synth::Synthesizer::new(models, self.bounds)
+            .map_err(|e| QueryError::Synth(e.to_string()))?;
+        let (pair, matrix) = match self.mode {
+            SynthMode::Pair { left, right } => {
+                let pair = synthesizer.pair(0, 1, max_size);
+                let pair = SynthPair {
+                    left,
+                    right,
+                    length: pair.length,
+                    witness: pair.witness,
+                    allowed_by: pair.allowed_by,
+                    forbidden_by: pair.forbidden_by,
+                };
+                (Some(pair), None)
+            }
+            SynthMode::Matrix(_) => {
+                let matrix = synthesizer.matrix(max_size);
+                let matrix = SynthMatrix {
+                    names: matrix.names,
+                    lengths: matrix.lengths,
+                };
+                (None, Some(matrix))
+            }
+        };
+        let elapsed = start.elapsed();
+        let timings = timings.finish();
+        Ok(SynthReport {
+            bounds: self.bounds,
+            max_size,
+            pair,
+            matrix,
+            stats: synthesizer.stats(),
+            verbose: self.verbose,
+            timings,
+            elapsed,
+        })
     }
 }
 
 /// Builder for [`Query::check`].
 #[derive(Clone, Debug)]
 pub struct CheckQuery {
-    model: String,
-    source: TestSource,
-    checker: CheckerKind,
-    witness: bool,
+    /// The model name.
+    pub model: String,
+    /// The tests to check (materializable sources only).
+    pub source: TestSource,
+    /// The checker backend.
+    pub checker: CheckerKind,
+    /// Render a witness / refutation explanation per test.
+    pub witness: bool,
 }
 
 impl CheckQuery {
-    /// The checker backend.
+    /// Sets [`CheckQuery::checker`].
     #[must_use]
     pub fn checker(mut self, checker: CheckerKind) -> Self {
         self.checker = checker;
         self
     }
 
-    /// Render a witness / refutation explanation per test.
+    /// Sets [`CheckQuery::witness`].
     #[must_use]
     pub fn witness(mut self, witness: bool) -> Self {
         self.witness = witness;
@@ -875,12 +905,14 @@ impl CheckQuery {
 /// Builder for [`Query::suite`].
 #[derive(Clone, Copy, Debug)]
 pub struct SuiteQuery {
-    with_deps: bool,
-    full: bool,
+    /// Include the dependency-idiom template variants.
+    pub with_deps: bool,
+    /// Render full test bodies instead of names in text mode.
+    pub full: bool,
 }
 
 impl SuiteQuery {
-    /// Render full test bodies instead of names in text mode.
+    /// Sets [`SuiteQuery::full`].
     #[must_use]
     pub fn full(mut self, full: bool) -> Self {
         self.full = full;
@@ -897,6 +929,19 @@ impl SuiteQuery {
             tests: suite.tests,
             full: self.full,
         }
+    }
+}
+
+/// Resolves a model spec under its own trace span.
+fn resolve_models(spec: &ModelSpec) -> Result<Vec<MemoryModel>, QueryError> {
+    let _span = mcm_obs::trace::span("query.resolve");
+    spec.resolve()
+}
+
+fn io_error(path: &Path, error: &impl std::fmt::Display) -> QueryError {
+    QueryError::Io {
+        path: path.display().to_string(),
+        message: error.to_string(),
     }
 }
 
@@ -922,19 +967,6 @@ fn store_summary(disk: &DiskCache) -> StoreSummary {
         bytes: stats.bytes,
         recovered_tail: stats.recovered_tail,
     }
-}
-
-fn named_pairs(exploration: &Exploration) -> Vec<(String, String)> {
-    exploration
-        .equivalent_pairs()
-        .into_iter()
-        .map(|(i, j)| {
-            (
-                exploration.models[i].name().to_string(),
-                exploration.models[j].name().to_string(),
-            )
-        })
-        .collect()
 }
 
 fn figures_report(selection: FigureSelection) -> FiguresReport {

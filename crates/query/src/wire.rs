@@ -1,15 +1,17 @@
 //! The wire format: building a query **from** a JSON document — the
 //! inverse of the render path, and the request language of `mcm serve`.
 //!
-//! PR 5 made every report serializable; this module closes the loop so a
-//! query itself is data. A [`WireRequest`] is parsed from a JSON object
-//! with [`WireRequest::parse`] (strictly: unknown fields, malformed
-//! values and out-of-range bounds are [`QueryError::InvalidSpec`] usage
-//! errors, never panics), executed with [`QuerySpec::run`], and the
-//! resulting report rendered in the request's [`Format`].
+//! Every report is serializable; this module closes the loop so a query
+//! itself is data. A [`WireRequest`] is parsed from a JSON object with
+//! [`WireRequest::parse`] (strictly: unknown fields, malformed values and
+//! out-of-range bounds are [`QueryError::InvalidSpec`] usage errors, never
+//! panics), executed with [`QuerySpec::run`], and the resulting report
+//! rendered in the request's [`Format`].
 //!
-//! The request document names the query kind plus that kind's fields,
-//! with defaults mirroring the builder defaults of [`crate::Query`]:
+//! The request document names the query kind plus that kind's fields.
+//! Each kind parses straight into its [`crate::Query`] builder: the parser
+//! starts from the builder's constructor and overrides only the fields
+//! the request names, so the wire defaults *are* the builder defaults.
 //!
 //! ```json
 //! {
@@ -51,9 +53,12 @@ use mcm_axiomatic::CheckerKind;
 use mcm_core::json::Json;
 use mcm_explore::{EngineConfig, SweepStats, VerdictCache};
 use mcm_gen::{Shard, StreamBounds};
-use mcm_synth::SynthBounds;
 
 use crate::error::QueryError;
+use crate::query::{
+    AnalyzeQuery, CheckQuery, CompareQuery, DistinguishQuery, SuiteQuery, SweepQuery, SynthMode,
+    SynthQuery,
+};
 use crate::render::{Format, Render};
 use crate::reports::FigureSelection;
 use crate::resolve::ModelSpec;
@@ -106,137 +111,29 @@ impl WireRequest {
     }
 }
 
-/// A declarative, executable query — every [`crate::Query`] kind as
-/// data. Fields are public so a policy layer (the server's ceilings) can
-/// clamp them before running.
+/// A declarative, executable query: every [`crate::Query`] kind as data,
+/// each variant holding its builder. The builders' fields are public, so
+/// a policy layer (the server's ceilings) can clamp them before running.
 #[derive(Clone, Debug)]
 pub enum QuerySpec {
     /// [`Query::sweep`].
-    Sweep(SweepSpec),
+    Sweep(SweepQuery),
     /// [`Query::compare`].
-    Compare(CompareSpec),
+    Compare(CompareQuery),
     /// [`Query::distinguish`].
-    Distinguish(DistinguishSpec),
+    Distinguish(DistinguishQuery),
     /// [`Query::analyze`].
-    Analyze(AnalyzeSpec),
-    /// [`Query::synth`].
-    Synth(SynthSpec),
-    /// [`Query::synth_matrix`].
-    SynthMatrix(SynthMatrixSpec),
+    Analyze(AnalyzeQuery),
+    /// [`Query::synth`] or [`Query::synth_matrix`].
+    Synth(SynthQuery),
     /// [`Query::check`].
-    Check(CheckSpec),
+    Check(CheckQuery),
     /// [`Query::suite`].
-    Suite(SuiteSpec),
+    Suite(SuiteQuery),
     /// [`Query::catalog`].
     Catalog,
     /// [`Query::figures`].
     Figures(FigureSelection),
-}
-
-/// Wire form of [`Query::sweep`].
-#[derive(Clone, Debug)]
-pub struct SweepSpec {
-    /// The model space.
-    pub models: ModelSpec,
-    /// The test source (never [`TestSource::File`] on the wire).
-    pub source: TestSource,
-    /// The checker backend.
-    pub checker: CheckerKind,
-    /// Engine tuning.
-    pub engine: EngineConfig,
-    /// Verdict memoization: `Some(true)` forces a cache, `Some(false)`
-    /// forbids one, `None` defers to the runner (a server supplies its
-    /// shared cache; a direct run uses none).
-    pub cache: Option<bool>,
-    /// Run the warm Figure-4 re-sweep demo after the main sweep.
-    pub warm_figure4_demo: bool,
-}
-
-/// Wire form of [`Query::compare`].
-#[derive(Clone, Debug)]
-pub struct CompareSpec {
-    /// Left model name.
-    pub left: String,
-    /// Right model name.
-    pub right: String,
-    /// Include dependency-idiom templates in the comparison suite.
-    pub with_deps: bool,
-}
-
-/// Wire form of [`Query::distinguish`].
-#[derive(Clone, Debug)]
-pub struct DistinguishSpec {
-    /// The model space (at least two once resolved).
-    pub models: ModelSpec,
-    /// Include dependency-idiom templates in the comparison suite.
-    pub with_deps: bool,
-    /// The checker backend.
-    pub checker: CheckerKind,
-    /// Engine tuning.
-    pub engine: EngineConfig,
-    /// Verdict memoization (see [`SweepSpec::cache`]).
-    pub cache: Option<bool>,
-}
-
-/// Wire form of [`Query::analyze`] — a purely static query: it builds
-/// the strength lattice and lint findings without executing any litmus
-/// test, so it needs no checker, engine or cache fields.
-#[derive(Clone, Debug)]
-pub struct AnalyzeSpec {
-    /// The model space.
-    pub models: ModelSpec,
-    /// Tests to lint, if any (materializable sources only).
-    pub source: Option<TestSource>,
-}
-
-/// Wire form of [`Query::synth`].
-#[derive(Clone, Debug)]
-pub struct SynthSpec {
-    /// Left model name.
-    pub left: String,
-    /// Right model name.
-    pub right: String,
-    /// The bounded search box.
-    pub bounds: SynthBounds,
-    /// Cap on the searched test length (default: the box maximum).
-    pub max_size: Option<usize>,
-    /// Include solver counters in text renderings.
-    pub verbose: bool,
-}
-
-/// Wire form of [`Query::synth_matrix`].
-#[derive(Clone, Debug)]
-pub struct SynthMatrixSpec {
-    /// The model space (at least two once resolved).
-    pub models: ModelSpec,
-    /// The bounded search box.
-    pub bounds: SynthBounds,
-    /// Cap on the searched test length (default: the box maximum).
-    pub max_size: Option<usize>,
-    /// Include solver counters in text renderings.
-    pub verbose: bool,
-}
-
-/// Wire form of [`Query::check`].
-#[derive(Clone, Debug)]
-pub struct CheckSpec {
-    /// The model name.
-    pub model: String,
-    /// The tests to check (materializable sources only).
-    pub source: TestSource,
-    /// The checker backend.
-    pub checker: CheckerKind,
-    /// Render a witness / refutation explanation per test.
-    pub witness: bool,
-}
-
-/// Wire form of [`Query::suite`].
-#[derive(Clone, Copy, Debug)]
-pub struct SuiteSpec {
-    /// Include the dependency-idiom template variants.
-    pub with_deps: bool,
-    /// Render full test bodies in text mode.
-    pub full: bool,
 }
 
 /// What executing a [`QuerySpec`] produced: the report (render it in any
@@ -259,8 +156,10 @@ impl QuerySpec {
             QuerySpec::Compare(_) => "compare",
             QuerySpec::Distinguish(_) => "distinguish",
             QuerySpec::Analyze(_) => "analyze",
-            QuerySpec::Synth(_) => "synth",
-            QuerySpec::SynthMatrix(_) => "synth_matrix",
+            QuerySpec::Synth(query) => match query.mode {
+                SynthMode::Pair { .. } => "synth",
+                SynthMode::Matrix(_) => "synth_matrix",
+            },
             QuerySpec::Check(_) => "check",
             QuerySpec::Suite(_) => "suite",
             QuerySpec::Catalog => "catalog",
@@ -302,264 +201,215 @@ impl QuerySpec {
     }
 
     /// Executes the query. `shared` is the runner's process-wide
-    /// [`VerdictCache`], used by cache-eligible kinds unless the request
-    /// said `"cache": false`; with no shared cache, `"cache": true`
-    /// builds a fresh one (the CLI's `--cache` semantics).
+    /// [`VerdictCache`], used by the sweep-running kinds unless the
+    /// request said `"cache": false`; with no shared cache,
+    /// `"cache": true` builds a fresh one (the CLI's `--cache` semantics).
     ///
     /// # Errors
     ///
     /// Whatever the underlying query's `run` reports — unresolvable
     /// models, bad bounds, litmus text that fails to parse.
     pub fn run(&self, shared: Option<&Arc<VerdictCache>>) -> Result<WireOutcome, QueryError> {
-        match self {
-            QuerySpec::Sweep(spec) => {
-                let mut query = Query::sweep()
-                    .models(spec.models.clone())
-                    .tests(spec.source.clone())
-                    .checker(spec.checker)
-                    .engine(spec.engine.clone())
-                    .warm_figure4_demo(spec.warm_figure4_demo);
-                query = match (shared, spec.cache) {
-                    (Some(cache), None | Some(true)) => query.cache_with(Arc::clone(cache)),
-                    (None, Some(true)) => query.cache(true),
-                    _ => query,
-                };
-                let report = query.run()?;
+        let shared = shared.map(Arc::as_ref);
+        let (report, stats): (Box<dyn Render>, _) = match self.clone() {
+            QuerySpec::Sweep(query) => {
+                let report = query.run_with(shared)?;
                 let stats = report.stats;
-                Ok(WireOutcome {
-                    report: Box::new(report),
-                    stats: Some(stats),
-                })
+                (Box::new(report), Some(stats))
             }
-            QuerySpec::Compare(spec) => {
-                let report = Query::compare(spec.left.as_str(), spec.right.as_str())
-                    .with_deps(spec.with_deps)
-                    .run()?;
-                Ok(WireOutcome {
-                    report: Box::new(report),
-                    stats: None,
-                })
-            }
-            QuerySpec::Distinguish(spec) => {
-                let mut query = Query::distinguish()
-                    .models(spec.models.clone())
-                    .with_deps(spec.with_deps)
-                    .checker(spec.checker)
-                    .engine(spec.engine.clone());
-                query = match (shared, spec.cache) {
-                    (Some(cache), None | Some(true)) => query.cache_with(Arc::clone(cache)),
-                    (None, Some(true)) => query.cache(true),
-                    _ => query,
-                };
-                let report = query.run()?;
+            QuerySpec::Distinguish(query) => {
+                let report = query.run_with(shared)?;
                 let stats = report.stats;
-                Ok(WireOutcome {
-                    report: Box::new(report),
-                    stats: Some(stats),
-                })
+                (Box::new(report), Some(stats))
             }
-            QuerySpec::Analyze(spec) => {
-                let mut query = Query::analyze().models(spec.models.clone());
-                if let Some(source) = &spec.source {
-                    query = query.tests(source.clone());
-                }
-                Ok(WireOutcome {
-                    report: Box::new(query.run()?),
-                    stats: None,
-                })
-            }
-            QuerySpec::Synth(spec) => {
-                let mut query = Query::synth(spec.left.as_str(), spec.right.as_str())
-                    .bounds(spec.bounds)
-                    .verbose(spec.verbose);
-                if let Some(max_size) = spec.max_size {
-                    query = query.max_size(max_size);
-                }
-                Ok(WireOutcome {
-                    report: Box::new(query.run()?),
-                    stats: None,
-                })
-            }
-            QuerySpec::SynthMatrix(spec) => {
-                let mut query = Query::synth_matrix(spec.models.clone())
-                    .bounds(spec.bounds)
-                    .verbose(spec.verbose);
-                if let Some(max_size) = spec.max_size {
-                    query = query.max_size(max_size);
-                }
-                Ok(WireOutcome {
-                    report: Box::new(query.run()?),
-                    stats: None,
-                })
-            }
-            QuerySpec::Check(spec) => {
-                let report = Query::check(spec.model.as_str(), spec.source.clone())
-                    .checker(spec.checker)
-                    .witness(spec.witness)
-                    .run()?;
-                Ok(WireOutcome {
-                    report: Box::new(report),
-                    stats: None,
-                })
-            }
-            QuerySpec::Suite(spec) => {
-                let report = Query::suite(spec.with_deps).full(spec.full).run();
-                Ok(WireOutcome {
-                    report: Box::new(report),
-                    stats: None,
-                })
-            }
-            QuerySpec::Catalog => Ok(WireOutcome {
-                report: Box::new(Query::catalog()),
-                stats: None,
-            }),
-            QuerySpec::Figures(selection) => Ok(WireOutcome {
-                report: Box::new(Query::figures(*selection)),
-                stats: None,
-            }),
-        }
+            QuerySpec::Compare(query) => (Box::new(query.run()?), None),
+            QuerySpec::Analyze(query) => (Box::new(query.run()?), None),
+            QuerySpec::Synth(query) => (Box::new(query.run()?), None),
+            QuerySpec::Check(query) => (Box::new(query.run()?), None),
+            QuerySpec::Suite(query) => (Box::new(query.run()), None),
+            QuerySpec::Catalog => (Box::new(Query::catalog()), None),
+            QuerySpec::Figures(selection) => (Box::new(Query::figures(selection)), None),
+        };
+        Ok(WireOutcome { report, stats })
     }
 }
 
 // ---------------------------------------------------------------------------
-// Per-kind field parsing.
+// Per-kind field parsing: start from the builder, override named fields.
 
 /// The fields every request document may carry regardless of kind.
 const COMMON_FIELDS: [&str; 2] = ["query", "format"];
 
+/// Overwrites `slot` when the request named the field.
+fn set<T>(slot: &mut T, value: Option<T>) {
+    if let Some(value) = value {
+        *slot = value;
+    }
+}
+
 fn parse_sweep(pairs: &[(String, Json)]) -> Result<QuerySpec, QueryError> {
     check_fields(
         pairs,
-        &["models", "tests", "checker", "engine", "cache", "warm_figure4_demo"],
+        &[
+            "models",
+            "tests",
+            "checker",
+            "engine",
+            "cache",
+            "warm_figure4_demo",
+        ],
     )?;
-    Ok(QuerySpec::Sweep(SweepSpec {
-        models: parse_models(pairs, ModelSpec::Figure4)?,
-        source: match get(pairs, "tests") {
-            None => TestSource::TemplateSuite { with_deps: false },
-            Some(v) => parse_source(v)?,
-        },
-        checker: parse_checker(pairs)?,
-        engine: parse_engine(pairs)?,
-        cache: opt_bool(pairs, "cache")?,
-        warm_figure4_demo: opt_bool(pairs, "warm_figure4_demo")?.unwrap_or(false),
-    }))
+    let mut query = Query::sweep();
+    set(&mut query.models, parse_models(pairs)?);
+    set(&mut query.source, parse_tests(pairs)?);
+    set(&mut query.checker, parse_checker(pairs)?);
+    parse_engine(pairs, &mut query.engine)?;
+    set(&mut query.cache, opt_bool(pairs, "cache")?.map(Some));
+    set(
+        &mut query.warm_figure4_demo,
+        opt_bool(pairs, "warm_figure4_demo")?,
+    );
+    Ok(QuerySpec::Sweep(query))
 }
 
 fn parse_compare(pairs: &[(String, Json)]) -> Result<QuerySpec, QueryError> {
     check_fields(pairs, &["left", "right", "with_deps"])?;
-    Ok(QuerySpec::Compare(CompareSpec {
-        left: required_str(pairs, "left")?,
-        right: required_str(pairs, "right")?,
-        with_deps: opt_bool(pairs, "with_deps")?.unwrap_or(true),
-    }))
+    let mut query = Query::compare(required_str(pairs, "left")?, required_str(pairs, "right")?);
+    set(&mut query.with_deps, opt_bool(pairs, "with_deps")?);
+    Ok(QuerySpec::Compare(query))
 }
 
 fn parse_distinguish(pairs: &[(String, Json)]) -> Result<QuerySpec, QueryError> {
-    check_fields(pairs, &["models", "with_deps", "checker", "engine", "cache"])?;
-    Ok(QuerySpec::Distinguish(DistinguishSpec {
-        models: parse_models(pairs, ModelSpec::Full90)?,
-        with_deps: opt_bool(pairs, "with_deps")?.unwrap_or(true),
-        checker: parse_checker(pairs)?,
-        engine: parse_engine(pairs)?,
-        cache: opt_bool(pairs, "cache")?,
-    }))
+    check_fields(
+        pairs,
+        &["models", "with_deps", "checker", "engine", "cache"],
+    )?;
+    let mut query = Query::distinguish();
+    set(&mut query.models, parse_models(pairs)?);
+    set(&mut query.with_deps, opt_bool(pairs, "with_deps")?);
+    set(&mut query.checker, parse_checker(pairs)?);
+    parse_engine(pairs, &mut query.engine)?;
+    set(&mut query.cache, opt_bool(pairs, "cache")?.map(Some));
+    Ok(QuerySpec::Distinguish(query))
 }
 
 fn parse_analyze(pairs: &[(String, Json)]) -> Result<QuerySpec, QueryError> {
     check_fields(pairs, &["models", "tests"])?;
-    let source = match get(pairs, "tests") {
-        None => None,
-        Some(v) => Some(parse_source(v)?),
-    };
-    if matches!(source, Some(TestSource::Stream { .. })) {
+    let mut query = Query::analyze();
+    set(&mut query.models, parse_models(pairs)?);
+    set(&mut query.tests, parse_tests(pairs)?.map(Some));
+    if matches!(query.tests, Some(TestSource::Stream { .. })) {
         return Err(invalid(
             "analyze lints a materializable test source, not a stream",
         ));
     }
-    Ok(QuerySpec::Analyze(AnalyzeSpec {
-        models: parse_models(pairs, ModelSpec::Full90)?,
-        source,
-    }))
+    Ok(QuerySpec::Analyze(query))
 }
 
 fn parse_synth(pairs: &[(String, Json)]) -> Result<QuerySpec, QueryError> {
     check_fields(pairs, &["left", "right", "bounds", "max_size", "verbose"])?;
-    let bounds = parse_synth_bounds(pairs)?;
-    Ok(QuerySpec::Synth(SynthSpec {
-        left: required_str(pairs, "left")?,
-        right: required_str(pairs, "right")?,
-        max_size: parse_max_size(pairs, &bounds)?,
-        bounds,
-        verbose: opt_bool(pairs, "verbose")?.unwrap_or(false),
-    }))
+    let query = Query::synth(required_str(pairs, "left")?, required_str(pairs, "right")?);
+    parse_synth_options(pairs, query)
 }
 
 fn parse_synth_matrix(pairs: &[(String, Json)]) -> Result<QuerySpec, QueryError> {
     check_fields(pairs, &["models", "bounds", "max_size", "verbose"])?;
-    let bounds = parse_synth_bounds(pairs)?;
-    Ok(QuerySpec::SynthMatrix(SynthMatrixSpec {
-        models: parse_models(pairs, ModelSpec::Figure4)?,
-        max_size: parse_max_size(pairs, &bounds)?,
-        bounds,
-        verbose: opt_bool(pairs, "verbose")?.unwrap_or(false),
-    }))
+    let query = Query::synth_matrix(parse_models(pairs)?.unwrap_or(ModelSpec::Figure4));
+    parse_synth_options(pairs, query)
+}
+
+/// The fields `synth` and `synth_matrix` share: the search box, the
+/// length cap (checked against that box) and verbosity.
+fn parse_synth_options(
+    pairs: &[(String, Json)],
+    mut query: SynthQuery,
+) -> Result<QuerySpec, QueryError> {
+    if let Some(value) = get(pairs, "bounds") {
+        let inner = expect_object(value, "bounds")?;
+        check_named_fields(
+            inner,
+            "bounds",
+            &["max_accesses", "max_locs", "fences", "deps"],
+        )?;
+        let b = &mut query.bounds;
+        parse_space(
+            inner,
+            "bounds",
+            (&mut b.max_accesses_per_thread, &mut b.max_locs),
+            (&mut b.include_fences, &mut b.include_deps),
+        )?;
+    }
+    if let Some(n) = opt_int(pairs, "max_size")? {
+        let bounds = &query.bounds;
+        let range = bounds.min_total()..=bounds.max_total();
+        query.max_size = Some(
+            usize::try_from(n)
+                .ok()
+                .filter(|n| range.contains(n))
+                .ok_or_else(|| {
+                    invalid(format!(
+                        "max_size needs {}..={} for these bounds, got {n}",
+                        range.start(),
+                        range.end()
+                    ))
+                })?,
+        );
+    }
+    set(&mut query.verbose, opt_bool(pairs, "verbose")?);
+    Ok(QuerySpec::Synth(query))
 }
 
 fn parse_check(pairs: &[(String, Json)]) -> Result<QuerySpec, QueryError> {
     check_fields(pairs, &["model", "tests", "checker", "witness"])?;
-    let source = parse_source(
-        get(pairs, "tests").ok_or_else(|| invalid("check requires `tests`"))?,
-    )?;
+    let source = parse_tests(pairs)?.ok_or_else(|| invalid("check requires `tests`"))?;
     if matches!(source, TestSource::Stream { .. }) {
         return Err(invalid(
             "check needs a materializable test source, not a stream",
         ));
     }
-    Ok(QuerySpec::Check(CheckSpec {
-        model: required_str(pairs, "model")?,
-        source,
-        checker: parse_checker(pairs)?,
-        witness: opt_bool(pairs, "witness")?.unwrap_or(false),
-    }))
+    let mut query = Query::check(required_str(pairs, "model")?, source);
+    set(&mut query.checker, parse_checker(pairs)?);
+    set(&mut query.witness, opt_bool(pairs, "witness")?);
+    Ok(QuerySpec::Check(query))
 }
 
 fn parse_suite(pairs: &[(String, Json)]) -> Result<QuerySpec, QueryError> {
     check_fields(pairs, &["with_deps", "full"])?;
-    Ok(QuerySpec::Suite(SuiteSpec {
-        with_deps: opt_bool(pairs, "with_deps")?.unwrap_or(true),
-        full: opt_bool(pairs, "full")?.unwrap_or(false),
-    }))
+    let mut query = Query::suite(opt_bool(pairs, "with_deps")?.unwrap_or(true));
+    set(&mut query.full, opt_bool(pairs, "full")?);
+    Ok(QuerySpec::Suite(query))
 }
 
 fn parse_figures(pairs: &[(String, Json)]) -> Result<QuerySpec, QueryError> {
     check_fields(pairs, &["which"])?;
-    let which = match get(pairs, "which") {
-        None => "all".to_string(),
-        Some(v) => as_str(v, "which")?.to_string(),
-    };
-    let selection = FigureSelection::from_name(&which)
+    let which = get(pairs, "which").map_or(Ok("all"), |v| as_str(v, "which"))?;
+    let selection = FigureSelection::from_name(which)
         .ok_or_else(|| invalid(format!("unknown figure `{which}`")))?;
     Ok(QuerySpec::Figures(selection))
 }
 
 // ---------------------------------------------------------------------------
-// Shared field parsers.
+// Shared field parsers: `None` when the request leaves the field out.
 
-fn parse_models(pairs: &[(String, Json)], default: ModelSpec) -> Result<ModelSpec, QueryError> {
+fn parse_models(pairs: &[(String, Json)]) -> Result<Option<ModelSpec>, QueryError> {
     match get(pairs, "models") {
-        None => Ok(default),
-        Some(Json::Str(spec)) => Ok(ModelSpec::parse(spec)),
+        None => Ok(None),
+        Some(Json::Str(spec)) => Ok(Some(ModelSpec::parse(spec))),
         Some(Json::Array(items)) => {
             let names: Vec<String> = items
                 .iter()
                 .map(|item| as_str(item, "models[]").map(str::to_string))
                 .collect::<Result<_, _>>()?;
-            Ok(ModelSpec::List(names))
+            Ok(Some(ModelSpec::List(names)))
         }
         Some(_) => Err(invalid(
             "`models` must be a set name (figure4|90|named|comma-list) or an array of names",
         )),
     }
+}
+
+fn parse_tests(pairs: &[(String, Json)]) -> Result<Option<TestSource>, QueryError> {
+    get(pairs, "tests").map(parse_source).transpose()
 }
 
 fn parse_source(value: &Json) -> Result<TestSource, QueryError> {
@@ -588,7 +438,9 @@ fn parse_source(value: &Json) -> Result<TestSource, QueryError> {
                     })
                 }
                 "stream" => parse_stream(body),
-                "inline" => Ok(TestSource::Inline(as_str(body, "tests.inline")?.to_string())),
+                "inline" => Ok(TestSource::Inline(
+                    as_str(body, "tests.inline")?.to_string(),
+                )),
                 other => Err(invalid(format!(
                     "unknown test source `{other}`; the wire format has no file-backed \
                      sources — use inline litmus text"
@@ -604,32 +456,23 @@ fn parse_stream(body: &Json) -> Result<TestSource, QueryError> {
     check_named_fields(
         inner,
         "tests.stream",
-        &["max_accesses", "max_locs", "fences", "deps", "limit", "shard"],
+        &[
+            "max_accesses",
+            "max_locs",
+            "fences",
+            "deps",
+            "limit",
+            "shard",
+        ],
     )?;
     let mut bounds = StreamBounds::default();
-    if let Some(n) = opt_int(inner, "max_accesses")? {
-        bounds.max_accesses_per_thread = usize::try_from(n)
-            .ok()
-            .filter(|&n| (1..=4).contains(&n))
-            .ok_or_else(|| invalid(format!("stream max_accesses needs 1..=4, got {n}")))?;
-    }
-    if let Some(n) = opt_int(inner, "max_locs")? {
-        bounds.max_locs = u8::try_from(n)
-            .ok()
-            .filter(|&n| n >= 1)
-            .ok_or_else(|| invalid(format!("stream max_locs needs 1..=255, got {n}")))?;
-    }
-    bounds.include_fences = opt_bool(inner, "fences")?.unwrap_or(false);
-    bounds.include_deps = opt_bool(inner, "deps")?.unwrap_or(false);
-    let limit = match opt_int(inner, "limit")? {
-        None => None,
-        Some(n) => Some(
-            usize::try_from(n)
-                .ok()
-                .filter(|&n| n >= 1)
-                .ok_or_else(|| invalid(format!("stream limit needs a positive integer, got {n}")))?,
-        ),
-    };
+    parse_space(
+        inner,
+        "stream",
+        (&mut bounds.max_accesses_per_thread, &mut bounds.max_locs),
+        (&mut bounds.include_fences, &mut bounds.include_deps),
+    )?;
+    let limit = opt_positive(inner, "limit", "stream limit")?;
     let shard = match get(inner, "shard") {
         None => None,
         Some(v) => Some(
@@ -638,26 +481,55 @@ fn parse_stream(body: &Json) -> Result<TestSource, QueryError> {
                 .map_err(|e| invalid(format!("stream shard: {e}")))?,
         ),
     };
-    Ok(TestSource::Stream { bounds, limit, shard })
+    Ok(TestSource::Stream {
+        bounds,
+        limit,
+        shard,
+    })
 }
 
-fn parse_checker(pairs: &[(String, Json)]) -> Result<CheckerKind, QueryError> {
-    match get(pairs, "checker") {
-        None => Ok(CheckerKind::Explicit),
-        Some(v) => {
-            let name = as_str(v, "checker")?;
-            CheckerKind::from_name(name).ok_or_else(|| {
-                let known: Vec<&str> = CheckerKind::ALL.iter().map(|k| k.name()).collect();
-                invalid(format!("unknown checker `{name}`; try one of {}", known.join("/")))
-            })
-        }
+/// The bounded-space fields stream sources and synth boxes share:
+/// accesses per thread and locations, then fences and dependencies.
+fn parse_space(
+    inner: &[(String, Json)],
+    what: &str,
+    (accesses, locs): (&mut usize, &mut u8),
+    (fences, deps): (&mut bool, &mut bool),
+) -> Result<(), QueryError> {
+    if let Some(n) = opt_int(inner, "max_accesses")? {
+        *accesses = usize::try_from(n)
+            .ok()
+            .filter(|n| (1..=4).contains(n))
+            .ok_or_else(|| invalid(format!("{what} max_accesses needs 1..=4, got {n}")))?;
     }
+    if let Some(n) = opt_int(inner, "max_locs")? {
+        *locs = u8::try_from(n)
+            .ok()
+            .filter(|&n| n >= 1)
+            .ok_or_else(|| invalid(format!("{what} max_locs needs 1..=255, got {n}")))?;
+    }
+    set(fences, opt_bool(inner, "fences")?);
+    set(deps, opt_bool(inner, "deps")?);
+    Ok(())
 }
 
-fn parse_engine(pairs: &[(String, Json)]) -> Result<EngineConfig, QueryError> {
-    let mut config = EngineConfig::default();
+fn parse_checker(pairs: &[(String, Json)]) -> Result<Option<CheckerKind>, QueryError> {
+    let Some(value) = get(pairs, "checker") else {
+        return Ok(None);
+    };
+    let name = as_str(value, "checker")?;
+    CheckerKind::from_name(name).map(Some).ok_or_else(|| {
+        let known: Vec<&str> = CheckerKind::ALL.iter().map(|k| k.name()).collect();
+        invalid(format!(
+            "unknown checker `{name}`; try one of {}",
+            known.join("/")
+        ))
+    })
+}
+
+fn parse_engine(pairs: &[(String, Json)], config: &mut EngineConfig) -> Result<(), QueryError> {
     let Some(value) = get(pairs, "engine") else {
-        return Ok(config);
+        return Ok(());
     };
     let inner = expect_object(value, "engine")?;
     check_named_fields(
@@ -665,75 +537,20 @@ fn parse_engine(pairs: &[(String, Json)]) -> Result<EngineConfig, QueryError> {
         "engine",
         &["canonicalize", "jobs", "batch_size", "stream_chunk"],
     )?;
-    config.canonicalize = opt_bool(inner, "canonicalize")?.unwrap_or(false);
-    if let Some(n) = opt_int(inner, "jobs")? {
-        config.jobs = Some(
-            usize::try_from(n)
-                .ok()
-                .filter(|&n| n >= 1)
-                .ok_or_else(|| invalid(format!("engine jobs needs a positive integer, got {n}")))?,
-        );
-    }
-    if let Some(n) = opt_int(inner, "batch_size")? {
-        config.batch_size = usize::try_from(n)
-            .ok()
-            .filter(|&n| n >= 1)
-            .ok_or_else(|| invalid(format!("engine batch_size needs a positive integer, got {n}")))?;
-    }
-    if let Some(n) = opt_int(inner, "stream_chunk")? {
-        config.stream_chunk = usize::try_from(n)
-            .ok()
-            .filter(|&n| n >= 1)
-            .ok_or_else(|| {
-                invalid(format!("engine stream_chunk needs a positive integer, got {n}"))
-            })?;
-    }
-    Ok(config)
-}
-
-fn parse_synth_bounds(pairs: &[(String, Json)]) -> Result<SynthBounds, QueryError> {
-    let mut bounds = SynthBounds::default();
-    let Some(value) = get(pairs, "bounds") else {
-        return Ok(bounds);
-    };
-    let inner = expect_object(value, "bounds")?;
-    check_named_fields(inner, "bounds", &["max_accesses", "max_locs", "fences", "deps"])?;
-    if let Some(n) = opt_int(inner, "max_accesses")? {
-        bounds.max_accesses_per_thread = usize::try_from(n)
-            .ok()
-            .filter(|&n| (1..=4).contains(&n))
-            .ok_or_else(|| invalid(format!("bounds max_accesses needs 1..=4, got {n}")))?;
-    }
-    if let Some(n) = opt_int(inner, "max_locs")? {
-        bounds.max_locs = u8::try_from(n)
-            .ok()
-            .filter(|&n| n >= 1)
-            .ok_or_else(|| invalid(format!("bounds max_locs needs 1..=255, got {n}")))?;
-    }
-    bounds.include_fences = opt_bool(inner, "fences")?.unwrap_or(false);
-    bounds.include_deps = opt_bool(inner, "deps")?.unwrap_or(false);
-    Ok(bounds)
-}
-
-fn parse_max_size(
-    pairs: &[(String, Json)],
-    bounds: &SynthBounds,
-) -> Result<Option<usize>, QueryError> {
-    match opt_int(pairs, "max_size")? {
-        None => Ok(None),
-        Some(n) => Ok(Some(
-            usize::try_from(n)
-                .ok()
-                .filter(|&n| (bounds.min_total()..=bounds.max_total()).contains(&n))
-                .ok_or_else(|| {
-                    invalid(format!(
-                        "max_size needs {}..={} for these bounds, got {n}",
-                        bounds.min_total(),
-                        bounds.max_total()
-                    ))
-                })?,
-        )),
-    }
+    set(&mut config.canonicalize, opt_bool(inner, "canonicalize")?);
+    set(
+        &mut config.jobs,
+        opt_positive(inner, "jobs", "engine jobs")?.map(Some),
+    );
+    set(
+        &mut config.batch_size,
+        opt_positive(inner, "batch_size", "engine batch_size")?,
+    );
+    set(
+        &mut config.stream_chunk,
+        opt_positive(inner, "stream_chunk", "engine stream_chunk")?,
+    );
+    Ok(())
 }
 
 // ---------------------------------------------------------------------------
@@ -808,6 +625,21 @@ fn opt_int(pairs: &[(String, Json)], key: &str) -> Result<Option<i64>, QueryErro
             .map(Some)
             .ok_or_else(|| invalid(format!("`{key}` must be an integer"))),
     }
+}
+
+fn opt_positive(
+    pairs: &[(String, Json)],
+    key: &str,
+    what: &str,
+) -> Result<Option<usize>, QueryError> {
+    opt_int(pairs, key)?
+        .map(|n| {
+            usize::try_from(n)
+                .ok()
+                .filter(|&n| n >= 1)
+                .ok_or_else(|| invalid(format!("{what} needs a positive integer, got {n}")))
+        })
+        .transpose()
 }
 
 #[cfg(test)]

@@ -492,6 +492,17 @@ mod tests {
             panic!("expected stream");
         };
         assert_eq!(*limit, Some(100));
+
+        // Distinguish runs the same engine under the same ceiling.
+        let mut distinguish = WireRequest::parse(
+            r#"{"query": "distinguish", "engine": {"jobs": 64}}"#,
+        )
+        .unwrap();
+        clamp(&mut distinguish.spec, &config);
+        let QuerySpec::Distinguish(distinguish) = &distinguish.spec else {
+            panic!("expected distinguish");
+        };
+        assert_eq!(distinguish.engine.jobs, Some(4));
     }
 
     #[test]

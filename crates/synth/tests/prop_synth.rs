@@ -8,9 +8,9 @@
 //! model pair; the property tests sample pairs under extended predicates
 //! (data dependencies) and re-verify witness properties.
 
-use mcm_axiomatic::{Checker, ExplicitChecker};
+use mcm_axiomatic::{BatchExplicitChecker, Checker, ExplicitChecker};
 use mcm_core::MemoryModel;
-use mcm_explore::{paper, Exploration};
+use mcm_explore::{paper, EngineConfig, Exploration};
 use mcm_gen::{canon, stream, StreamBounds};
 use mcm_synth::{SynthBounds, Synthesizer};
 use proptest::prelude::*;
@@ -25,7 +25,14 @@ fn sweep_lengths(
     let tests: Vec<_> = stream::leaders(bounds)
         .filter(|t| t.program().access_count() <= max_total)
         .collect();
-    let exploration = Exploration::run_parallel(models.to_vec(), tests);
+    let exploration = Exploration::run_engine(
+        models.to_vec(),
+        tests,
+        || Box::new(BatchExplicitChecker::new()),
+        &EngineConfig::default(),
+        None,
+    )
+    .0;
     mcm_explore::distinguish::minimal_length_matrix(&exploration)
 }
 

@@ -15,18 +15,20 @@
 use std::time::Instant;
 
 use mcm_axiomatic::ExplicitChecker;
-use mcm_explore::{paper, report, EngineConfig, Exploration, Relation};
+use mcm_explore::{paper, report, EngineConfig, Exploration, Relation, StreamControl};
 use mcm_gen::stream::{self, StreamBounds};
 use mcm_gen::naive;
 
 fn sweep(bounds: &StreamBounds, limit: usize) -> (Exploration, mcm_explore::SweepStats) {
-    Exploration::run_engine_streaming(
+    Exploration::run_engine_streaming_with(
         paper::digit_space_models(false),
         stream::leaders(bounds).take(limit),
         || Box::new(ExplicitChecker::new()),
         &EngineConfig::default(),
         None,
+        StreamControl::default(),
     )
+    .expect("a cold sweep cannot fail to resume")
 }
 
 fn main() {

@@ -98,11 +98,18 @@ fn nine_tests_suffice_and_are_minimum() {
 /// sequential one (spot-checked on the dependency-free space).
 #[test]
 fn parallel_and_sequential_agree_on_the_nodep_space() {
-    use litmus_mcm::axiomatic::ExplicitChecker;
-    use litmus_mcm::explore::Exploration;
+    use litmus_mcm::axiomatic::{BatchExplicitChecker, ExplicitChecker};
+    use litmus_mcm::explore::{EngineConfig, Exploration};
     let models = paper::digit_space_models(false);
     let tests = paper::comparison_tests(false);
     let seq = Exploration::run(models.clone(), tests.clone(), &ExplicitChecker::new());
-    let par = Exploration::run_parallel(models, tests);
+    let par = Exploration::run_engine(
+        models,
+        tests,
+        || Box::new(BatchExplicitChecker::new()),
+        &EngineConfig::default(),
+        None,
+    )
+    .0;
     assert_eq!(seq.verdicts, par.verdicts);
 }
