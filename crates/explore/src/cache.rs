@@ -12,18 +12,35 @@
 //!   of the test's canonical symmetry-orbit representative, so all
 //!   symmetric variants of a test share entries.
 //!
-//! The cache is sharded (a fixed array of mutex-protected maps indexed by
-//! key hash) so concurrent sweep workers do not serialise on one lock, and
-//! the parallel engine additionally batches its insertions: workers record
-//! newly computed verdicts locally and merge them shard-by-shard when the
-//! sweep finishes (see [`crate::space`]).
+//! ## Layout: one verdict row per test
+//!
+//! The sweep engine's unit of work is a test row (one test against every
+//! model), so the cache is keyed the same way. Each test fingerprint owns
+//! one row of three bitsets — `known`, `allowed` and `durable` —
+//! indexed by a dense **model id** that the cache hands out once per
+//! model fingerprint, in first-seen order. A whole-row lookup is one
+//! shard lock, one hash probe and one bit test per model
+//! ([`VerdictCache::lookup_row`]); a worker's fresh verdicts merge back
+//! as rows ([`RowBatch`], [`VerdictCache::merge_rows`]) with word-wide
+//! bit operations. The single-cell [`VerdictCache::get`] and
+//! [`VerdictCache::insert`] of the CEGIS oracle take the same path for
+//! one bit and never allocate, apart from the first row of a new test in
+//! a cache holding more than 128 models.
+//!
+//! Rows are sharded by test fingerprint (a fixed array of mutex-protected
+//! maps) so concurrent sweep workers do not serialise on one lock. Both
+//! fingerprints are already 64-bit hashes, so the maps hash them with a
+//! single multiply-fold rather than SipHash. That is sound only because
+//! both keys are hashes this program computes (of a formula, of a
+//! canonical test), never raw outside input that could be chosen to
+//! collide.
 //!
 //! The RAM shards can sit in front of a durable tier (`mcm-store`'s
-//! `DiskCache`): entries hydrated from disk are tagged with their
-//! provenance so hit counters distinguish `hits_ram` (computed this
-//! process) from `hits_disk` (recovered from an earlier process), and a
-//! [`DurableSink`] installed with [`VerdictCache::set_sink`] receives
-//! every freshly computed verdict for write-through persistence.
+//! `DiskCache`): entries hydrated from disk carry the `durable` bit, so
+//! hit counters distinguish `hits_ram` (computed this process) from
+//! `hits_disk` (recovered from an earlier process), and a [`DurableSink`]
+//! installed with [`VerdictCache::set_sink`] receives every freshly
+//! computed verdict for write-through persistence.
 //!
 //! Keys are 128 bits of hash; a collision would silently reuse a verdict.
 //! With 64-bit fingerprints on each side the collision probability across
@@ -32,18 +49,61 @@
 use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
 use std::fmt;
-use std::hash::{Hash, Hasher};
+use std::hash::{BuildHasherDefault, Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, OnceLock, TryLockError};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock, RwLock, TryLockError};
 
 use mcm_core::MemoryModel;
 
-/// Number of independent shards; a power of two so the shard index is a
-/// mask of the key hash.
+/// Number of independent shards; a power of two so the shard index is
+/// the top bits of the mixed test fingerprint.
 const SHARDS: usize = 16;
 
 /// A cache key: (model fingerprint, canonical-test fingerprint).
 pub type Key = (u64, u64);
+
+/// Odd multiplier of [`FoldHasher`] (2⁶⁴ / φ).
+const FOLD_K: u64 = 0x9e37_79b9_7f4a_7c15;
+
+/// The 128-bit product of `x` and [`FOLD_K`], its halves xor-folded.
+fn fold(x: u64) -> u64 {
+    let product = u128::from(x) * u128::from(FOLD_K);
+    (product as u64) ^ ((product >> 64) as u64)
+}
+
+/// A one-multiply hasher for keys that are already 64-bit hashes: the
+/// fold spreads every input bit over both the low bits (bucket index)
+/// and the high bits (control tag) a `HashMap` reads.
+#[derive(Clone, Copy, Debug, Default)]
+struct FoldHasher(u64);
+
+impl Hasher for FoldHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for chunk in bytes.chunks(8) {
+            let mut word = [0u8; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            self.write_u64(u64::from_le_bytes(word));
+        }
+    }
+
+    fn write_u64(&mut self, x: u64) {
+        self.0 = fold(self.0 ^ x);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+type FoldMap<V> = HashMap<u64, V, BuildHasherDefault<FoldHasher>>;
+
+/// Bit planes of one 64-model group of a [`Row`].
+const KNOWN: usize = 0;
+const ALLOWED: usize = 1;
+const DURABLE: usize = 2;
+
+/// Groups of 64 model ids stored inline in every [`Row`].
+const INLINE_GROUPS: usize = 2;
 
 /// One memoized verdict plus its provenance tier.
 #[derive(Clone, Copy, Debug)]
@@ -52,6 +112,155 @@ struct Slot {
     /// `true` when the entry was hydrated from a durable store rather
     /// than computed by a checker in this process.
     durable: bool,
+}
+
+/// One test's verdicts over every model id, as three bitsets: `known`
+/// (a verdict is memoized), `allowed` (the verdict) and `durable` (it was
+/// loaded from disk, not computed in this process). Model id `i` is bit
+/// `i % 64` of group `i / 64`, and a group holds the three planes' words
+/// side by side. The first [`INLINE_GROUPS`] groups (ids below 128) live
+/// inline, so rows over the 90-model space never allocate.
+#[derive(Clone, Debug, Default)]
+struct Row {
+    head: [[u64; 3]; INLINE_GROUPS],
+    tail: Vec<[u64; 3]>,
+}
+
+impl Row {
+    fn group(&self, g: usize) -> Option<&[u64; 3]> {
+        match g.checked_sub(INLINE_GROUPS) {
+            None => Some(&self.head[g]),
+            Some(t) => self.tail.get(t),
+        }
+    }
+
+    fn group_mut(&mut self, g: usize) -> &mut [u64; 3] {
+        match g.checked_sub(INLINE_GROUPS) {
+            None => &mut self.head[g],
+            Some(t) => {
+                if self.tail.len() <= t {
+                    self.tail.resize(t + 1, [0; 3]);
+                }
+                &mut self.tail[t]
+            }
+        }
+    }
+
+    fn groups(&self) -> impl Iterator<Item = &[u64; 3]> {
+        self.head.iter().chain(&self.tail)
+    }
+
+    /// Memoized verdicts in the row.
+    fn known(&self) -> u64 {
+        self.groups()
+            .map(|g| u64::from(g[KNOWN].count_ones()))
+            .sum()
+    }
+
+    fn get(&self, id: u32) -> Option<Slot> {
+        let bit = 1u64 << (id % 64);
+        let group = self.group(id as usize / 64)?;
+        (group[KNOWN] & bit != 0).then(|| Slot {
+            allowed: group[ALLOWED] & bit != 0,
+            durable: group[DURABLE] & bit != 0,
+        })
+    }
+
+    /// Writes one verdict. Returns `(newly known, fresh)`, where fresh
+    /// means the cell was unknown or held the opposite verdict.
+    fn set(&mut self, id: u32, slot: Slot) -> (bool, bool) {
+        let bit = 1u64 << (id % 64);
+        let group = self.group_mut(id as usize / 64);
+        let was_known = group[KNOWN] & bit != 0;
+        let was_allowed = group[ALLOWED] & bit != 0;
+        group[KNOWN] |= bit;
+        for (plane, on) in [(ALLOWED, slot.allowed), (DURABLE, slot.durable)] {
+            if on {
+                group[plane] |= bit;
+            } else {
+                group[plane] &= !bit;
+            }
+        }
+        (!was_known, !was_known || was_allowed != slot.allowed)
+    }
+}
+
+/// The dense model ids a cache has handed out, in first-seen order.
+#[derive(Debug, Default)]
+struct ModelIndex {
+    ids: FoldMap<u32>,
+}
+
+impl ModelIndex {
+    fn intern(&mut self, model_fp: u64) -> u32 {
+        let next = u32::try_from(self.ids.len()).expect("fewer than 2^32 models");
+        *self.ids.entry(model_fp).or_insert(next)
+    }
+}
+
+/// A sweep's model fingerprints resolved to one cache's model ids, once
+/// per sweep ([`VerdictCache::model_ids`]). Only meaningful for the
+/// cache that made it.
+#[derive(Clone, Debug)]
+pub struct ModelIds {
+    fps: Vec<u64>,
+    ids: Vec<u32>,
+    /// 64-model groups spanned by the largest id.
+    groups: usize,
+}
+
+/// Fresh verdicts of whole test rows, collected by one sweep worker and
+/// merged into the cache with [`VerdictCache::merge_rows`]. A row holds
+/// at most one verdict per model of its [`ModelIds`]; setting a model
+/// twice keeps the last verdict.
+#[derive(Clone, Debug)]
+pub struct RowBatch<'a> {
+    ids: &'a ModelIds,
+    test_fps: Vec<u64>,
+    /// Per row, `ids.groups` `known` words, then as many `allowed` words.
+    masks: Vec<u64>,
+}
+
+impl<'a> RowBatch<'a> {
+    /// An empty batch over the models of `ids`.
+    #[must_use]
+    pub fn new(ids: &'a ModelIds) -> Self {
+        RowBatch {
+            ids,
+            test_fps: Vec::new(),
+            masks: Vec::new(),
+        }
+    }
+
+    /// Starts the row of `test_fp`; later [`RowBatch::set`] calls fill it.
+    pub fn push_row(&mut self, test_fp: u64) {
+        self.test_fps.push(test_fp);
+        self.masks.resize(self.masks.len() + 2 * self.ids.groups, 0);
+    }
+
+    /// Records the verdict of the model at position `model` of the
+    /// batch's [`ModelIds`] in the current row.
+    ///
+    /// # Panics
+    ///
+    /// Panics when no row was started.
+    pub fn set(&mut self, model: usize, allowed: bool) {
+        let groups = self.ids.groups;
+        let start = self
+            .masks
+            .len()
+            .checked_sub(2 * groups)
+            .expect("push_row before set");
+        let id = self.ids.ids[model] as usize;
+        let bit = 1u64 << (id % 64);
+        let row = &mut self.masks[start..];
+        row[id / 64] |= bit;
+        if allowed {
+            row[groups + id / 64] |= bit;
+        } else {
+            row[groups + id / 64] &= !bit;
+        }
+    }
 }
 
 /// A durable write-through target for freshly computed verdicts: the
@@ -65,7 +274,8 @@ pub trait DurableSink: Send + Sync {
     fn persist(&self, batch: &[(Key, bool)]);
 }
 
-/// Result of a tier-aware row lookup ([`VerdictCache::get_row_tiered`]).
+/// Result of a tier-aware row lookup ([`VerdictCache::get_row_tiered`],
+/// [`VerdictCache::lookup_row`]).
 #[derive(Clone, Debug, Default)]
 pub struct RowLookup {
     /// Per-model verdicts, `None` where the cache had no entry.
@@ -79,7 +289,11 @@ pub struct RowLookup {
 /// A sharded, thread-safe memo table for (model, test) verdicts.
 #[derive(Default)]
 pub struct VerdictCache {
-    shards: [Mutex<HashMap<Key, Slot>>; SHARDS],
+    shards: [Mutex<FoldMap<Row>>; SHARDS],
+    models: RwLock<ModelIndex>,
+    /// Memoized (model, test) pairs: bumped whenever a `known` bit goes
+    /// from 0 to 1, so [`VerdictCache::len`] reads one atomic.
+    entries: AtomicU64,
     hits_ram: AtomicU64,
     hits_disk: AtomicU64,
     misses: AtomicU64,
@@ -122,19 +336,19 @@ impl VerdictCache {
         hasher.finish()
     }
 
-    fn shard(key: Key) -> usize {
-        // Mix both halves so shard load stays balanced even when one
-        // fingerprint is constant (single-model sweeps).
-        ((key.0 ^ key.1.rotate_left(32)) as usize) & (SHARDS - 1)
+    fn shard(test_fp: u64) -> usize {
+        (fold(test_fp) >> (64 - SHARDS.trailing_zeros())) as usize
     }
 
-    /// Locks shard `i`, counting the acquisition as contended when
-    /// another worker already holds it (`try_lock` would block). The
-    /// count feeds `shard_contention` in [`VerdictCache::counters`]
-    /// and the global `mcm_cache_shard_contention_total` series — the
-    /// signal that says whether [`SHARDS`] needs to grow.
-    fn lock_shard(&self, i: usize) -> MutexGuard<'_, HashMap<Key, Slot>> {
-        match self.shards[i].try_lock() {
+    /// Locks the shard holding `test_fp`'s row, counting the acquisition
+    /// as contended when another worker already holds it (`try_lock`
+    /// would block). The count feeds `shard_contention` in
+    /// [`VerdictCache::counters`] and the global
+    /// `mcm_cache_shard_contention_total` series — the signal that says
+    /// whether [`SHARDS`] needs to grow.
+    fn lock_shard(&self, test_fp: u64) -> MutexGuard<'_, FoldMap<Row>> {
+        let shard = &self.shards[Self::shard(test_fp)];
+        match shard.try_lock() {
             Ok(guard) => guard,
             Err(TryLockError::WouldBlock) => {
                 self.contention.fetch_add(1, Ordering::Relaxed);
@@ -145,9 +359,50 @@ impl VerdictCache {
                         })
                         .inc();
                 }
-                self.shards[i].lock().expect("cache shard poisoned")
+                shard.lock().expect("cache shard poisoned")
             }
             Err(TryLockError::Poisoned(_)) => panic!("cache shard poisoned"),
+        }
+    }
+
+    /// The id of a model fingerprint, `None` when the cache never saw it
+    /// (and so holds no verdict for it).
+    fn model_id(&self, model_fp: u64) -> Option<u32> {
+        self.models
+            .read()
+            .expect("model index poisoned")
+            .ids
+            .get(&model_fp)
+            .copied()
+    }
+
+    /// The id of a model fingerprint, handing out the next one when new.
+    fn intern(&self, model_fp: u64) -> u32 {
+        match self.model_id(model_fp) {
+            Some(id) => id,
+            None => self
+                .models
+                .write()
+                .expect("model index poisoned")
+                .intern(model_fp),
+        }
+    }
+
+    /// Resolves a sweep's model fingerprints to this cache's model ids,
+    /// handing out ids to the ones it has not seen. Resolve once per
+    /// sweep, then look rows up with [`VerdictCache::lookup_row`] and
+    /// merge them with [`RowBatch`].
+    #[must_use]
+    pub fn model_ids(&self, model_fps: &[u64]) -> ModelIds {
+        let ids: Vec<u32> = {
+            let mut index = self.models.write().expect("model index poisoned");
+            model_fps.iter().map(|&fp| index.intern(fp)).collect()
+        };
+        let groups = ids.iter().max().map_or(0, |&id| id as usize / 64 + 1);
+        ModelIds {
+            fps: model_fps.to_vec(),
+            ids,
+            groups,
         }
     }
 
@@ -179,6 +434,14 @@ impl VerdictCache {
         }
     }
 
+    /// Adds one lookup's tallies to the cache's counters and metrics.
+    fn count_lookups(&self, hits_ram: u64, hits_disk: u64, misses: u64) {
+        self.hits_ram.fetch_add(hits_ram, Ordering::Relaxed);
+        self.hits_disk.fetch_add(hits_disk, Ordering::Relaxed);
+        self.misses.fetch_add(misses, Ordering::Relaxed);
+        self.observe_lookups(hits_ram, hits_disk, misses);
+    }
+
     /// Installs the durable write-through tier. At most one sink can be
     /// installed per cache; returns `false` (and leaves the existing sink
     /// in place) when one was already set.
@@ -198,50 +461,65 @@ impl VerdictCache {
     }
 
     /// Pre-loads verdicts recovered from a durable store, tagging them as
-    /// disk-tier so later lookups count as `hits_disk`. Does not notify
-    /// the sink (the records are already durable) and does not touch the
-    /// hit/miss statistics.
+    /// disk-tier so later lookups count as `hits_disk`. Later records
+    /// overwrite earlier ones for the same key. Does not notify the sink
+    /// (the records are already durable) and does not touch the hit/miss
+    /// statistics.
     pub fn hydrate(&self, records: impl IntoIterator<Item = (Key, bool)>) {
-        let mut by_shard: [Vec<(Key, Slot)>; SHARDS] = Default::default();
-        for (key, allowed) in records {
-            by_shard[Self::shard(key)].push((
-                key,
-                Slot {
+        let mut by_shard: [Vec<(u64, u32, bool)>; SHARDS] = Default::default();
+        {
+            let mut index = self.models.write().expect("model index poisoned");
+            for ((model_fp, test_fp), allowed) in records {
+                by_shard[Self::shard(test_fp)].push((test_fp, index.intern(model_fp), allowed));
+            }
+        }
+        for cells in &by_shard {
+            let Some(&(first_fp, _, _)) = cells.first() else {
+                continue;
+            };
+            let mut shard = self.lock_shard(first_fp);
+            let mut known = 0u64;
+            // Logs written row by row repeat one test across a run of
+            // records: probe the map once per run.
+            let mut run: Option<(u64, &mut Row)> = None;
+            for &(test_fp, id, allowed) in cells {
+                let row = match run {
+                    Some((fp, row)) if fp == test_fp => row,
+                    _ => shard.entry(test_fp).or_default(),
+                };
+                let durable = Slot {
                     allowed,
                     durable: true,
-                },
-            ));
-        }
-        for (i, entries) in by_shard.into_iter().enumerate() {
-            if entries.is_empty() {
-                continue;
+                };
+                known += u64::from(row.set(id, durable).0);
+                run = Some((test_fp, row));
             }
-            self.lock_shard(i).extend(entries);
+            // Counted under the shard lock, so `clear` never subtracts
+            // bits whose addition is still pending.
+            self.entries.fetch_add(known, Ordering::Relaxed);
         }
     }
 
     /// Looks a verdict up, recording a hit or miss.
     #[must_use]
     pub fn get(&self, key: Key) -> Option<bool> {
-        let found = self.lock_shard(Self::shard(key)).get(&key).copied();
+        let (model_fp, test_fp) = key;
+        let found = self.model_id(model_fp).and_then(|id| {
+            self.lock_shard(test_fp)
+                .get(&test_fp)
+                .and_then(|row| row.get(id))
+        });
         match found {
-            Some(slot) if slot.durable => self.hits_disk.fetch_add(1, Ordering::Relaxed),
-            Some(_) => self.hits_ram.fetch_add(1, Ordering::Relaxed),
-            None => self.misses.fetch_add(1, Ordering::Relaxed),
-        };
-        let (ram, disk) = match found {
-            Some(slot) => (u64::from(!slot.durable), u64::from(slot.durable)),
-            None => (0, 0),
-        };
-        self.observe_lookups(ram, disk, u64::from(found.is_none()));
+            Some(slot) => self.count_lookups(u64::from(!slot.durable), u64::from(slot.durable), 0),
+            None => self.count_lookups(0, 0, 1),
+        }
         found.map(|slot| slot.allowed)
     }
 
     /// Looks up a whole sweep row — every model fingerprint paired with
-    /// one test fingerprint — taking each shard lock at most once instead
-    /// of once per key. This is the lookup shape of the test-major engine,
-    /// whose unit of work is a test row, not a cell. Records one hit or
-    /// miss per key.
+    /// one test fingerprint — with one shard lock and one probe. This is
+    /// the lookup shape of the test-major engine, whose unit of work is a
+    /// test row, not a cell. Records one hit or miss per key.
     #[must_use]
     pub fn get_row(&self, model_fps: &[u64], test_fp: u64) -> Vec<Option<bool>> {
         self.get_row_tiered(model_fps, test_fp).verdicts
@@ -252,85 +530,121 @@ impl VerdictCache {
     /// RAM vs disk in [`crate::SweepStats`].
     #[must_use]
     pub fn get_row_tiered(&self, model_fps: &[u64], test_fp: u64) -> RowLookup {
-        let mut out = RowLookup {
-            verdicts: vec![None; model_fps.len()],
-            ..RowLookup::default()
-        };
-        let mut by_shard: [Vec<usize>; SHARDS] = Default::default();
-        for (i, &model_fp) in model_fps.iter().enumerate() {
-            by_shard[Self::shard((model_fp, test_fp))].push(i);
-        }
-        let mut misses = 0u64;
-        for (s, indices) in by_shard.iter().enumerate() {
-            if indices.is_empty() {
-                continue;
-            }
-            let shard = self.lock_shard(s);
-            for &i in indices {
-                match shard.get(&(model_fps[i], test_fp)) {
-                    Some(slot) => {
-                        out.verdicts[i] = Some(slot.allowed);
-                        if slot.durable {
-                            out.hits_disk += 1;
-                        } else {
-                            out.hits_ram += 1;
-                        }
-                    }
-                    None => misses += 1,
-                }
-            }
-        }
-        self.hits_ram.fetch_add(out.hits_ram, Ordering::Relaxed);
-        self.hits_disk.fetch_add(out.hits_disk, Ordering::Relaxed);
-        self.misses.fetch_add(misses, Ordering::Relaxed);
-        self.observe_lookups(out.hits_ram, out.hits_disk, misses);
+        let mut out = RowLookup::default();
+        self.lookup_row(&self.model_ids(model_fps), test_fp, &mut out);
         out
+    }
+
+    /// [`VerdictCache::get_row_tiered`] over model ids resolved once per
+    /// sweep, into a caller-owned buffer: `out.verdicts[i]` answers the
+    /// model at position `i` of `ids`.
+    pub fn lookup_row(&self, ids: &ModelIds, test_fp: u64, out: &mut RowLookup) {
+        out.verdicts.clear();
+        out.hits_ram = 0;
+        out.hits_disk = 0;
+        {
+            let shard = self.lock_shard(test_fp);
+            match shard.get(&test_fp) {
+                Some(row) => {
+                    for &id in &ids.ids {
+                        let slot = row.get(id);
+                        if let Some(slot) = slot {
+                            if slot.durable {
+                                out.hits_disk += 1;
+                            } else {
+                                out.hits_ram += 1;
+                            }
+                        }
+                        out.verdicts.push(slot.map(|slot| slot.allowed));
+                    }
+                }
+                None => out.verdicts.resize(ids.ids.len(), None),
+            }
+        }
+        let misses = ids.ids.len() as u64 - out.hits_ram - out.hits_disk;
+        self.count_lookups(out.hits_ram, out.hits_disk, misses);
+    }
+
+    /// Writes one RAM-tier verdict; returns whether it is fresh.
+    fn set(&self, key: Key, allowed: bool) -> bool {
+        let (model_fp, test_fp) = key;
+        let id = self.intern(model_fp);
+        let slot = Slot {
+            allowed,
+            durable: false,
+        };
+        let mut shard = self.lock_shard(test_fp);
+        let (known, fresh) = shard.entry(test_fp).or_default().set(id, slot);
+        if known {
+            self.entries.fetch_add(1, Ordering::Relaxed);
+        }
+        fresh
     }
 
     /// Records a verdict (RAM tier; written through to the sink when one
     /// is installed and the verdict is new).
     pub fn insert(&self, key: Key, allowed: bool) {
-        let fresh = {
-            let mut shard = self.lock_shard(Self::shard(key));
-            let prev = shard.insert(
-                key,
-                Slot {
-                    allowed,
-                    durable: false,
-                },
-            );
-            prev.is_none_or(|slot| slot.allowed != allowed)
-        };
-        if fresh {
+        if self.set(key, allowed) {
             self.persist(&[(key, allowed)]);
         }
     }
 
-    /// Merges a batch of verdicts (one worker's sweep-local results),
-    /// grouping by shard so each lock is taken at most once. Entries not
-    /// already present (or present with a different verdict) are written
-    /// through to the durable sink as one batch.
+    /// Merges a batch of verdicts, in order (a later duplicate key wins).
+    /// Entries not already present (or present with a different verdict)
+    /// are written through to the durable sink as one batch.
     pub fn merge(&self, batch: impl IntoIterator<Item = (Key, bool)>) {
-        let mut by_shard: [Vec<(Key, bool)>; SHARDS] = Default::default();
-        for (key, allowed) in batch {
-            by_shard[Self::shard(key)].push((key, allowed));
+        let fresh: Vec<(Key, bool)> = batch
+            .into_iter()
+            .filter(|&(key, allowed)| self.set(key, allowed))
+            .collect();
+        self.persist(&fresh);
+    }
+
+    /// Merges one worker's rows, one shard lock per row and word-wide bit
+    /// operations per 64 models; the RAM-tier twin of calling
+    /// [`VerdictCache::merge`] with every cell of every row. Fresh cells
+    /// go to the durable sink as one batch, row by row in the order of
+    /// the batch's [`ModelIds`].
+    pub fn merge_rows(&self, batch: &RowBatch<'_>) {
+        let groups = batch.ids.groups;
+        if groups == 0 {
+            return;
         }
+        let sink = self.sink.get();
+        let mut fresh_bits = vec![0u64; groups];
         let mut fresh: Vec<(Key, bool)> = Vec::new();
-        for (i, entries) in by_shard.into_iter().enumerate() {
-            if entries.is_empty() {
+        for (&test_fp, masks) in batch.test_fps.iter().zip(batch.masks.chunks(2 * groups)) {
+            let (known_masks, allowed_masks) = masks.split_at(groups);
+            {
+                let mut shard = self.lock_shard(test_fp);
+                let row = shard.entry(test_fp).or_default();
+                let mut known = 0u64;
+                for g in 0..groups {
+                    let (k, a) = (known_masks[g], allowed_masks[g]);
+                    if k == 0 {
+                        fresh_bits[g] = 0;
+                        continue;
+                    }
+                    let group = row.group_mut(g);
+                    let newly = k & !group[KNOWN];
+                    fresh_bits[g] = newly | (k & (group[ALLOWED] ^ a));
+                    known += u64::from(newly.count_ones());
+                    group[KNOWN] |= k;
+                    group[ALLOWED] = (group[ALLOWED] & !k) | a;
+                    group[DURABLE] &= !k;
+                }
+                self.entries.fetch_add(known, Ordering::Relaxed);
+            }
+            if sink.is_none() {
                 continue;
             }
-            let mut shard = self.lock_shard(i);
-            for (key, allowed) in entries {
-                let prev = shard.insert(
-                    key,
-                    Slot {
-                        allowed,
-                        durable: false,
-                    },
-                );
-                if prev.is_none_or(|slot| slot.allowed != allowed) {
-                    fresh.push((key, allowed));
+            for (&model_fp, &id) in batch.ids.fps.iter().zip(&batch.ids.ids) {
+                let (g, bit) = (id as usize / 64, 1u64 << (id % 64));
+                if fresh_bits[g] & bit != 0 {
+                    // Clear the bit so a fingerprint listed twice in the
+                    // batch's ids is persisted once.
+                    fresh_bits[g] &= !bit;
+                    fresh.push(((model_fp, test_fp), allowed_masks[g] & bit != 0));
                 }
             }
         }
@@ -340,10 +654,7 @@ impl VerdictCache {
     /// Number of memoized pairs.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| s.lock().expect("cache shard poisoned").len())
-            .sum()
+        self.entries.load(Ordering::Relaxed) as usize
     }
 
     /// Whether the cache holds no entries.
@@ -401,10 +712,13 @@ impl VerdictCache {
     }
 
     /// Drops all entries and statistics (the sink, if any, stays
-    /// installed).
+    /// installed, and model ids stay assigned).
     pub fn clear(&self) {
         for shard in &self.shards {
-            shard.lock().expect("cache shard poisoned").clear();
+            let mut shard = shard.lock().expect("cache shard poisoned");
+            let dropped: u64 = shard.values().map(Row::known).sum();
+            shard.clear();
+            self.entries.fetch_sub(dropped, Ordering::Relaxed);
         }
         self.hits_ram.store(0, Ordering::Relaxed);
         self.hits_disk.store(0, Ordering::Relaxed);
@@ -453,7 +767,10 @@ mod tests {
         }
         // 40 lookups: hits for the inserted keys, misses for the rest.
         assert_eq!(cache.hits() + cache.misses(), 40);
-        assert_eq!(cache.misses(), model_fps.iter().filter(|m| *m % 3 == 0).count() as u64);
+        assert_eq!(
+            cache.misses(),
+            model_fps.iter().filter(|m| *m % 3 == 0).count() as u64
+        );
     }
 
     #[test]

@@ -28,7 +28,7 @@ use mcm_core::{Execution, LitmusTest, MemoryModel};
 use mcm_gen::canon;
 use mcm_sat::SolverStats;
 
-use crate::cache::VerdictCache;
+use crate::cache::{RowBatch, RowLookup, VerdictCache};
 use crate::verdict::{Relation, VerdictVector};
 
 /// Tuning knobs for [`Exploration::run_engine`] and
@@ -302,8 +302,10 @@ struct ModelSide<'a> {
 /// The shared sweep core, test-major: the unit of parallel work is a
 /// **test row** — one execution checked against every distinct-formula
 /// model at once through a [`BatchChecker`] — scheduled work-stealing
-/// across workers. Cache lookups are row-keyed ([`VerdictCache::get_row`]
-/// takes each shard lock once per row) and only the missing models of a
+/// across workers. Cache lookups are row-keyed (the rows' model ids are
+/// resolved once, then [`VerdictCache::lookup_row`] takes one shard lock
+/// and one probe per test row), each worker merges its fresh verdicts
+/// back as rows ([`RowBatch`]), and only the missing models of a
 /// row reach the checker; with a [`SweepPrefilter`] those are further
 /// grouped into provably-agreeing sets, so the checker sees one
 /// representative per group and the verdict fans out (and is cached once
@@ -360,8 +362,10 @@ where
     let checker_calls = AtomicU64::new(0);
     let prefilter_groups = AtomicU64::new(0);
     let prefilter_saved = AtomicU64::new(0);
+    // The rows' cache model ids, resolved once for the whole grid.
+    let cached = cache.map(|cache| (cache, cache.model_ids(&rows.model_fps)));
 
-    let sweep = |local_batch: &mut Vec<((u64, u64), bool)>, checker: &dyn BatchChecker| {
+    let sweep = |local_batch: &mut Option<RowBatch<'_>>, checker: &dyn BatchChecker| {
         let mut hits = 0u64;
         let mut disk_hits = 0u64;
         let mut calls = 0u64;
@@ -369,6 +373,7 @@ where
         let mut saved = 0u64;
         let mut missing_rows: Vec<usize> = Vec::new();
         let mut missing_models: Vec<MemoryModel> = Vec::new();
+        let mut lookup = RowLookup::default();
         loop {
             let start = cursor.fetch_add(batch, Ordering::Relaxed);
             if start >= reps {
@@ -377,12 +382,12 @@ where
             let end = (start + batch).min(reps);
             for rep in start..end {
                 missing_rows.clear();
-                match cache {
-                    Some(cache) => {
-                        let lookup = cache.get_row_tiered(&rows.model_fps, fps[rep]);
+                match &cached {
+                    Some((cache, ids)) => {
+                        cache.lookup_row(ids, fps[rep], &mut lookup);
                         hits += lookup.hits_ram + lookup.hits_disk;
                         disk_hits += lookup.hits_disk;
-                        for (row, memoized) in lookup.verdicts.into_iter().enumerate() {
+                        for (row, &memoized) in lookup.verdicts.iter().enumerate() {
                             match memoized {
                                 Some(allowed) => {
                                     results[row * reps + rep]
@@ -423,8 +428,13 @@ where
                     for &row in group {
                         results[row * reps + rep]
                             .store(if verdict.allowed { 2 } else { 1 }, Ordering::Relaxed);
-                        if cache.is_some() {
-                            local_batch.push(((rows.model_fps[row], fps[rep]), verdict.allowed));
+                    }
+                }
+                if let Some(local) = local_batch.as_mut() {
+                    local.push_row(fps[rep]);
+                    for (group, verdict) in groups.iter().zip(&verdicts) {
+                        for &row in group {
+                            local.set(row, verdict.allowed);
                         }
                     }
                 }
@@ -439,7 +449,7 @@ where
 
     let work = || {
         let checker = make_checker();
-        let mut local = Vec::new();
+        let mut local = cached.as_ref().map(|(_, ids)| RowBatch::new(ids));
         sweep(&mut local, checker.as_ref());
         (local, checker.solver_stats(), checker.batch_stats())
     };
@@ -466,8 +476,8 @@ where
         })
     };
     for (local, solver, batched) in outcomes {
-        if let Some(cache) = cache {
-            cache.merge(local);
+        if let (Some((cache, _)), Some(local)) = (&cached, local) {
+            cache.merge_rows(&local);
         }
         if let Some(solver) = solver {
             stats.sat.absorb(solver);

@@ -1,8 +1,9 @@
 //! [`DiskCache`]: the verdict cache with a durable tier underneath.
 //!
 //! Opening a `DiskCache` replays the verdict log into a fresh
-//! [`VerdictCache`] (those entries count as *disk-tier* hits when a
-//! sweep uses them) and installs a [`DurableSink`] so every batch of
+//! [`VerdictCache`], one frame at a time straight into the cache's
+//! per-test verdict rows (those entries count as *disk-tier* hits when a
+//! sweep uses them), and installs a [`DurableSink`] so every batch of
 //! fresh verdicts the cache absorbs is appended to the log as one
 //! checksummed frame. The write path is an optimization, never a
 //! correctness dependency: append errors are counted and the in-RAM
@@ -135,12 +136,13 @@ impl DiskCache {
                 std::fs::create_dir_all(dir)?;
             }
         }
-        let (contents, writer) = LogWriter::append(path)?;
         let cache = Arc::new(VerdictCache::new());
-        let hydrated = contents.records.len() as u64;
-        // Log order means later (fresher) duplicates overwrite earlier
-        // ones during hydration, matching last-write-wins compaction.
-        cache.hydrate(contents.records.iter().map(|r| (r.key(), r.allowed)));
+        // Each frame loads into the cache's rows as it is read. Log order
+        // means later (fresher) duplicates overwrite earlier ones during
+        // hydration, matching last-write-wins compaction.
+        let (scan, writer) = LogWriter::append_with(path, |frame| {
+            cache.hydrate(frame.iter().map(|r| (r.key(), r.allowed)));
+        })?;
         let sink = Arc::new(SinkInner {
             writer: Mutex::new(writer),
             appended: AtomicU64::new(0),
@@ -159,8 +161,8 @@ impl DiskCache {
             cache,
             sink,
             path: path.to_path_buf(),
-            hydrated,
-            recovered_tail: contents.tail.is_some(),
+            hydrated: scan.records,
+            recovered_tail: scan.tail.is_some(),
         })
     }
 

@@ -104,14 +104,15 @@ pub struct LogContents {
     pub tail: Option<TailError>,
 }
 
-impl LogContents {
-    fn empty() -> Self {
-        LogContents {
-            records: Vec::new(),
-            valid_bytes: 0,
-            tail: None,
-        }
-    }
+/// What [`scan_log`] found besides the records it handed its visitor.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct LogScan {
+    /// Records in intact frames, duplicates included.
+    pub(crate) records: u64,
+    /// As [`LogContents::valid_bytes`].
+    pub(crate) valid_bytes: u64,
+    /// As [`LogContents::tail`].
+    pub(crate) tail: Option<TailError>,
 }
 
 fn invalid(msg: String) -> io::Error {
@@ -170,26 +171,41 @@ fn decode_payload(payload: &[u8], out: &mut Vec<Record>) -> Option<()> {
 /// own. Everything after the last intact frame is reported via
 /// [`LogContents::tail`] and excluded from [`LogContents::valid_bytes`].
 pub fn read_log(path: &Path) -> io::Result<LogContents> {
+    let mut records = Vec::new();
+    let scan = scan_log(path, |frame| records.extend_from_slice(frame))?;
+    Ok(LogContents {
+        records,
+        valid_bytes: scan.valid_bytes,
+        tail: scan.tail,
+    })
+}
+
+/// [`read_log`] without collecting: hands the records of each intact
+/// frame to `visit` as the frame is read, in file order. A frame that
+/// fails its checksum or structure check is never visited.
+pub(crate) fn scan_log(path: &Path, mut visit: impl FnMut(&[Record])) -> io::Result<LogScan> {
+    let mut scan = LogScan {
+        records: 0,
+        valid_bytes: 0,
+        tail: None,
+    };
     let mut bytes = Vec::new();
     match File::open(path) {
         Ok(mut file) => {
             file.read_to_end(&mut bytes)?;
         }
-        Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(LogContents::empty()),
+        Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(scan),
         Err(e) => return Err(e),
     }
     if bytes.is_empty() {
-        return Ok(LogContents::empty());
+        return Ok(scan);
     }
     if bytes.len() < HEADER_LEN as usize {
         // A prefix of our header (crash during creation) is a recoverable
         // truncation; anything else is not our file.
         if MAGIC.starts_with(&bytes[..bytes.len().min(8)]) {
-            return Ok(LogContents {
-                records: Vec::new(),
-                valid_bytes: 0,
-                tail: Some(TailError::Truncated { offset: 0 }),
-            });
+            scan.tail = Some(TailError::Truncated { offset: 0 });
+            return Ok(scan);
         }
         return Err(invalid(format!("{} is not an mcm-store verdict log", path.display())));
     }
@@ -203,20 +219,19 @@ pub fn read_log(path: &Path) -> io::Result<LogContents> {
             path.display()
         )));
     }
-    let mut records = Vec::new();
+    let mut frame = Vec::new();
     let mut pos = HEADER_LEN as usize;
-    let mut tail = None;
     while pos < bytes.len() {
         let frame_start = pos as u64;
         if bytes.len() - pos < 4 {
-            tail = Some(TailError::Truncated { offset: frame_start });
+            scan.tail = Some(TailError::Truncated { offset: frame_start });
             break;
         }
         let payload_len =
             u32::from_le_bytes(bytes[pos..pos + 4].try_into().expect("4 bytes")) as usize;
         let frame_end = pos + 4 + payload_len + 8;
         if frame_end > bytes.len() {
-            tail = Some(TailError::Truncated { offset: frame_start });
+            scan.tail = Some(TailError::Truncated { offset: frame_start });
             break;
         }
         let payload = &bytes[pos + 4..pos + 4 + payload_len];
@@ -226,22 +241,20 @@ pub fn read_log(path: &Path) -> io::Result<LogContents> {
                 .expect("8 bytes"),
         );
         if fnv1a(payload) != stored {
-            tail = Some(TailError::Corrupt { offset: frame_start });
+            scan.tail = Some(TailError::Corrupt { offset: frame_start });
             break;
         }
-        let before = records.len();
-        if decode_payload(payload, &mut records).is_none() {
-            records.truncate(before);
-            tail = Some(TailError::Corrupt { offset: frame_start });
+        frame.clear();
+        if decode_payload(payload, &mut frame).is_none() {
+            scan.tail = Some(TailError::Corrupt { offset: frame_start });
             break;
         }
+        visit(&frame);
+        scan.records += frame.len() as u64;
         pos = frame_end;
     }
-    Ok(LogContents {
-        records,
-        valid_bytes: pos as u64,
-        tail,
-    })
+    scan.valid_bytes = pos as u64;
+    Ok(scan)
 }
 
 /// An open verdict log positioned for appending.
@@ -257,14 +270,31 @@ impl LogWriter {
     /// everything it already holds. A torn tail reported by the read is
     /// truncated away, so the next frame lands on the valid boundary.
     pub fn append(path: &Path) -> io::Result<(LogContents, LogWriter)> {
-        let contents = read_log(path)?;
+        let mut records = Vec::new();
+        let (scan, writer) =
+            LogWriter::append_with(path, |frame| records.extend_from_slice(frame))?;
+        let contents = LogContents {
+            records,
+            valid_bytes: scan.valid_bytes,
+            tail: scan.tail,
+        };
+        Ok((contents, writer))
+    }
+
+    /// [`LogWriter::append`] that hands the existing records to `visit`
+    /// frame by frame ([`scan_log`]) instead of collecting them.
+    pub(crate) fn append_with(
+        path: &Path,
+        visit: impl FnMut(&[Record]),
+    ) -> io::Result<(LogScan, LogWriter)> {
+        let scan = scan_log(path, visit)?;
         let mut file = OpenOptions::new()
             .read(true)
             .write(true)
             .create(true)
             .truncate(false)
             .open(path)?;
-        let mut bytes = contents.valid_bytes;
+        let mut bytes = scan.valid_bytes;
         file.set_len(bytes)?;
         if bytes == 0 {
             let mut header = Vec::with_capacity(HEADER_LEN as usize);
@@ -276,7 +306,7 @@ impl LogWriter {
             file.seek(SeekFrom::End(0))?;
         }
         Ok((
-            contents,
+            scan,
             LogWriter {
                 file,
                 path: path.to_path_buf(),

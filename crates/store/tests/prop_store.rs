@@ -6,12 +6,16 @@
 //!   yielding a prefix of the written records — and whenever the cut
 //!   lands mid-frame, a recoverable tail error, never a wrong verdict;
 //! * compaction preserves the live record set exactly (last write wins)
-//!   and is idempotent.
+//!   and is idempotent;
+//! * a log written one record per frame, in the cell-by-cell order of
+//!   earlier builds (duplicates and flipped verdicts included), opens into
+//!   exactly its live record set, and a warm sweep over such a log makes
+//!   no checker call.
 
 use mcm_store::log::{read_log, LogWriter, Record, HEADER_LEN};
-use mcm_store::{compact, CheckpointFile};
+use mcm_store::{compact, CheckpointFile, DiskCache};
 use proptest::prelude::*;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 static NEXT_FILE: AtomicU64 = AtomicU64::new(0);
@@ -55,6 +59,98 @@ fn live_map(records: &[Record]) -> std::collections::BTreeMap<(u64, u64), bool> 
         .iter()
         .map(|r| ((r.model_fp, r.test_fp), r.allowed))
         .collect()
+}
+
+/// Writes `records` one frame each, as a cell-by-cell cache wrote them.
+fn write_record_by_record(path: &Path, records: &[Record]) {
+    let _ = std::fs::remove_file(path);
+    let (_, mut writer) = LogWriter::append(path).unwrap();
+    for record in records {
+        writer.append_batch(std::slice::from_ref(record)).unwrap();
+    }
+}
+
+/// Opens `path` and checks that the cache holds exactly `live`, every
+/// entry on the disk tier.
+fn assert_opens_to(
+    path: &Path,
+    live: &std::collections::BTreeMap<(u64, u64), bool>,
+    records: u64,
+) -> DiskCache {
+    let store = DiskCache::open(path).unwrap();
+    assert_eq!(store.stats().hydrated, records);
+    let cache = store.cache();
+    assert_eq!(cache.len(), live.len(), "entries differ from the live set");
+    for (&key, &allowed) in live {
+        assert_eq!(cache.get(key), Some(allowed), "live entry {key:?}");
+    }
+    assert_eq!(cache.hits_disk(), live.len() as u64);
+    assert_eq!((cache.hits_ram(), cache.misses()), (0, 0));
+    store
+}
+
+#[test]
+fn warm_sweep_over_a_record_by_record_log_makes_no_checker_call() {
+    use mcm_axiomatic::CheckerKind;
+    use mcm_explore::{EngineConfig, Exploration};
+    use mcm_models::{catalog, named};
+
+    let models = vec![
+        named::sc(),
+        named::tso(),
+        named::pso(),
+        named::ibm370(),
+        named::rmo(),
+    ];
+    let tests = catalog::all_tests();
+    let config = EngineConfig::default();
+    let factory = || CheckerKind::Explicit.build_batch();
+    let cold_path = temp_path("cold");
+    let _ = std::fs::remove_file(&cold_path);
+    let cold = {
+        let store = DiskCache::open(&cold_path).unwrap();
+        let (cold, stats) = Exploration::run_engine(
+            models.clone(),
+            tests.clone(),
+            factory,
+            &config,
+            Some(store.cache()),
+        );
+        assert!(stats.checker_calls > 0);
+        cold
+    };
+    // The cold verdicts in the order a cell-keyed cache flushed them
+    // (grouped by its cell shard), each preceded by a flipped verdict for
+    // the same key and every third one written twice.
+    let mut cells = read_log(&cold_path).unwrap().records;
+    cells.sort_by_key(|r| (r.model_fp ^ r.test_fp.rotate_left(32)) & 15);
+    let mut records = Vec::new();
+    for (i, &record) in cells.iter().enumerate() {
+        records.push(Record {
+            allowed: !record.allowed,
+            ..record
+        });
+        records.push(record);
+        if i % 3 == 0 {
+            records.push(record);
+        }
+    }
+    let path = temp_path("legacy");
+    write_record_by_record(&path, &records);
+    let live = live_map(&records);
+    assert_eq!(live, live_map(&cells));
+    drop(assert_opens_to(&path, &live, records.len() as u64));
+
+    let store = DiskCache::open(&path).unwrap();
+    let (warm, stats) =
+        Exploration::run_engine(models, tests, factory, &config, Some(store.cache()));
+    assert_eq!(stats.checker_calls, 0, "the warm sweep reached the checker");
+    assert_eq!(stats.cache_hits, stats.cache_hits_disk);
+    assert_eq!(warm.verdicts, cold.verdicts);
+    assert_eq!(store.stats().appended, 0, "a warm sweep appends nothing");
+    drop(store);
+    std::fs::remove_file(&path).unwrap();
+    std::fs::remove_file(&cold_path).unwrap();
 }
 
 proptest! {
@@ -118,6 +214,16 @@ proptest! {
             let (_, mut writer) = LogWriter::append(&path).unwrap();
             writer.append_batch(&[Record { model_fp: 1, test_fp: 1, allowed: false }]).unwrap();
         }
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn record_by_record_logs_open_to_their_live_set(
+        records in proptest::collection::vec(record_strategy(), 0..80),
+    ) {
+        let path = temp_path("records");
+        write_record_by_record(&path, &records);
+        drop(assert_opens_to(&path, &live_map(&records), records.len() as u64));
         std::fs::remove_file(&path).unwrap();
     }
 
