@@ -3,10 +3,11 @@
 //! A model-space sweep asks the same test against every model of a row,
 //! and almost all of the per-cell cost is model-independent: the explicit
 //! checker re-enumerates read-from maps and coherence orders for each of
-//! the 36 (or 90) models, and each SAT query rebuilds the partial-order
-//! scaffolding, coherence and read-from clauses from scratch, even though
-//! only the model's must-not-reorder formula differs across the row. The
-//! [`BatchChecker`] interface turns the core test-major:
+//! the 36 (or 90) models, and the per-rf SAT checker re-enumerates the
+//! read-from maps and rebuilds each map's partial-order, coherence and
+//! read-from clauses, even though only the model's must-not-reorder
+//! formula differs across the row. The [`BatchChecker`] interface turns
+//! the core test-major:
 //!
 //! * [`BatchExplicitChecker`] enumerates the per-test execution space —
 //!   read-from maps, coherence orders and each candidate's model-free
@@ -16,6 +17,12 @@
 //!   collapse: fence or dependency clauses are inert on most tests) share
 //!   one *group*, so the per-candidate work is one ignore-local check
 //!   plus one cheap graph union per still-undecided group.
+//! * [`crate::BatchRfSatChecker`] (the paper's §4.1 checker) enumerates
+//!   the read-from maps once per row and builds one solver per map with
+//!   the model-free encoding only; each undecided group is one
+//!   [`mcm_sat::Solver::solve_with_assumptions`] over its forced ordering
+//!   literals, and a satisfying assignment also decides every other group
+//!   whose forced pairs hold in it.
 //! * [`BatchSatChecker`] builds **one** incremental SAT encoding per test
 //!   — ordering variables, coherence, read-from selectors — and loads
 //!   each group's program-order units guarded by an activation literal
@@ -28,10 +35,9 @@
 //!   restricted to this test.)
 //!
 //! Every per-cell [`Checker`] doubles as a [`BatchChecker`] through a
-//! blanket adapter that simply loops over the row — that is what the
-//! sweep engine's old call sites, `mcm-synth`'s oracle and the
-//! cross-validation suites keep using, and what the batched paths are
-//! property-tested against.
+//! blanket adapter that simply loops over the row — that is what
+//! `mcm-synth`'s oracle and the cross-validation suites use, and what the
+//! batched paths are property-tested against.
 
 use std::cell::Cell;
 use std::collections::HashMap;
@@ -63,8 +69,9 @@ pub struct BatchStats {
     pub shared_candidates: u64,
     /// Per-group acyclicity checks actually performed (explicit path).
     pub group_evals: u64,
-    /// Assumption-selected solver queries (SAT path): one per group, on
-    /// one shared encoding per row.
+    /// Assumption-selected solver queries (SAT paths): one per group on
+    /// the monolithic path's shared row encoding; one per undecided group
+    /// and read-from map on the per-rf path.
     pub assumption_solves: u64,
 }
 
@@ -108,7 +115,7 @@ impl BatchStats {
 /// per-cell adapters: cells) into `mcm_check_candidates_total`.
 /// No-op when `mcm_obs` instrumentation is disabled — the stopwatch
 /// never started, so this costs one branch.
-fn observe_row(checker: &'static str, started: mcm_obs::Stopwatch, candidates: u64) {
+pub(crate) fn observe_row(checker: &'static str, started: mcm_obs::Stopwatch, candidates: u64) {
     if let Some(us) = started.elapsed_us() {
         mcm_obs::metrics::histogram("mcm_check_latency_us", &[("checker", checker)]).record(us);
         if candidates > 0 {
@@ -177,15 +184,15 @@ impl<C: Checker> BatchChecker for C {
 /// execution* are indistinguishable here and share every downstream
 /// answer — the witness edges included, which are built from the group's
 /// pairs rather than re-derived from a representative's formula.
-struct ModelGroups {
+pub(crate) struct ModelGroups {
     /// One entry per group: the forced program-order pairs its models
     /// share, in [`forced_po_pairs`] order.
-    groups: Vec<Vec<(EventId, EventId)>>,
+    pub(crate) groups: Vec<Vec<(EventId, EventId)>>,
     /// Model index → group index.
-    group_of: Vec<usize>,
+    pub(crate) group_of: Vec<usize>,
 }
 
-fn group_models(exec: &Execution, models: &[MemoryModel]) -> ModelGroups {
+pub(crate) fn group_models(exec: &Execution, models: &[MemoryModel]) -> ModelGroups {
     let mut groups: Vec<Vec<(EventId, EventId)>> = Vec::new();
     let mut index: HashMap<Vec<(EventId, EventId)>, usize> = HashMap::new();
     let mut group_of = Vec::with_capacity(models.len());

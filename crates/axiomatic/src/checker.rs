@@ -139,14 +139,6 @@ impl CheckerKind {
         !matches!(self, CheckerKind::Explicit)
     }
 
-    /// Whether [`CheckerKind::build_batch`] returns a natively test-major
-    /// implementation (work shared across a model row) rather than the
-    /// per-cell adapter.
-    #[must_use]
-    pub fn natively_batched(self) -> bool {
-        matches!(self, CheckerKind::Explicit | CheckerKind::Monolithic)
-    }
-
     /// Builds the per-cell checker.
     #[must_use]
     pub fn build(self) -> Box<dyn Checker> {
@@ -158,16 +150,16 @@ impl CheckerKind {
     }
 
     /// Builds the batched (test-major) counterpart: the shared-candidate
-    /// enumerator for [`CheckerKind::Explicit`], the assumption-selected
-    /// incremental encoding for [`CheckerKind::Monolithic`] (whose base
-    /// clauses it shares), and the per-cell adapter for
-    /// [`CheckerKind::Sat`] (its outside-the-solver read-from enumeration
-    /// has no shared encoding to amortize).
+    /// enumerator for [`CheckerKind::Explicit`], one model-free encoding
+    /// per read-from map with model groups selected by assumptions for
+    /// [`CheckerKind::Sat`], and the assumption-selected incremental
+    /// encoding for [`CheckerKind::Monolithic`] (whose base clauses it
+    /// shares). Each shares the row's model-independent work.
     #[must_use]
     pub fn build_batch(self) -> Box<dyn crate::BatchChecker> {
         match self {
             CheckerKind::Explicit => Box::new(crate::BatchExplicitChecker::new()),
-            CheckerKind::Sat => Box::new(crate::SatChecker::new()),
+            CheckerKind::Sat => Box::new(crate::BatchRfSatChecker::new()),
             CheckerKind::Monolithic => Box::new(crate::BatchSatChecker::new()),
         }
     }
@@ -212,9 +204,9 @@ mod tests {
         assert!(CheckerKind::Monolithic.sat_backed());
         for kind in CheckerKind::ALL {
             assert_eq!(kind.build().solver_stats().is_some(), kind.sat_backed());
+            // Every kind's batched build shares work across the row.
+            assert!(kind.build_batch().batch_stats().is_some());
         }
-        assert!(CheckerKind::Explicit.natively_batched());
-        assert!(!CheckerKind::Sat.natively_batched());
         assert_eq!(CheckerKind::Explicit.build_batch().name(), "batch-explicit");
         assert_eq!(CheckerKind::Monolithic.build_batch().name(), "batch-sat");
         assert_eq!(CheckerKind::Sat.build_batch().name(), "sat");

@@ -8,7 +8,8 @@
 //!   decides by cycle detection ([`graph`]);
 //! * [`SatChecker`] — the paper's §4.1 architecture: read-from maps are
 //!   enumerated, the rest of the axioms become CNF over ordering variables
-//!   solved by `mcm-sat` (the MiniSat substitute);
+//!   solved by `mcm-sat` (the MiniSat substitute); [`BatchRfSatChecker`]
+//!   answers a whole model row per read-from map;
 //! * [`MonolithicSatChecker`] — a single SAT query per test, with
 //!   read-from selector variables.
 //!
@@ -65,7 +66,7 @@ pub use explicit::ExplicitChecker;
 pub use hb::EdgeKind;
 pub use sat_common::{ClauseSink, GuardedSink, OrderVars};
 pub use sat_full::MonolithicSatChecker;
-pub use sat_hb::{encode_all_cnf, encode_cnf, SatChecker};
+pub use sat_hb::{encode_all_cnf, encode_cnf, BatchRfSatChecker, SatChecker};
 
 /// All built-in per-cell checkers, for cross-validation loops.
 #[must_use]
@@ -73,8 +74,8 @@ pub fn all_checkers() -> Vec<Box<dyn Checker>> {
     CheckerKind::ALL.iter().map(|kind| kind.build()).collect()
 }
 
-/// All built-in batched checkers (native where available, per-cell
-/// adapters otherwise), for cross-validation loops over whole model rows.
+/// All built-in batched checkers, for cross-validation loops over whole
+/// model rows.
 #[must_use]
 pub fn all_batch_checkers() -> Vec<Box<dyn BatchChecker>> {
     CheckerKind::ALL

@@ -3,33 +3,45 @@
 //! This mirrors the paper's tool (§4.1): for each value-consistent
 //! read-from map, the happens-before axioms become a CNF over ordering
 //! variables and a SAT solver decides whether an acyclic happens-before
-//! relation exists. The same encoding can be exported as DIMACS for
-//! cross-checking with external solvers ([`encode_cnf`]).
+//! relation exists.
+//!
+//! Only the program-order units depend on the model, so the checker
+//! answers a whole row of models per read-from map
+//! ([`BatchRfSatChecker`]): one solver per map holds the model-free
+//! encoding — partial order, coherence and the map's read-from axioms —
+//! and each still-undecided group of models (grouped by their forced
+//! program-order pairs) is one
+//! [`Solver::solve_with_assumptions`](mcm_sat::Solver::solve_with_assumptions)
+//! over its `o(x, y)` literals. A model contributes only unit clauses, so
+//! the assumptions *are* its clauses and no guard variables are needed. A
+//! satisfying assignment also decides every other undecided group whose
+//! forced pairs all hold in it. The per-cell [`SatChecker`] is the same
+//! code on a one-model row, and the DIMACS export ([`encode_cnf`]) is the
+//! same model-free encoding with the model's units appended.
+
+use std::cell::Cell;
 
 use mcm_core::{Execution, MemoryModel};
 use mcm_sat::dimacs::Cnf;
-use mcm_sat::{SatResult, Solver};
+use mcm_sat::{Lit, SatResult, Solver, SolverStats};
 
+use crate::batch::{group_models, observe_row, BatchStats, ModelGroups};
 use crate::checker::{Checker, Verdict, Witness};
-use crate::hb::required_edges;
+use crate::hb::collect_edges;
 use crate::rf::{enumerate_rf_maps, RfMap, RfSource};
 use crate::sat_common::{ClauseSink, OrderVars};
 
-/// Emits the complete encoding for one read-from map into `sink`:
-/// partial-order scaffolding, model clauses, and the read-from axioms.
-/// Returns `None` when the map is inconsistent outright (a read of the
-/// initial value po-after a local same-location write).
-fn encode<S: ClauseSink>(
+/// Emits the model-free encoding for one read-from map into `sink`: the
+/// read-from axioms, partial-order scaffolding and coherence. Returns
+/// `None` when the map is inconsistent outright (a read of the initial
+/// value po-after a local same-location write), before the scaffolding
+/// is built.
+fn encode_model_free<S: ClauseSink>(
     sink: &mut S,
-    model: &MemoryModel,
     exec: &Execution,
     rf: &RfMap,
 ) -> Option<OrderVars> {
-    let n = exec.events().len();
-    let order = OrderVars::new(sink, n);
-    order.add_partial_order_clauses(sink);
-    order.add_model_clauses(sink, model, exec);
-
+    let order = OrderVars::new(sink, exec.events().len());
     for &(read, source) in &rf.pairs {
         let loc = exec.event(read).loc().expect("read has a location");
         match source {
@@ -73,6 +85,8 @@ fn encode<S: ClauseSink>(
             }
         }
     }
+    order.add_partial_order_clauses(sink);
+    order.add_coherence_clauses(sink, exec);
     Some(order)
 }
 
@@ -82,7 +96,8 @@ fn encode<S: ClauseSink>(
 #[must_use]
 pub fn encode_cnf(model: &MemoryModel, exec: &Execution, rf: &RfMap) -> Option<Cnf> {
     let mut cnf = Cnf::default();
-    encode(&mut cnf, model, exec, rf)?;
+    let order = encode_model_free(&mut cnf, exec, rf)?;
+    order.add_program_order_units(&mut cnf, model, exec);
     Some(cnf)
 }
 
@@ -96,13 +111,140 @@ pub fn encode_all_cnf(model: &MemoryModel, exec: &Execution) -> Vec<Cnf> {
         .collect()
 }
 
-/// Admissibility via one SAT query per read-from map.
+/// Batched admissibility via one SAT query per read-from map and model
+/// group: the paper's §4.1 checker answering a whole row (see the module
+/// doc). Read-from maps are tried in enumeration order and each model
+/// takes the first one that admits it, exactly as the per-cell loop does.
+#[derive(Clone, Debug, Default)]
+pub struct BatchRfSatChecker {
+    /// Row counters; interior mutability because the trait takes `&self`.
+    stats: Cell<BatchStats>,
+    /// Solver work totalled across every per-map solver.
+    solver_stats: Cell<SolverStats>,
+}
+
+impl BatchRfSatChecker {
+    /// Creates the checker.
+    #[must_use]
+    pub fn new() -> Self {
+        BatchRfSatChecker::default()
+    }
+
+    /// Answers the row without recording it in the metric registry (the
+    /// per-cell [`SatChecker`] is recorded by its own adapter).
+    fn answer_row(&self, exec: &Execution, models: &[MemoryModel]) -> Vec<Verdict> {
+        let mut stats = self.stats.get();
+        stats.rows += 1;
+        stats.models_checked += models.len() as u64;
+
+        let rf_maps = enumerate_rf_maps(exec);
+        if rf_maps.is_empty() {
+            // Value-infeasible outcome: forbidden everywhere.
+            self.stats.set(stats);
+            return models.iter().map(|_| Verdict::forbidden()).collect();
+        }
+
+        let ModelGroups { groups, group_of } = group_models(exec, models);
+        stats.model_groups += groups.len() as u64;
+        let mut sat = self.solver_stats.get();
+        let mut verdicts: Vec<Option<Verdict>> = vec![None; groups.len()];
+        let mut undecided = groups.len();
+        for rf in &rf_maps {
+            if undecided == 0 {
+                break;
+            }
+            let mut solver = Solver::new();
+            let Some(order) = encode_model_free(&mut solver, exec, rf) else {
+                continue;
+            };
+            // Each group's forced `o(x, y)` literals: its assumptions, and
+            // what an assignment must make true to decide it.
+            let group_lits: Vec<Vec<Lit>> = groups
+                .iter()
+                .map(|pairs| {
+                    pairs
+                        .iter()
+                        .map(|&(x, y)| order.before(x.index(), y.index()))
+                        .collect()
+                })
+                .collect();
+            for (g, lits) in group_lits.iter().enumerate() {
+                if verdicts[g].is_some() {
+                    continue;
+                }
+                stats.assumption_solves += 1;
+                if solver.solve_with_assumptions(lits) != SatResult::Sat {
+                    continue;
+                }
+                // The assignment satisfies the model-free encoding and
+                // every unit of group `g`, so it witnesses each undecided
+                // group whose forced pairs all hold in it — `g` included.
+                // Groups before `g` are decided or unsatisfiable here.
+                let co = order.extract_co(&solver, exec);
+                for h in g..groups.len() {
+                    let holds = group_lits[h]
+                        .iter()
+                        .all(|&lit| solver.lit_value_opt(lit) == Some(true));
+                    if verdicts[h].is_some() || !holds {
+                        continue;
+                    }
+                    let edges = collect_edges(exec, rf, &co, &groups[h]);
+                    debug_assert!(edges.admits_partial_order(exec));
+                    verdicts[h] = Some(Verdict::allowed(Witness {
+                        rf: rf.clone(),
+                        co: co.clone(),
+                        hb_edges: edges.labeled,
+                    }));
+                    undecided -= 1;
+                }
+            }
+            sat.absorb(solver.stats());
+        }
+
+        self.solver_stats.set(sat);
+        self.stats.set(stats);
+        group_of
+            .iter()
+            .map(|&g| verdicts[g].clone().unwrap_or_else(Verdict::forbidden))
+            .collect()
+    }
+}
+
+// Named by path: importing the trait would make every per-cell method
+// call in this module ambiguous (`Checker` types are `BatchChecker`s too).
+impl crate::batch::BatchChecker for BatchRfSatChecker {
+    fn name(&self) -> &'static str {
+        "sat"
+    }
+
+    fn check_all_executions(&self, exec: &Execution, models: &[MemoryModel]) -> Vec<Verdict> {
+        let started = mcm_obs::Stopwatch::start();
+        let solves_before = self.stats.get().assumption_solves;
+        let verdicts = self.answer_row(exec, models);
+        observe_row(
+            "sat",
+            started,
+            self.stats.get().assumption_solves - solves_before,
+        );
+        verdicts
+    }
+
+    fn batch_stats(&self) -> Option<BatchStats> {
+        Some(self.stats.get())
+    }
+
+    fn solver_stats(&self) -> Option<SolverStats> {
+        Some(self.solver_stats.get())
+    }
+}
+
+/// Admissibility via one SAT query per read-from map: the
+/// [`BatchRfSatChecker`] row on a single model.
 #[derive(Clone, Debug, Default)]
 pub struct SatChecker {
-    /// Work counters totalled across every query (one solver per
-    /// read-from map); interior mutability because [`Checker`] methods
-    /// take `&self`.
-    stats: std::cell::Cell<mcm_sat::SolverStats>,
+    /// The row checker; its solver counters total every query this
+    /// checker answered.
+    row: BatchRfSatChecker,
 }
 
 impl SatChecker {
@@ -110,31 +252,6 @@ impl SatChecker {
     #[must_use]
     pub fn new() -> Self {
         SatChecker::default()
-    }
-
-    fn absorb_stats(&self, solver: &Solver) {
-        let mut total = self.stats.get();
-        total.absorb(solver.stats());
-        self.stats.set(total);
-    }
-
-    fn check_rf(&self, model: &MemoryModel, exec: &Execution, rf: &RfMap) -> Option<Witness> {
-        let mut solver = Solver::new();
-        let order = encode(&mut solver, model, exec, rf)?;
-        let result = solver.solve();
-        self.absorb_stats(&solver);
-        if result == SatResult::Sat {
-            let co = order.extract_co(&solver, exec);
-            let edges = required_edges(model, exec, rf, &co);
-            debug_assert!(edges.admits_partial_order(exec));
-            Some(Witness {
-                rf: rf.clone(),
-                co,
-                hb_edges: edges.labeled,
-            })
-        } else {
-            None
-        }
     }
 }
 
@@ -144,16 +261,14 @@ impl Checker for SatChecker {
     }
 
     fn check_execution(&self, model: &MemoryModel, exec: &Execution) -> Verdict {
-        for rf in enumerate_rf_maps(exec) {
-            if let Some(witness) = self.check_rf(model, exec, &rf) {
-                return Verdict::allowed(witness);
-            }
-        }
-        Verdict::forbidden()
+        self.row
+            .answer_row(exec, std::slice::from_ref(model))
+            .pop()
+            .expect("one model, one verdict")
     }
 
-    fn solver_stats(&self) -> Option<mcm_sat::SolverStats> {
-        Some(self.stats.get())
+    fn solver_stats(&self) -> Option<SolverStats> {
+        Some(self.row.solver_stats.get())
     }
 }
 
@@ -205,6 +320,50 @@ mod tests {
         assert!(after_two.propagations > after_one.propagations);
         // The explicit checker has no solver.
         assert!(crate::ExplicitChecker::new().solver_stats().is_none());
+    }
+
+    #[test]
+    fn row_matches_per_cell_and_counts_work() {
+        let models = [sc(), weakest(), weakest()];
+        let row = BatchRfSatChecker::new();
+        let verdicts = crate::BatchChecker::check_all(&row, &mp(), &models);
+        let allowed: Vec<bool> = verdicts.iter().map(|v| v.allowed).collect();
+        assert_eq!(allowed, [false, true, true]);
+        let stats = crate::BatchChecker::batch_stats(&row).expect("native batch has stats");
+        assert_eq!((stats.rows, stats.models_checked), (1, 3));
+        assert_eq!(stats.model_groups, 2, "the weakest twins share a group");
+        assert!(stats.assumption_solves >= 2);
+        let solver_stats = crate::BatchChecker::solver_stats(&row).expect("sat-backed");
+        assert!(solver_stats.propagations > 0);
+    }
+
+    #[test]
+    fn a_satisfying_assignment_decides_the_groups_it_satisfies() {
+        // MP's SC-allowed outcome (both reads see 0): solving SC's group
+        // yields an assignment that trivially satisfies the weakest
+        // model's (empty) group, so one solve answers both.
+        let mut test = mp();
+        test = LitmusTest::new(
+            "MP-sc",
+            test.program().clone(),
+            Outcome::new()
+                .constrain(ThreadId(1), Reg(1), Value(0))
+                .constrain(ThreadId(1), Reg(2), Value(0)),
+        )
+        .unwrap();
+        let row = BatchRfSatChecker::new();
+        let verdicts = crate::BatchChecker::check_all(&row, &test, &[sc(), weakest()]);
+        assert!(verdicts.iter().all(|v| v.allowed));
+        let stats = crate::BatchChecker::batch_stats(&row).expect("native batch has stats");
+        assert_eq!(stats.model_groups, 2);
+        assert_eq!(stats.assumption_solves, 1, "the second group is reused");
+        for (model, verdict) in [sc(), weakest()].iter().zip(&verdicts) {
+            let witness = verdict.witness.as_ref().expect("allowed");
+            let exec = test.execution();
+            let edges = crate::hb::required_edges(model, &exec, &witness.rf, &witness.co);
+            assert!(edges.admits_partial_order(&exec));
+            assert_eq!(edges.labeled, witness.hb_edges);
+        }
     }
 
     #[test]

@@ -6,8 +6,8 @@
 //! * **verdict identity** — the Figure-4 sweep (36 models × the full
 //!   comparison suite) through the batched explicit checker and through
 //!   the per-cell adapter produce bit-identical verdict lattices (zero
-//!   mismatches), and the batched SAT checker agrees cell for cell on a
-//!   reduced grid;
+//!   mismatches), and on a reduced grid the per-cell per-rf SAT checker,
+//!   its row form and the monolithic row encoding agree cell for cell;
 //! * **amortization** — wall-clock of old (per-cell) vs new (batched)
 //!   on the same grid, with the row-collapse counters that explain the
 //!   gap: the per-cell path enumerates each test's `(rf, co)` space 36
@@ -20,7 +20,9 @@ use std::hint::black_box;
 use std::time::Instant;
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use mcm_axiomatic::{BatchExplicitChecker, BatchSatChecker, ExplicitChecker, SatChecker};
+use mcm_axiomatic::{
+    BatchChecker, BatchExplicitChecker, BatchSatChecker, CheckerKind, ExplicitChecker, SatChecker,
+};
 use mcm_explore::{paper, EngineConfig, Exploration};
 
 fn figure4_space() -> (Vec<mcm_core::MemoryModel>, Vec<mcm_core::LitmusTest>) {
@@ -94,8 +96,11 @@ fn report_equivalence_and_speedup() {
     );
 }
 
-/// The SAT pair: per-rf-map per-cell checker vs the assumption-selected
-/// shared encoding, on a grid small enough for the slow side.
+/// The SAT trio on a grid small enough for the per-cell side: the
+/// per-cell per-rf checker, its row form (`CheckerKind::Sat.build_batch()`:
+/// one model-free encoding per read-from map, groups selected by
+/// assumptions) and the assumption-selected monolithic encoding. All
+/// three must agree cell for cell.
 fn report_sat_equivalence() {
     let models = paper::digit_space_models(false);
     let tests: Vec<mcm_core::LitmusTest> = paper::comparison_tests(false)
@@ -103,45 +108,43 @@ fn report_sat_equivalence() {
         .take(12)
         .collect();
     let config = single_thread_config();
+    let sweep = |make: &(dyn Fn() -> Box<dyn BatchChecker> + Sync)| {
+        let start = Instant::now();
+        let (expl, stats) =
+            Exploration::run_engine(models.clone(), tests.clone(), make, &config, None);
+        (expl, stats, start.elapsed())
+    };
 
-    let start = Instant::now();
-    let (old, _) = Exploration::run_engine(
-        models.clone(),
-        tests.clone(),
-        || Box::new(SatChecker::new()),
-        &config,
-        None,
-    );
-    let old_wall = start.elapsed();
+    let (per_cell, _, per_cell_wall) = sweep(&|| Box::new(SatChecker::new()));
+    let (per_rf, per_rf_stats, per_rf_wall) = sweep(&|| CheckerKind::Sat.build_batch());
+    let (monolithic, monolithic_stats, monolithic_wall) =
+        sweep(&|| Box::new(BatchSatChecker::new()));
 
-    let start = Instant::now();
-    let (new, stats) = Exploration::run_engine(
-        models,
-        tests,
-        || Box::new(BatchSatChecker::new()),
-        &config,
-        None,
-    );
-    let new_wall = start.elapsed();
-
-    let mismatches: usize = old
-        .verdicts
-        .iter()
-        .zip(&new.verdicts)
-        .map(|(a, b)| a.diff_indices(b).len())
-        .sum();
-    assert_eq!(mismatches, 0, "batched SAT must agree with per-cell SAT");
-    assert!(stats.batch.assumption_solves > 0);
+    for (name, other) in [("per-rf row", &per_rf), ("monolithic row", &monolithic)] {
+        let mismatches: usize = per_cell
+            .verdicts
+            .iter()
+            .zip(&other.verdicts)
+            .map(|(a, b)| a.diff_indices(b).len())
+            .sum();
+        assert_eq!(mismatches, 0, "{name} SAT must agree with per-cell SAT");
+    }
+    assert!(per_rf_stats.batch.assumption_solves > 0);
+    assert!(monolithic_stats.batch.assumption_solves > 0);
     println!(
-        "SAT sweep ({} models x {} tests, 1 thread): per-cell-rf {:.2?} -> \
-         assumption-selected {:.2?} ({:.2}x), {} solves for {} verdicts",
-        old.models.len(),
-        old.tests.len(),
-        old_wall,
-        new_wall,
-        old_wall.as_secs_f64() / new_wall.as_secs_f64().max(1e-9),
-        stats.batch.assumption_solves,
-        stats.batch.models_checked,
+        "SAT sweep ({} models x {} tests, 1 thread), 0 mismatches among all three: \
+         per-cell per-rf {:.2?}; per-rf row {:.2?} ({:.2}x, {} solves); \
+         monolithic row {:.2?} ({:.2}x, {} solves); {} verdicts",
+        per_cell.models.len(),
+        per_cell.tests.len(),
+        per_cell_wall,
+        per_rf_wall,
+        per_cell_wall.as_secs_f64() / per_rf_wall.as_secs_f64().max(1e-9),
+        per_rf_stats.batch.assumption_solves,
+        monolithic_wall,
+        per_cell_wall.as_secs_f64() / monolithic_wall.as_secs_f64().max(1e-9),
+        monolithic_stats.batch.assumption_solves,
+        per_rf_stats.batch.models_checked,
     );
 }
 

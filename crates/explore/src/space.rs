@@ -529,8 +529,7 @@ impl Exploration {
     /// not be `Sync` (the SAT checkers carry per-instance solver state).
     /// Any per-cell [`Checker`] coerces through its blanket
     /// [`BatchChecker`] adapter; pass a natively batched checker
-    /// ([`mcm_axiomatic::BatchExplicitChecker`],
-    /// [`mcm_axiomatic::BatchSatChecker`]) to amortize candidate
+    /// ([`mcm_axiomatic::CheckerKind::build_batch`]) to amortize candidate
     /// enumeration / encoding across each row.
     #[must_use]
     pub fn run_engine<F>(
@@ -1029,11 +1028,12 @@ mod tests {
         let (_, stats) = Exploration::run_engine(
             models.clone(),
             tests.clone(),
-            || Box::new(mcm_axiomatic::SatChecker::new()),
+            || mcm_axiomatic::CheckerKind::Sat.build_batch(),
             &EngineConfig::default(),
             None,
         );
         assert!(stats.sat.propagations > 0, "SAT sweep must count work");
+        assert!(stats.batch.assumption_solves > 0, "per-rf rows count solves");
         let (_, explicit) = Exploration::run_engine(
             models,
             tests,

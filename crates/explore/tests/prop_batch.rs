@@ -1,22 +1,30 @@
 //! Properties of the test-major batched checking core:
 //!
 //! 1. **Cell agreement** — `BatchChecker::check_all` returns exactly the
-//!    per-cell `Checker::check` verdicts for all 36 Figure-4 models, on
-//!    sampled tests of at most 3 accesses (with fences and dependency
-//!    idioms in the sample space), for both the explicit and the SAT
-//!    (assumption-selected) backends;
+//!    per-cell explicit `Checker::check` verdicts for all 36 Figure-4
+//!    models, on sampled tests of at most 3 accesses (with fences and
+//!    dependency idioms in the sample space), for every
+//!    `CheckerKind::build_batch` backend;
 //! 2. **Witness validity** — every batched "allowed" verdict carries a
 //!    witness whose forced edges admit a partial order; the explicit
 //!    backend's witness *equals* the per-cell explicit witness (same
 //!    `rf`, `co` and labeled happens-before edges);
-//! 3. **Restriction** — the 90-model streamed sweep, restricted to the 36
+//! 3. **Shuffled 90-model rows** — the same two properties on rows of 90
+//!    models drawn with repetition from the 90-model space in random
+//!    order, so model grouping and the per-rf SAT checker's reuse of a
+//!    satisfying assignment both fire. The tests are the
+//!    leaders of up to 4 accesses that SC forbids and the weakest model
+//!    allows, each also with a third thread repeating a write some read
+//!    takes its value from, so that read has two sources and a model can
+//!    be refused by one read-from map and admitted by a later one;
+//! 4. **Restriction** — the 90-model streamed sweep, restricted to the 36
 //!    dependency-free models, reproduces the Figure-4 sweep exactly, row
 //!    for row.
 
-use mcm_axiomatic::{
-    BatchChecker, BatchExplicitChecker, BatchSatChecker, Checker, ExplicitChecker,
-};
-use mcm_core::LitmusTest;
+use std::sync::OnceLock;
+
+use mcm_axiomatic::{BatchExplicitChecker, Checker, CheckerKind, ExplicitChecker};
+use mcm_core::{AddrExpr, Formula, Instruction, LitmusTest, MemoryModel, Program, RegExpr, Thread};
 use mcm_explore::paper;
 use mcm_explore::{EngineConfig, Exploration, StreamControl};
 use mcm_gen::stream::{leaders, StreamBounds};
@@ -39,86 +47,146 @@ fn sampled_tests() -> Vec<LitmusTest> {
     tests
 }
 
+/// The orbit leaders of two threads of at most 2 accesses each whose
+/// outcome SC forbids and the weakest model allows: the rows where
+/// models differ, so every read-from map has something to refuse.
+fn distinguishing_tests() -> &'static [LitmusTest] {
+    static TESTS: OnceLock<Vec<LitmusTest>> = OnceLock::new();
+    TESTS.get_or_init(|| {
+        let sc = MemoryModel::new("SC", Formula::always());
+        let weakest = MemoryModel::new("weakest", Formula::never());
+        let checker = ExplicitChecker::new();
+        leaders(&StreamBounds {
+            max_accesses_per_thread: 2,
+            threads: 2,
+            max_locs: 2,
+            include_fences: true,
+            include_deps: true,
+        })
+        .filter(|t| !checker.is_allowed(&sc, t) && checker.is_allowed(&weakest, t))
+        .collect()
+    })
+}
+
+/// `test` plus a thread that repeats its `k`-th write (cyclically) among
+/// those some read takes its value from, so that read has a second
+/// source later in enumeration order: the test has several read-from
+/// maps, and a model refused by the first can be admitted by a later one.
+fn with_twin_writer(test: &LitmusTest, k: usize) -> LitmusTest {
+    let exec = test.execution();
+    let read_from: Vec<_> = exec
+        .writes()
+        .filter(|w| {
+            exec.reads()
+                .any(|r| (r.loc(), r.value()) == (w.loc(), w.value()))
+        })
+        .collect();
+    if read_from.is_empty() {
+        return test.clone();
+    }
+    let write = read_from[k % read_from.len()];
+    let twin = Instruction::Write {
+        addr: AddrExpr::Loc(write.loc().expect("writes have a location")),
+        val: RegExpr::Const(write.value().expect("writes have a value")),
+    };
+    let mut threads = test.program().threads.clone();
+    threads.push(Thread {
+        instructions: vec![twin],
+    });
+    LitmusTest::new(test.name(), Program { threads }, test.outcome().clone())
+        .expect("a constant write keeps the test well-formed")
+}
+
+/// Checks every `build_batch` backend's row against the per-cell
+/// explicit verdicts: same verdicts in model order, a realisable witness
+/// on every "allowed" cell, and the explicit backend's exact witness.
+fn rows_agree_with_per_cell(
+    test: &LitmusTest,
+    models: &[MemoryModel],
+) -> Result<(), TestCaseError> {
+    let per_cell = ExplicitChecker::new();
+    let expected: Vec<_> = models.iter().map(|m| per_cell.check(m, test)).collect();
+    let exec = test.execution();
+    for kind in CheckerKind::ALL {
+        let batch = kind.build_batch();
+        let verdicts = batch.check_all(test, models);
+        prop_assert_eq!(verdicts.len(), models.len());
+        for ((model, verdict), expected) in models.iter().zip(&verdicts).zip(&expected) {
+            prop_assert_eq!(
+                verdict.allowed,
+                expected.allowed,
+                "{} disagrees with per-cell explicit on {} under {}",
+                batch.name(),
+                test.name(),
+                model.name()
+            );
+            prop_assert_eq!(
+                verdict.allowed,
+                verdict.witness.is_some(),
+                "allowed verdicts carry witnesses"
+            );
+            if let Some(witness) = &verdict.witness {
+                let edges =
+                    mcm_axiomatic::hb::required_edges(model, &exec, &witness.rf, &witness.co);
+                prop_assert!(
+                    edges.admits_partial_order(&exec),
+                    "witness of {} on {} under {} is not realisable",
+                    batch.name(),
+                    test.name(),
+                    model.name()
+                );
+                // The explicit backend visits candidates in the
+                // per-cell order, so its witness is the same one.
+                if kind == CheckerKind::Explicit {
+                    let cell = expected.witness.as_ref().expect("allowed per cell");
+                    let at = format!("{} on {}", model.name(), test.name());
+                    prop_assert_eq!(&witness.rf, &cell.rf, "rf of {}", at);
+                    prop_assert_eq!(&witness.co, &cell.co, "co of {}", at);
+                    prop_assert_eq!(&witness.hb_edges, &cell.hb_edges, "hb edges of {}", at);
+                }
+            }
+        }
+    }
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(40))]
 
     #[test]
     fn batch_verdicts_equal_per_cell_verdicts(index in 0usize..10_000) {
         let tests = sampled_tests();
+        rows_agree_with_per_cell(&tests[index % tests.len()], &paper::digit_space_models(false))?;
+    }
+
+    #[test]
+    fn shuffled_ninety_model_rows_equal_per_cell_verdicts(
+        index in 0usize..10_000,
+        twin in 0usize..4,
+        picks in proptest::collection::vec(0usize..90, 90),
+    ) {
+        let tests = distinguishing_tests();
         let test = &tests[index % tests.len()];
-        let models = paper::digit_space_models(false);
-        let per_cell = ExplicitChecker::new();
-        let expected: Vec<_> = models.iter().map(|m| per_cell.check(m, test)).collect();
-        for batch in [
-            Box::new(BatchExplicitChecker::new()) as Box<dyn BatchChecker>,
-            Box::new(BatchSatChecker::new()),
-        ] {
-            let verdicts = batch.check_all(test, &models);
-            prop_assert_eq!(verdicts.len(), models.len());
-            for ((model, verdict), expected) in
-                models.iter().zip(&verdicts).zip(&expected)
-            {
-                prop_assert_eq!(
-                    verdict.allowed,
-                    expected.allowed,
-                    "{} disagrees with per-cell explicit on {} under {}",
-                    batch.name(),
-                    test.name(),
-                    model.name()
-                );
-                prop_assert_eq!(
-                    verdict.allowed,
-                    verdict.witness.is_some(),
-                    "allowed verdicts carry witnesses"
-                );
-                if let Some(witness) = &verdict.witness {
-                    let exec = test.execution();
-                    let edges =
-                        mcm_axiomatic::hb::required_edges(model, &exec, &witness.rf, &witness.co);
-                    prop_assert!(
-                        edges.admits_partial_order(&exec),
-                        "witness of {} on {} is not realisable",
-                        batch.name(),
-                        test.name()
-                    );
-                    // The explicit backend visits candidates in the
-                    // per-cell order, so its witness is the same one.
-                    if batch.name() == "batch-explicit" {
-                        let cell = expected.witness.as_ref().expect("allowed per cell");
-                        let at = format!("{} on {}", model.name(), test.name());
-                        prop_assert_eq!(&witness.rf, &cell.rf, "rf of {}", at);
-                        prop_assert_eq!(&witness.co, &cell.co, "co of {}", at);
-                        prop_assert_eq!(
-                            &witness.hb_edges,
-                            &cell.hb_edges,
-                            "hb edges of {}",
-                            at
-                        );
-                    }
-                }
-            }
-        }
+        let space = paper::digit_space_models(true);
+        let row: Vec<MemoryModel> = picks.iter().map(|&i| space[i].clone()).collect();
+        rows_agree_with_per_cell(test, &row)?;
+        rows_agree_with_per_cell(&with_twin_writer(test, twin), &row)?;
     }
 }
 
 #[test]
-fn checker_kinds_report_their_batching_capability_honestly() {
-    // `natively_batched` must track reality: a natively batched build
-    // shares work across the row and therefore reports `BatchStats`; a
-    // per-cell adapter reports none. (Catches drift between the
-    // capability flag and `build_batch`.)
-    use mcm_axiomatic::CheckerKind;
+fn every_batched_build_reports_row_stats() {
+    // Every kind's `build_batch` is natively test-major: it shares work
+    // across the row and therefore reports `BatchStats` for it.
     let models = paper::digit_space_models(false);
     let test = &sampled_tests()[0];
     for kind in CheckerKind::ALL {
         let batch = kind.build_batch();
         let _ = batch.check_all(test, &models);
-        assert_eq!(
-            batch.batch_stats().is_some(),
-            kind.natively_batched(),
-            "{} capability flag disagrees with its build_batch implementation",
-            kind.name()
-        );
+        let stats = batch
+            .batch_stats()
+            .unwrap_or_else(|| panic!("{} build_batch reports no row stats", kind.name()));
+        assert_eq!((stats.rows, stats.models_checked), (1, models.len() as u64));
     }
 }
 
