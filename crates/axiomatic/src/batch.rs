@@ -39,8 +39,9 @@
 //! `mcm-synth`'s oracle and the cross-validation suites use, and what the
 //! batched paths are property-tested against.
 
-use std::cell::Cell;
+use std::cell::{Cell, RefCell};
 use std::collections::HashMap;
+use std::sync::Arc;
 
 use mcm_core::{EventId, Execution, LitmusTest, MemoryModel};
 use mcm_sat::{SatResult, Solver, SolverStats};
@@ -115,14 +116,51 @@ impl BatchStats {
 /// per-cell adapters: cells) into `mcm_check_candidates_total`.
 /// No-op when `mcm_obs` instrumentation is disabled — the stopwatch
 /// never started, so this costs one branch.
+///
+/// Both series are resolved once per worker thread and checker name, so
+/// the row path never takes the global registry lock after first use.
 pub(crate) fn observe_row(checker: &'static str, started: mcm_obs::Stopwatch, candidates: u64) {
-    if let Some(us) = started.elapsed_us() {
-        mcm_obs::metrics::histogram("mcm_check_latency_us", &[("checker", checker)]).record(us);
+    let Some(us) = started.elapsed_us() else {
+        return;
+    };
+    ROW_SERIES.with_borrow_mut(|series| {
+        let i = match series.iter().position(|s| s.checker == checker) {
+            Some(i) => i,
+            None => {
+                series.push(RowSeries {
+                    checker,
+                    latency: mcm_obs::metrics::histogram(
+                        "mcm_check_latency_us",
+                        &[("checker", checker)],
+                    ),
+                    candidates: None,
+                });
+                series.len() - 1
+            }
+        };
+        let row = &mut series[i];
+        row.latency.record(us);
         if candidates > 0 {
-            mcm_obs::metrics::counter("mcm_check_candidates_total", &[("checker", checker)])
+            row.candidates
+                .get_or_insert_with(|| {
+                    mcm_obs::metrics::counter("mcm_check_candidates_total", &[("checker", checker)])
+                })
                 .add(candidates);
         }
-    }
+    });
+}
+
+/// One checker's handles into the global metric registry.
+struct RowSeries {
+    checker: &'static str,
+    latency: Arc<mcm_obs::metrics::Histogram>,
+    /// Resolved on the first row with shared work, so a checker that
+    /// never reports any registers no candidate series.
+    candidates: Option<Arc<mcm_obs::metrics::Counter>>,
+}
+
+thread_local! {
+    static ROW_SERIES: RefCell<Vec<RowSeries>> = const { RefCell::new(Vec::new()) };
 }
 
 /// An admissibility checker that answers a whole row of models against

@@ -7,7 +7,10 @@ use std::sync::Arc;
 
 use mcm_axiomatic::{BatchChecker, Checker, ExplicitChecker, Verdict};
 use mcm_core::{Execution, MemoryModel};
-use mcm_explore::{cache::VerdictCache, EngineConfig, Exploration, StreamControl, SweepStats};
+use mcm_explore::{
+    cache::VerdictCache, paper, EngineConfig, Exploration, StreamControl, SweepStats,
+};
+use mcm_gen::canon;
 use mcm_models::{catalog, named};
 
 /// An explicit checker that counts its invocations.
@@ -41,42 +44,49 @@ fn space() -> (Vec<MemoryModel>, Vec<mcm_core::LitmusTest>) {
     )
 }
 
+/// On the named-model catalog space and on the paper's full §4.2 space
+/// (the 90 digit models over the catalog + template comparison suite).
 #[test]
 fn second_sweep_hits_the_cache_for_every_pair() {
-    let (models, tests) = space();
-    let cache = VerdictCache::new();
-    let calls = Arc::new(AtomicU64::new(0));
-    let factory = || {
-        Box::new(CountingChecker {
-            inner: ExplicitChecker::new(),
-            calls: Arc::clone(&calls),
-        }) as Box<dyn BatchChecker>
-    };
-    let config = EngineConfig::canonicalizing();
+    let spaces = [
+        space(),
+        (paper::digit_space_models(true), paper::comparison_tests(true)),
+    ];
+    for (models, tests) in spaces {
+        let cache = VerdictCache::new();
+        let calls = Arc::new(AtomicU64::new(0));
+        let factory = || {
+            Box::new(CountingChecker {
+                inner: ExplicitChecker::new(),
+                calls: Arc::clone(&calls),
+            }) as Box<dyn BatchChecker>
+        };
+        let config = EngineConfig::canonicalizing();
 
-    let (first, first_stats) =
-        Exploration::run_engine(models.clone(), tests.clone(), factory, &config, Some(&cache));
-    let first_calls = calls.load(Ordering::Relaxed);
-    assert!(first_calls > 0, "cold sweep must invoke the checker");
-    assert_eq!(first_stats.checker_calls, first_calls);
-    assert_eq!(first_stats.cache_hits, 0, "cold cache cannot hit");
-    // The prefilter fans each group verdict out to every member, so the
-    // cache holds one entry per (row, test) pair, not per checker call.
-    assert_eq!(
-        cache.len() as u64,
-        first_stats.checker_calls + first_stats.prefilter_saved_calls
-    );
+        let (first, first_stats) =
+            Exploration::run_engine(models.clone(), tests.clone(), factory, &config, Some(&cache));
+        let first_calls = calls.load(Ordering::Relaxed);
+        assert!(first_calls > 0, "cold sweep must invoke the checker");
+        assert_eq!(first_stats.checker_calls, first_calls);
+        assert_eq!(first_stats.cache_hits, 0, "cold cache cannot hit");
+        // The prefilter fans each group verdict out to every member, so the
+        // cache holds one entry per (row, test) pair, not per checker call.
+        assert_eq!(
+            cache.len() as u64,
+            first_stats.checker_calls + first_stats.prefilter_saved_calls
+        );
 
-    let (second, second_stats) =
-        Exploration::run_engine(models, tests, factory, &config, Some(&cache));
-    let second_calls = calls.load(Ordering::Relaxed) - first_calls;
-    assert_eq!(
-        second_stats.checker_calls, 0,
-        "warm sweep must answer everything from the cache"
-    );
-    assert_eq!(second_calls, 0, "checker was invoked despite a warm cache");
-    assert_eq!(second_stats.cache_hits, second_stats.unique_pairs);
-    assert_eq!(first.verdicts, second.verdicts);
+        let (second, second_stats) =
+            Exploration::run_engine(models, tests, factory, &config, Some(&cache));
+        let second_calls = calls.load(Ordering::Relaxed) - first_calls;
+        assert_eq!(
+            second_stats.checker_calls, 0,
+            "warm sweep must answer everything from the cache"
+        );
+        assert_eq!(second_calls, 0, "checker was invoked despite a warm cache");
+        assert_eq!(second_stats.cache_hits, second_stats.unique_pairs);
+        assert_eq!(first.verdicts, second.verdicts);
+    }
 }
 
 /// Both entry points key verdicts by orbit fingerprint, so whatever one
@@ -179,6 +189,10 @@ fn cache_is_shared_across_different_model_subsets() {
 fn canonicalization_reduces_unique_pairs_on_the_paper_suite() {
     let models = vec![named::sc(), named::tso()];
     let tests = mcm_explore::paper::comparison_tests(true);
+    assert!(
+        canon::dedup(&tests).dedup_ratio() > 1.0,
+        "the catalog + template suite holds symmetric duplicates"
+    );
     let total = (models.len() * tests.len()) as u64;
     let (_, stats) = Exploration::run_engine(
         models,

@@ -9,16 +9,19 @@
 //! the *whole* finite domain of Theorem A, so the elision rule is
 //! machine-verified, not sampled. The sweep prefilter's grouping is
 //! pinned to the checker's own quotient, `forced_po_pairs`, on every test
-//! it is checked against.
+//! it is checked against, and a streamed sweep with the prefilter on is
+//! bit-identical to the same sweep with it off, with every skipped
+//! checker call accounted for.
 
 use mcm_analyze::{
     elidable, minimized_dnf, AtomUniverse, StrengthAnalysis, SweepPrefilter, TruthTable,
 };
 use mcm_axiomatic::hb::forced_po_pairs;
-use mcm_axiomatic::ExplicitChecker;
+use mcm_axiomatic::{BatchExplicitChecker, ExplicitChecker};
 use mcm_core::formula::{ArgPos, Atom, Formula};
 use mcm_core::{EventId, Execution, LitmusTest, MemoryModel};
 use mcm_explore::space::Exploration;
+use mcm_explore::{EngineConfig, StreamControl};
 use mcm_gen::stream::{leaders, StreamBounds};
 use mcm_models::DigitModel;
 
@@ -274,4 +277,50 @@ fn prefilter_groups_exactly_when_forced_pairs_agree() {
     for test in stream.iter().step_by(10) {
         assert_prefilter_matches_forced_pairs(&prefilter, &models, test, &reversed);
     }
+}
+
+/// The prefilter's soundness and accounting on the 90-model streamed
+/// sweep over the first 1,000 leaders of the dependency-discriminating
+/// bounds: verdicts bit-identical with the prefilter on and off, and
+/// `on.checker_calls + on.prefilter_saved_calls == off.checker_calls`.
+#[test]
+fn prefiltered_stream_is_bit_identical_and_balances_its_calls() {
+    let bounds = StreamBounds {
+        max_accesses_per_thread: 2,
+        threads: 2,
+        max_locs: 2,
+        include_fences: true,
+        include_deps: true,
+    };
+    let sweep = |prefilter: bool| {
+        Exploration::run_engine_streaming_with(
+            mcm_explore::paper::digit_space_models(true),
+            leaders(&bounds).take(1_000),
+            || Box::new(BatchExplicitChecker::new()),
+            &EngineConfig {
+                prefilter,
+                ..EngineConfig::default()
+            },
+            None,
+            StreamControl::default(),
+        )
+        .expect("a cold sweep cannot fail to resume")
+    };
+    let (on, on_stats) = sweep(true);
+    let (off, off_stats) = sweep(false);
+    assert_eq!(on.models.len(), 90);
+    assert_eq!(on.tests.len(), off.tests.len());
+    for (row, (a, b)) in on.verdicts.iter().zip(&off.verdicts).enumerate() {
+        assert_eq!(
+            a, b,
+            "prefilter changed the verdict vector of {}",
+            on.models[row].name(),
+        );
+    }
+    assert_eq!(off_stats.prefilter_saved_calls, 0);
+    assert_eq!(
+        on_stats.checker_calls + on_stats.prefilter_saved_calls,
+        off_stats.checker_calls,
+        "prefilter accounting must balance against the unfiltered sweep"
+    );
 }

@@ -19,11 +19,19 @@
 //!    be refused by one read-from map and admitted by a later one;
 //! 4. **Restriction** — the 90-model streamed sweep, restricted to the 36
 //!    dependency-free models, reproduces the Figure-4 sweep exactly, row
-//!    for row.
+//!    for row;
+//! 5. **Whole grid** — the full Figure-4 sweep (36 models × the complete
+//!    comparison suite) through the batched explicit checker equals the
+//!    per-cell sweep bit for bit, and on its first 12 tests the per-cell
+//!    per-rf SAT checker, its row form and the monolithic row encoding
+//!    agree cell for cell.
 
 use std::sync::OnceLock;
 
-use mcm_axiomatic::{BatchExplicitChecker, Checker, CheckerKind, ExplicitChecker};
+use mcm_axiomatic::{
+    BatchChecker, BatchExplicitChecker, BatchSatChecker, Checker, CheckerKind, ExplicitChecker,
+    SatChecker,
+};
 use mcm_core::{AddrExpr, Formula, Instruction, LitmusTest, MemoryModel, Program, RegExpr, Thread};
 use mcm_explore::paper;
 use mcm_explore::{EngineConfig, Exploration, StreamControl};
@@ -235,4 +243,51 @@ fn ninety_model_sweep_restricts_to_the_figure4_sweep() {
             model.name()
         );
     }
+}
+
+/// Zero verdict mismatches between two sweeps of the same grid.
+fn assert_same_verdicts(label: &str, a: &Exploration, b: &Exploration) {
+    let mismatches: usize = a
+        .verdicts
+        .iter()
+        .zip(&b.verdicts)
+        .map(|(x, y)| x.diff_indices(y).len())
+        .sum();
+    assert_eq!(mismatches, 0, "{label}");
+}
+
+#[test]
+fn figure4_grid_batched_equals_per_cell() {
+    let models = paper::digit_space_models(false);
+    let tests = paper::comparison_tests(false);
+    let config = EngineConfig {
+        jobs: Some(1),
+        ..EngineConfig::default()
+    };
+    let sweep = |tests: &[LitmusTest], make: &(dyn Fn() -> Box<dyn BatchChecker> + Sync)| {
+        Exploration::run_engine(models.clone(), tests.to_vec(), make, &config, None)
+    };
+
+    let (per_cell, per_cell_stats) = sweep(&tests, &|| Box::new(ExplicitChecker::new()));
+    let (batched, batched_stats) = sweep(&tests, &|| Box::new(BatchExplicitChecker::new()));
+    assert_same_verdicts(
+        "the batched sweep must be bit-identical to the per-cell sweep",
+        &per_cell,
+        &batched,
+    );
+    assert_eq!(per_cell_stats.checker_calls, batched_stats.checker_calls);
+    assert!(batched_stats.batch.rows > 0, "the batched path must batch");
+
+    let grid = &tests[..12];
+    let (per_cell, _) = sweep(grid, &|| Box::new(SatChecker::new()));
+    let (per_rf, per_rf_stats) = sweep(grid, &|| CheckerKind::Sat.build_batch());
+    let (monolithic, monolithic_stats) = sweep(grid, &|| Box::new(BatchSatChecker::new()));
+    assert_same_verdicts("per-rf row SAT must agree with per-cell SAT", &per_cell, &per_rf);
+    assert_same_verdicts(
+        "monolithic row SAT must agree with per-cell SAT",
+        &per_cell,
+        &monolithic,
+    );
+    assert!(per_rf_stats.batch.assumption_solves > 0);
+    assert!(monolithic_stats.batch.assumption_solves > 0);
 }

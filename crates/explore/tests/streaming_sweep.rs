@@ -1,15 +1,15 @@
 //! The streaming sweep must be indistinguishable from the materialized
 //! path: same verdict per (model, orbit), same lattice.
 //!
-//! The CI streaming-smoke job runs this file on tiny bounds; the
-//! `streaming_sweep` bench re-asserts the same identity on larger bounds
-//! before timing the two pipelines.
+//! The CI streaming-smoke job runs this file: the identity on tiny
+//! bounds, plus a check that 2,000-leader prefixes of the size-3 and
+//! size-4 streams never split a truly equivalent model pair.
 
 use std::collections::HashMap;
 
 use mcm_axiomatic::{BatchChecker, BatchExplicitChecker};
 use mcm_core::MemoryModel;
-use mcm_explore::{paper, EngineConfig, Exploration, StreamControl};
+use mcm_explore::{paper, EngineConfig, Exploration, Relation, StreamControl};
 use mcm_gen::stream::{self, StreamBounds};
 use mcm_gen::{canon, naive};
 use proptest::prelude::*;
@@ -146,6 +146,57 @@ fn chunk_size_does_not_change_the_outcome() {
     assert_eq!(a.verdicts, b.verdicts);
     assert_eq!(a.verdicts, c.verdicts);
     assert_eq!(a.tests.len(), b.tests.len());
+}
+
+/// The title question one step past Theorem 1, on stream prefixes:
+/// models that are *truly* equivalent (same verdict on the complete
+/// Theorem 1 template suite, hence on every test) must stay equivalent
+/// on the first 2,000 leaders of the size-3 stream (fences and
+/// dependencies included) and of the size-4 stream. A split would be a
+/// bug in the stream or the engine, not a refutation of the paper.
+#[test]
+fn size3_and_size4_prefixes_split_no_truly_equivalent_pair() {
+    let models = paper::digit_space_models(false);
+    let prefix = |bounds: &StreamBounds| {
+        Exploration::run_engine_streaming_with(
+            models.clone(),
+            stream::leaders(bounds).take(2_000),
+            factory,
+            &EngineConfig::default(),
+            None,
+            StreamControl::default(),
+        )
+        .expect("a cold sweep cannot fail to resume")
+        .0
+    };
+    let size3 = prefix(&StreamBounds {
+        max_accesses_per_thread: 3,
+        threads: 2,
+        max_locs: 2,
+        include_fences: true,
+        include_deps: true,
+    });
+    let size4 = prefix(&StreamBounds::size4(2));
+    let (truth, _) = Exploration::run_engine(
+        models,
+        paper::comparison_tests(false),
+        factory,
+        &EngineConfig::default(),
+        None,
+    );
+    let pairs = truth.equivalent_pairs();
+    assert!(!pairs.is_empty(), "the Figure-4 space has equivalent pairs");
+    for (i, j) in pairs {
+        for (label, sweep) in [("size-3", &size3), ("size-4", &size4)] {
+            assert_eq!(
+                sweep.relation(i, j),
+                Relation::Equivalent,
+                "{label} prefix split the truly equivalent pair {} == {}",
+                truth.models[i].name(),
+                truth.models[j].name(),
+            );
+        }
+    }
 }
 
 proptest! {

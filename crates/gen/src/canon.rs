@@ -838,7 +838,7 @@ mod tests {
         // canonicalization finds nothing left to collapse. (The win shows
         // up on suites that were *not* generated symmetry-aware — the
         // catalog + template comparison suite and the naive enumeration —
-        // see `crates/bench/benches/canonical_dedup.rs`.)
+        // see `dedup_collapses_the_raw_naive_enumeration` below.)
         let suite = template_suite(true);
         let canonical = dedup(&suite.tests);
         assert_eq!(canonical.original_len, suite.tests.len());
@@ -855,23 +855,25 @@ mod tests {
 
     #[test]
     fn dedup_collapses_the_raw_naive_enumeration() {
-        let bounds = crate::naive::NaiveBounds {
-            max_accesses_per_thread: 2,
-            max_locs: 2,
-            ..Default::default()
-        };
-        let raw = crate::naive::enumerate_tests_raw(&bounds, usize::MAX);
-        let filtered = crate::naive::enumerate_tests(&bounds, usize::MAX);
-        let canonical = dedup(&raw);
-        assert!(
-            canonical.dedup_ratio() > 3.0,
-            "raw {} -> {} orbits",
-            raw.len(),
-            canonical.len()
-        );
-        // The orbit quotient is at least as sharp as the enumerator's
-        // built-in shape filter (it also sees outcome/value symmetries).
-        assert!(canonical.len() <= filtered.len());
+        for max_locs in [2, 3] {
+            let bounds = crate::naive::NaiveBounds {
+                max_accesses_per_thread: 2,
+                max_locs,
+                ..Default::default()
+            };
+            let raw = crate::naive::enumerate_tests_raw(&bounds, usize::MAX);
+            let filtered = crate::naive::enumerate_tests(&bounds, usize::MAX);
+            let canonical = dedup(&raw);
+            assert!(
+                canonical.dedup_ratio() > 3.0,
+                "max_locs {max_locs}: raw {} -> {} orbits",
+                raw.len(),
+                canonical.len()
+            );
+            // The orbit quotient is at least as sharp as the enumerator's
+            // built-in shape filter (it also sees outcome/value symmetries).
+            assert!(canonical.len() <= filtered.len(), "max_locs {max_locs}");
+        }
     }
 
     #[test]

@@ -24,8 +24,8 @@
 //!    and parseable by `mcm_core::json`.
 //!
 //! Instrumentation sites gate on [`enabled`] (a single relaxed atomic
-//! load) so the whole subsystem can be switched off; the
-//! `obs_overhead` bench holds the on-vs-off cost under 3%.
+//! load) so the whole subsystem can be switched off; `mcm-explore`'s
+//! `obs_overhead` test holds the on-vs-off cost under 3%.
 
 pub mod metrics;
 pub mod trace;

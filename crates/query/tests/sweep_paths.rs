@@ -1,0 +1,146 @@
+//! The query layer is a front door, not a different engine:
+//!
+//! * `Query::sweep()` over the Figure-4 space gives the same
+//!   [`SweepStats`], verdicts, minimal-set size, equivalent pairs and
+//!   class count as `Exploration::run_engine` followed by
+//!   `paper::report_from`, the code path it replaced;
+//! * a streamed sweep with a verdict log (`--store`), re-run over the
+//!   same log the way a restarted process would, makes zero checker
+//!   calls, answers every lookup from the disk tier, appends nothing and
+//!   reproduces the cold outcome bit for bit.
+
+use std::path::{Path, PathBuf};
+
+use mcm_explore::{paper, EngineConfig, Exploration, SweepStats};
+use mcm_gen::stream::StreamBounds;
+use mcm_query::{CheckerKind, ModelSpec, Query, SweepReport, TestSource};
+
+/// One worker, no cache: deterministic counters on both paths.
+fn one_job() -> EngineConfig {
+    EngineConfig {
+        jobs: Some(1),
+        ..EngineConfig::default()
+    }
+}
+
+fn direct_sweep() -> (paper::SpaceReport, SweepStats) {
+    let (exploration, stats) = Exploration::run_engine(
+        paper::digit_space_models(false),
+        paper::comparison_tests(false),
+        || CheckerKind::Explicit.build_batch(),
+        &one_job(),
+        None,
+    );
+    (paper::report_from(exploration), stats)
+}
+
+#[test]
+fn query_sweep_equals_run_engine_and_report_from() {
+    let (direct, direct_stats) = direct_sweep();
+    let report = Query::sweep()
+        .models(ModelSpec::Figure4)
+        .tests(TestSource::TemplateSuite { with_deps: false })
+        .checker(CheckerKind::Explicit)
+        .engine(one_job())
+        .run()
+        .expect("the Figure 4 space resolves");
+
+    assert_eq!(
+        report.stats, direct_stats,
+        "Query must drive the engine with identical settings"
+    );
+    let direct_expl = &direct.exploration;
+    assert_eq!(report.exploration.models.len(), direct_expl.models.len());
+    assert_eq!(report.exploration.tests.len(), direct_expl.tests.len());
+    let mut mismatches = 0usize;
+    for (m, direct_row) in direct_expl.verdicts.iter().enumerate() {
+        for t in 0..direct_expl.tests.len() {
+            if report.exploration.verdicts[m].allowed(t) != direct_row.allowed(t) {
+                mismatches += 1;
+            }
+        }
+    }
+    assert_eq!(mismatches, 0, "verdict lattices must be bit-identical");
+    assert_eq!(
+        report.minimal_set.as_ref().map(|m| m.tests.len()),
+        Some(direct.minimal_set.tests.len()),
+    );
+    assert_eq!(report.equivalent_pairs, direct.equivalent_pairs);
+    assert_eq!(report.lattice.classes.len(), direct.lattice.classes.len());
+}
+
+/// A scratch path namespaced by pid so parallel runs cannot collide.
+fn scratch(name: &str) -> PathBuf {
+    let dir = std::env::temp_dir().join("mcm-query-store-tests");
+    std::fs::create_dir_all(&dir).expect("create scratch dir");
+    dir.join(format!("{}-{name}", std::process::id()))
+}
+
+/// The query `mcm explore --models figure4 --stream --max-accesses 2
+/// --max-locs 2 --store FILE` builds, on one worker.
+fn stored_sweep(log: &Path) -> SweepReport {
+    Query::sweep()
+        .models(ModelSpec::Figure4)
+        .tests(TestSource::Stream {
+            bounds: StreamBounds {
+                max_accesses_per_thread: 2,
+                threads: 2,
+                max_locs: 2,
+                include_fences: false,
+                include_deps: false,
+            },
+            limit: None,
+            shard: None,
+        })
+        .engine(one_job())
+        .store(log)
+        .run()
+        .expect("streamed sweep cannot fail")
+}
+
+#[test]
+fn warm_from_disk_sweep_makes_no_checker_calls() {
+    let log = scratch("warm.log");
+    let _ = std::fs::remove_file(&log);
+
+    let cold = stored_sweep(&log);
+    let cold_calls = cold.stats.checker_calls;
+    let cold_store = cold.store.as_ref().expect("cold run opened a store");
+    assert!(cold_calls > 0, "the cold sweep must actually check");
+    assert!(cold_store.appended > 0, "the cold sweep must append verdicts");
+
+    let warm = stored_sweep(&log);
+    let warm_cache = warm.cache.as_ref().expect("warm run has a cache");
+    let warm_store = warm.store.as_ref().expect("warm run opened the store");
+    assert_eq!(
+        warm.stats.checker_calls, 0,
+        "a warm-from-disk sweep must make zero checker calls"
+    );
+    assert_eq!(
+        warm_cache.hits, warm_cache.hits_disk,
+        "a fresh process has no RAM-tier history: every hit is disk-tier"
+    );
+    assert!(
+        warm_cache.hits_disk >= cold_calls,
+        "the disk tier must answer at least every pair the cold run checked"
+    );
+    assert_eq!(
+        warm_store.appended, 0,
+        "a fully warm sweep discovers nothing new to append"
+    );
+
+    let names = |r: &SweepReport| -> Vec<String> {
+        r.exploration.tests.iter().map(|t| t.name().to_string()).collect()
+    };
+    assert_eq!(names(&cold), names(&warm), "kept tests diverge");
+    assert_eq!(
+        cold.exploration.verdicts, warm.exploration.verdicts,
+        "verdict bit-vectors diverge"
+    );
+    assert_eq!(
+        cold.equivalent_pairs, warm.equivalent_pairs,
+        "equivalence classes diverge"
+    );
+
+    let _ = std::fs::remove_file(&log);
+}

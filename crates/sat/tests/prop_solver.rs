@@ -1,6 +1,7 @@
 //! Property tests: the CDCL solver agrees with the brute-force oracle on
 //! random small CNF instances, and models returned on Sat actually satisfy
-//! every clause.
+//! every clause. One fixed hard instance (six pigeons, five holes) pins
+//! Unsat beyond brute-force reach.
 
 use mcm_sat::naive::solve_brute_force;
 use mcm_sat::{Lit, SatResult, Solver, Var};
@@ -93,4 +94,26 @@ proptest! {
         let second = solver.solve();
         prop_assert_eq!(first, second);
     }
+}
+
+/// Six pigeons do not fit into five holes: a classic hard Unsat instance.
+#[test]
+fn pigeonhole_six_into_five_is_unsat() {
+    let (pigeons, holes) = (6, 5);
+    let mut solver = Solver::new();
+    let vars: Vec<Vec<Var>> = (0..pigeons)
+        .map(|_| (0..holes).map(|_| solver.new_var()).collect())
+        .collect();
+    for row in &vars {
+        let clause: Vec<Lit> = row.iter().map(|v| v.positive()).collect();
+        solver.add_clause(&clause);
+    }
+    for j in 0..holes {
+        for (i, row) in vars.iter().enumerate() {
+            for other in vars.iter().skip(i + 1) {
+                solver.add_clause(&[row[j].negative(), other[j].negative()]);
+            }
+        }
+    }
+    assert_eq!(solver.solve(), SatResult::Unsat);
 }

@@ -1,7 +1,7 @@
 //! A minimal blocking HTTP/1.1 client, just big enough to talk to this
 //! crate's server: one request, read to EOF, parse the response.
 //!
-//! It exists so the black-box test harness and the `serve_load` bench
+//! It exists so the black-box test suites, the load gate among them,
 //! drive the server over **real sockets** without a client dependency.
 //! [`send_raw`] additionally ships arbitrary bytes, which is what the
 //! adversarial suite uses to probe the parser.

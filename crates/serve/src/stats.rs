@@ -34,22 +34,10 @@ pub const KINDS: [&str; 10] = [
     "figures",
 ];
 
-/// Engine counter names, index-aligned with [`SweepStats::counters`]
-/// (checked by a test, so drift fails loudly).
-const ENGINE_COUNTERS: [&str; 12] = [
-    "total_pairs",
-    "unique_pairs",
-    "cache_hits",
-    "cache_hits_disk",
-    "checker_calls",
-    "canonical_tests",
-    "distinct_models",
-    "tests_streamed",
-    "peak_batch",
-    "semantic_merged_models",
-    "prefilter_groups",
-    "prefilter_saved_calls",
-];
+/// One engine total per [`SweepStats::counters`] entry, which also
+/// names them; [`ServeStats::absorb_engine`] fails to compile if the two
+/// lengths drift apart.
+const ENGINE_SLOTS: usize = 12;
 
 /// The service-wide counter set. One instance lives for the whole
 /// server; every worker and the acceptor share it.
@@ -63,7 +51,7 @@ pub struct ServeStats {
     hangups: AtomicU64,
     in_flight: AtomicI64,
     kinds: [AtomicU64; KINDS.len()],
-    engine: [AtomicU64; ENGINE_COUNTERS.len()],
+    engine: [AtomicU64; ENGINE_SLOTS],
 }
 
 impl ServeStats {
@@ -148,9 +136,19 @@ impl ServeStats {
 
     /// Folds one sweep's engine counters into the service totals.
     pub fn absorb_engine(&self, stats: &SweepStats) {
-        for (i, (_, value)) in stats.counters().iter().enumerate() {
-            self.engine[i].fetch_add(*value, Ordering::Relaxed);
+        let counters: [(&str, u64); ENGINE_SLOTS] = stats.counters();
+        for ((_, value), total) in counters.iter().zip(&self.engine) {
+            total.fetch_add(*value, Ordering::Relaxed);
         }
+    }
+
+    /// The engine totals under [`SweepStats::counters`]' names.
+    fn engine_counters(&self) -> impl Iterator<Item = (&'static str, u64)> + '_ {
+        SweepStats::default()
+            .counters()
+            .into_iter()
+            .zip(&self.engine)
+            .map(|((name, _), total)| (name, total.load(Ordering::Relaxed)))
     }
 
     /// Responses written so far (any status).
@@ -210,10 +208,8 @@ impl ServeStats {
             (
                 "engine",
                 Json::Object(
-                    ENGINE_COUNTERS
-                        .iter()
-                        .zip(&self.engine)
-                        .map(|(name, counter)| ((*name).to_string(), load(counter)))
+                    self.engine_counters()
+                        .map(|(name, value)| (name.to_string(), Json::Int(value as i64)))
                         .collect(),
                 ),
             ),
@@ -277,13 +273,9 @@ impl ServeStats {
             let _ = writeln!(out, "# TYPE mcm_serve_{gauge} gauge");
             let _ = writeln!(out, "mcm_serve_{gauge} {value}");
         }
-        for (name, counter) in ENGINE_COUNTERS.iter().zip(&self.engine) {
+        for (name, value) in self.engine_counters() {
             let _ = writeln!(out, "# TYPE mcm_engine_{name}_total counter");
-            let _ = writeln!(
-                out,
-                "mcm_engine_{name}_total {}",
-                counter.load(Ordering::Relaxed)
-            );
+            let _ = writeln!(out, "mcm_engine_{name}_total {value}");
         }
         // Entries is a level, not a flow; hits/misses/contention flows
         // are already global registry series (`mcm_cache_*_total`).
@@ -308,16 +300,6 @@ impl ServeStats {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn engine_counter_names_stay_aligned_with_sweep_stats() {
-        let names: Vec<&str> = SweepStats::default()
-            .counters()
-            .iter()
-            .map(|(name, _)| *name)
-            .collect();
-        assert_eq!(names, ENGINE_COUNTERS);
-    }
 
     #[test]
     fn snapshot_reflects_recorded_events() {
@@ -410,7 +392,7 @@ mod tests {
                 "missing serve counter {name} in /metricsz"
             );
         }
-        for name in ENGINE_COUNTERS {
+        for (name, _) in SweepStats::default().counters() {
             assert!(
                 text.contains(&format!("mcm_engine_{name}_total ")),
                 "missing engine counter {name} in /metricsz"

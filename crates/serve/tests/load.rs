@@ -1,10 +1,5 @@
-//! Load-tests `mcm serve` over real sockets: a multi-threaded generator
-//! drives thousands of mixed wire-format requests at an in-process
-//! server and reports p50/p99 latency plus the cross-request cache-hit
-//! ratio.
-//!
-//! Asserted before the timed benches run (so CI catches a server that
-//! stops sharing its cache or sheds load it should absorb):
+//! Load contract for `mcm serve` over real sockets: a multi-threaded
+//! generator drives mixed wire-format requests at an in-process server.
 //!
 //! * every request in a 1000-strong mixed workload (sweep / compare /
 //!   distinguish / check / catalog / suite / figures) is answered `200`,
@@ -15,14 +10,13 @@
 //! * graceful shutdown leaves nothing hanging (every boot in the cold
 //!   phase is also a clean drain).
 //!
-//! Run with `cargo bench -p mcm-bench --bench serve_load`; CI runs it
-//! with `-- --test`, which executes everything once, untimed.
+//! The p50 comparison is a wall-clock gate, so the test is ignored by
+//! default and run in release:
+//! `cargo test --release -p mcm-serve --test load -- --ignored`.
 
-use std::hint::black_box;
 use std::net::SocketAddr;
 use std::time::{Duration, Instant};
 
-use criterion::{criterion_group, criterion_main, Criterion};
 use mcm_core::json::Json;
 use mcm_serve::{client, Server, ServerConfig, ShutdownHandle};
 
@@ -124,7 +118,9 @@ fn engine_counter(addr: SocketAddr, name: &str) -> u64 {
         .expect("engine counter present")
 }
 
-fn assert_serve_load_contract() {
+#[test]
+#[ignore = "wall-clock gate; run in release with --ignored"]
+fn mixed_load_is_answered_and_warm_sweeps_hit_the_shared_cache() {
     // Cold phase: a fresh server (empty cache) per sample, one sweep
     // each, then a full graceful drain.
     let mut cold: Vec<Duration> = (0..8)
@@ -192,32 +188,3 @@ fn assert_serve_load_contract() {
         hit_ratio * 100.0,
     );
 }
-
-fn bench_serve_load(c: &mut Criterion) {
-    assert_serve_load_contract();
-
-    // Timed benches run against one long-lived, pre-warmed server.
-    let (addr, handle, runner) = boot(4);
-    let _prime = timed_query(addr, WARM_SWEEP);
-    let mut group = c.benchmark_group("serve_load");
-    group.bench_function("healthz", |b| {
-        b.iter(|| black_box(client::get(addr, "/healthz").expect("healthz").status));
-    });
-    group.bench_function("warm_sweep_request", |b| {
-        b.iter(|| black_box(timed_query(addr, WARM_SWEEP)));
-    });
-    group.bench_function("compare_request", |b| {
-        b.iter(|| {
-            black_box(timed_query(
-                addr,
-                r#"{"query": "compare", "left": "TSO", "right": "x86"}"#,
-            ))
-        });
-    });
-    group.finish();
-    handle.shutdown();
-    runner.join().expect("drained");
-}
-
-criterion_group!(benches, bench_serve_load);
-criterion_main!(benches);

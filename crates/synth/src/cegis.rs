@@ -630,6 +630,27 @@ mod tests {
         assert!(stats.solver.propagations > 0);
     }
 
+    /// Theorem 1's bounds re-derived by synthesis at the default bounds:
+    /// SC vs TSO needs 4 accesses (store buffering), TSO vs IBM370 the
+    /// full 6 (the same-address write-read case), each certified minimal.
+    /// About 10 s in a debug build, so CI runs it in release with
+    /// `cargo test --release -p mcm-synth --lib -- --ignored`.
+    #[test]
+    #[ignore = "slow in debug builds; run in release with --ignored"]
+    fn tso_vs_ibm370_needs_the_full_six_accesses() {
+        let mut synth = Synthesizer::new(
+            vec![named::sc(), named::tso(), named::ibm370()],
+            SynthBounds::default(),
+        )
+        .unwrap();
+        assert_eq!(synth.pair(0, 1, 6).length, Some(4), "SC vs TSO: store buffering");
+        assert_eq!(
+            synth.pair(1, 2, 6).length,
+            Some(6),
+            "TSO vs IBM370: the same-address write-read case needs Theorem 1's full bound"
+        );
+    }
+
     #[test]
     fn equivalent_models_are_certified_unsat() {
         let mut synth = Synthesizer::new(

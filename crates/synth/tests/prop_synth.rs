@@ -12,6 +12,7 @@ use mcm_axiomatic::{BatchExplicitChecker, Checker, ExplicitChecker};
 use mcm_core::MemoryModel;
 use mcm_explore::{paper, EngineConfig, Exploration};
 use mcm_gen::{canon, stream, StreamBounds};
+use mcm_models::named;
 use mcm_synth::{SynthBounds, Synthesizer};
 use proptest::prelude::*;
 
@@ -108,6 +109,44 @@ fn figure4_minimal_lengths_match_the_exhaustive_sweep() {
         "the symbolic encoding and the axiomatic oracle must agree"
     );
     assert!(stats.shapes_exhausted > 0, "minimality certificates were produced");
+}
+
+/// The same contract on a named-model panel through the matrix entry
+/// point: SC, TSO, PSO and IBM370 over two threads of at most two
+/// accesses on two locations, at up to four total accesses.
+#[test]
+fn named_panel_matrix_matches_the_exhaustive_sweep() {
+    let models = vec![named::sc(), named::tso(), named::pso(), named::ibm370()];
+    let stream_bounds = StreamBounds {
+        max_accesses_per_thread: 2,
+        threads: 2,
+        max_locs: 2,
+        include_fences: false,
+        include_deps: false,
+    };
+    let expected = sweep_lengths(&models, &stream_bounds, usize::MAX);
+    let mut synth =
+        Synthesizer::new(models.clone(), synth_bounds(&stream_bounds)).expect("valid bounds");
+    let matrix = synth.matrix(4);
+    let checker = ExplicitChecker::new();
+    for i in 0..models.len() {
+        for j in (i + 1)..models.len() {
+            assert_eq!(
+                matrix.lengths[i][j],
+                expected[i][j],
+                "synth vs sweep disagree on {} / {}",
+                models[i].name(),
+                models[j].name()
+            );
+            if let Some(witness) = matrix.witnesses.get(&(i, j)) {
+                assert_ne!(
+                    checker.is_allowed(&models[i], witness),
+                    checker.is_allowed(&models[j], witness),
+                );
+            }
+        }
+    }
+    assert_eq!(synth.stats().encoding_mismatches, 0);
 }
 
 proptest! {

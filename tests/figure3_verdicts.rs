@@ -73,6 +73,27 @@ fn nine_tests_verdicts_match_the_paper() {
     }
 }
 
+/// The checker ablation's premise: every checker gives the same verdict
+/// on the whole catalog under SC, TSO and RMO.
+#[test]
+fn every_checker_agrees_on_the_catalog() {
+    let checkers = all_checkers();
+    for test in catalog::all_tests() {
+        for model in [named::sc(), named::tso(), named::rmo()] {
+            let verdicts: Vec<bool> = checkers
+                .iter()
+                .map(|checker| checker.is_allowed(&model, &test))
+                .collect();
+            assert!(
+                verdicts.windows(2).all(|w| w[0] == w[1]),
+                "checkers disagree on {} under {}: {verdicts:?}",
+                test.name(),
+                model.name()
+            );
+        }
+    }
+}
+
 #[test]
 fn classics_behave_as_folklore_says() {
     let checker = litmus_mcm::axiomatic::ExplicitChecker::new();
