@@ -54,26 +54,28 @@ use crate::sat_common::{
     add_rf_selector_clauses, extract_rf, ClauseSink, GuardedSink, OrderVars,
 };
 
-/// Work counters of a batched checker: how much per-test work was shared
-/// across a row of models. Totals cover every row the instance answered.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct BatchStats {
-    /// Rows answered: one per `check_all` / `check_all_executions` call.
-    pub rows: u64,
-    /// Model verdicts produced across all rows.
-    pub models_checked: u64,
-    /// Distinct forced-program-order groups evaluated (summed over rows).
-    /// `models_checked / model_groups` is the row collapse factor.
-    pub model_groups: u64,
-    /// Shared `(rf, co)` candidate executions enumerated (explicit path)
-    /// — enumerated once per row instead of once per cell.
-    pub shared_candidates: u64,
-    /// Per-group acyclicity checks actually performed (explicit path).
-    pub group_evals: u64,
-    /// Assumption-selected solver queries (SAT paths): one per group on
-    /// the monolithic path's shared row encoding; one per undecided group
-    /// and read-from map on the per-rf path.
-    pub assumption_solves: u64,
+mcm_obs::counter_table! {
+    /// Work counters of a batched checker: how much per-test work was shared
+    /// across a row of models. Totals cover every row the instance answered.
+    #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+    pub struct BatchStats {
+        /// Rows answered: one per `check_all` / `check_all_executions` call.
+        rows: u64 = counter,
+        /// Model verdicts produced across all rows.
+        models_checked: u64 = counter,
+        /// Distinct forced-program-order groups evaluated (summed over rows).
+        /// `models_checked / model_groups` is the row collapse factor.
+        model_groups: u64 = counter,
+        /// Shared `(rf, co)` candidate executions enumerated (explicit path)
+        /// — enumerated once per row instead of once per cell.
+        shared_candidates: u64 = counter,
+        /// Per-group acyclicity checks actually performed (explicit path).
+        group_evals: u64 = counter,
+        /// Assumption-selected solver queries (SAT paths): one per group on
+        /// the monolithic path's shared row encoding; one per undecided group
+        /// and read-from map on the per-rf path.
+        assumption_solves: u64 = counter,
+    }
 }
 
 impl BatchStats {
@@ -83,30 +85,6 @@ impl BatchStats {
     #[must_use]
     pub fn row_collapse(&self) -> f64 {
         self.models_checked as f64 / (self.model_groups.max(1)) as f64
-    }
-
-    /// Adds another counter set onto this one.
-    pub fn absorb(&mut self, other: BatchStats) {
-        self.rows += other.rows;
-        self.models_checked += other.models_checked;
-        self.model_groups += other.model_groups;
-        self.shared_candidates += other.shared_candidates;
-        self.group_evals += other.group_evals;
-        self.assumption_solves += other.assumption_solves;
-    }
-
-    /// The counters as stable `(name, value)` pairs — the structured view
-    /// serializable reports render from, so field names live in one place.
-    #[must_use]
-    pub fn counters(&self) -> [(&'static str, u64); 6] {
-        [
-            ("rows", self.rows),
-            ("models_checked", self.models_checked),
-            ("model_groups", self.model_groups),
-            ("shared_candidates", self.shared_candidates),
-            ("group_evals", self.group_evals),
-            ("assumption_solves", self.assumption_solves),
-        ]
     }
 }
 

@@ -300,22 +300,47 @@ pub struct VerdictCache {
     contention: AtomicU64,
     /// Optional durable tier notified of every fresh verdict.
     sink: OnceLock<Arc<dyn DurableSink>>,
-    // Lazily resolved handles into the global metric registry, so the
-    // lookup path never takes the registry lock after first use.
-    obs_hits: OnceLock<Arc<mcm_obs::metrics::Counter>>,
-    obs_hits_ram: OnceLock<Arc<mcm_obs::metrics::Counter>>,
-    obs_hits_disk: OnceLock<Arc<mcm_obs::metrics::Counter>>,
-    obs_misses: OnceLock<Arc<mcm_obs::metrics::Counter>>,
-    obs_contention: OnceLock<Arc<mcm_obs::metrics::Counter>>,
+}
+
+mcm_obs::counter_table! {
+    /// A [`VerdictCache`]'s totals at one moment ([`VerdictCache::stats`]):
+    /// the structured view reports, `/statsz` and `/metricsz` (as
+    /// `mcm_cache_*`) render from.
+    #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+    pub struct CacheStats {
+        /// Memoized (model, test) pairs.
+        entries: usize = gauge,
+        /// Lookups answered from the cache, both tiers
+        /// (`hits_ram + hits_disk`).
+        hits: u64 = counter,
+        /// Hits on entries computed earlier in this process (RAM tier).
+        hits_ram: u64 = counter,
+        /// Hits on entries hydrated from a durable store (disk tier) —
+        /// verdicts a previous process paid for.
+        hits_disk: u64 = counter,
+        /// Lookups that fell through to a checker.
+        misses: u64 = counter,
+        /// Shard-lock acquisitions that found the lock already held (a
+        /// measure of worker convoying on the cache).
+        shard_contention: u64 = counter,
+    }
+}
+
+impl fmt::Display for CacheStats {
+    /// The standard cache line every report prints.
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(
+            f,
+            "cache: {} entries, {} hits ({} ram + {} disk), {} misses",
+            self.entries, self.hits, self.hits_ram, self.hits_disk, self.misses,
+        )
+    }
 }
 
 impl fmt::Debug for VerdictCache {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("VerdictCache")
-            .field("entries", &self.len())
-            .field("hits_ram", &self.hits_ram())
-            .field("hits_disk", &self.hits_disk())
-            .field("misses", &self.misses())
+            .field("stats", &self.stats())
             .field("has_sink", &self.sink.get().is_some())
             .finish()
     }
@@ -342,23 +367,14 @@ impl VerdictCache {
 
     /// Locks the shard holding `test_fp`'s row, counting the acquisition
     /// as contended when another worker already holds it (`try_lock`
-    /// would block). The count feeds `shard_contention` in
-    /// [`VerdictCache::counters`] and the global
-    /// `mcm_cache_shard_contention_total` series — the signal that says
-    /// whether [`SHARDS`] needs to grow.
+    /// would block). The count is [`CacheStats::shard_contention`], the
+    /// signal that says whether [`SHARDS`] needs to grow.
     fn lock_shard(&self, test_fp: u64) -> MutexGuard<'_, FoldMap<Row>> {
         let shard = &self.shards[Self::shard(test_fp)];
         match shard.try_lock() {
             Ok(guard) => guard,
             Err(TryLockError::WouldBlock) => {
                 self.contention.fetch_add(1, Ordering::Relaxed);
-                if mcm_obs::enabled() {
-                    self.obs_contention
-                        .get_or_init(|| {
-                            mcm_obs::metrics::counter("mcm_cache_shard_contention_total", &[])
-                        })
-                        .inc();
-                }
                 shard.lock().expect("cache shard poisoned")
             }
             Err(TryLockError::Poisoned(_)) => panic!("cache shard poisoned"),
@@ -406,40 +422,11 @@ impl VerdictCache {
         }
     }
 
-    /// Mirrors a batch of lookup results into the process-wide metric
-    /// series scraped by `GET /metricsz`.
-    fn observe_lookups(&self, hits_ram: u64, hits_disk: u64, misses: u64) {
-        if !mcm_obs::enabled() {
-            return;
-        }
-        if hits_ram + hits_disk > 0 {
-            self.obs_hits
-                .get_or_init(|| mcm_obs::metrics::counter("mcm_cache_hits_total", &[]))
-                .add(hits_ram + hits_disk);
-        }
-        if hits_ram > 0 {
-            self.obs_hits_ram
-                .get_or_init(|| mcm_obs::metrics::counter("mcm_cache_hits_ram_total", &[]))
-                .add(hits_ram);
-        }
-        if hits_disk > 0 {
-            self.obs_hits_disk
-                .get_or_init(|| mcm_obs::metrics::counter("mcm_cache_hits_disk_total", &[]))
-                .add(hits_disk);
-        }
-        if misses > 0 {
-            self.obs_misses
-                .get_or_init(|| mcm_obs::metrics::counter("mcm_cache_misses_total", &[]))
-                .add(misses);
-        }
-    }
-
-    /// Adds one lookup's tallies to the cache's counters and metrics.
+    /// Adds one lookup's tallies to the cache's counters.
     fn count_lookups(&self, hits_ram: u64, hits_disk: u64, misses: u64) {
         self.hits_ram.fetch_add(hits_ram, Ordering::Relaxed);
         self.hits_disk.fetch_add(hits_disk, Ordering::Relaxed);
         self.misses.fetch_add(misses, Ordering::Relaxed);
-        self.observe_lookups(hits_ram, hits_disk, misses);
     }
 
     /// Installs the durable write-through tier. At most one sink can be
@@ -694,21 +681,18 @@ impl VerdictCache {
         self.contention.load(Ordering::Relaxed)
     }
 
-    /// The cache totals as stable `(name, value)` pairs — the structured
-    /// view serializable reports and the serve layer's `/statsz` endpoint
-    /// render from, mirroring `SweepStats::counters`. The same names,
-    /// prefixed `mcm_cache_` and suffixed `_total`, appear in
-    /// `/metricsz`. `hits` is the sum of the two tier counters.
+    /// A snapshot of the cache's totals. `hits` is the sum of the two
+    /// tier counters.
     #[must_use]
-    pub fn counters(&self) -> [(&'static str, u64); 6] {
-        [
-            ("entries", self.len() as u64),
-            ("hits", self.hits()),
-            ("hits_ram", self.hits_ram()),
-            ("hits_disk", self.hits_disk()),
-            ("misses", self.misses()),
-            ("shard_contention", self.shard_contention()),
-        ]
+    pub fn stats(&self) -> CacheStats {
+        CacheStats {
+            entries: self.len(),
+            hits: self.hits(),
+            hits_ram: self.hits_ram(),
+            hits_disk: self.hits_disk(),
+            misses: self.misses(),
+            shard_contention: self.shard_contention(),
+        }
     }
 
     /// Drops all entries and statistics (the sink, if any, stays
@@ -780,7 +764,7 @@ mod tests {
         let _ = cache.get((1, 2));
         let _ = cache.get((9, 9));
         assert_eq!(
-            cache.counters(),
+            cache.stats().counters(),
             [
                 ("entries", 1),
                 ("hits", 1),

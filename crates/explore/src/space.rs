@@ -20,7 +20,7 @@
 //! input order.
 
 use std::collections::HashSet;
-use std::sync::atomic::{AtomicU64, AtomicU8, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU8, AtomicUsize, Ordering};
 
 use mcm_analyze::SweepPrefilter;
 use mcm_axiomatic::{BatchChecker, BatchStats, Checker};
@@ -85,51 +85,55 @@ impl EngineConfig {
     }
 }
 
-/// What a sweep actually did, layer by layer.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct SweepStats {
-    /// `models × tests`: the naive cost before any engine layer.
-    pub total_pairs: u64,
-    /// Work items after formula dedup and canonicalization:
-    /// `distinct formulas × orbit representatives`.
-    pub unique_pairs: u64,
-    /// Verdicts answered by the [`VerdictCache`] instead of a checker,
-    /// both tiers.
-    pub cache_hits: u64,
-    /// The subset of [`SweepStats::cache_hits`] answered by entries
-    /// hydrated from a durable store (disk tier) rather than computed
-    /// earlier in this process.
-    pub cache_hits_disk: u64,
-    /// Actual checker invocations (`unique_pairs - cache_hits`).
-    pub checker_calls: u64,
-    /// Orbit representatives actually checked.
-    pub canonical_tests: usize,
-    /// Distinct must-not-reorder formulas actually checked.
-    pub distinct_models: usize,
-    /// Tests pulled from the input suite or stream (equals the input
-    /// length for materialized sweeps).
-    pub tests_streamed: u64,
-    /// Largest number of input tests materialized at once: one chunk for
-    /// the streaming engine, the whole deduplicated suite otherwise.
-    pub peak_batch: usize,
-    /// Models merged into a shared verdict row *beyond* syntactic formula
-    /// equality — semantically identical formulas spelled differently,
-    /// found by the analyzer's truth-table key.
-    pub semantic_merged_models: usize,
-    /// Model groups the sweep prefilter formed across all checked tests
-    /// (each group costs one checker call).
-    pub prefilter_groups: u64,
-    /// Checker calls the prefilter proved unnecessary: group members
-    /// beyond the representative, answered by fan-out.
-    pub prefilter_saved_calls: u64,
-    /// SAT-solver work totals, summed over every worker's checker. All
-    /// zeros when the sweep ran a solver-free checker (the explicit one).
-    pub sat: SolverStats,
-    /// Per-row amortization counters from the batched checkers: rows
-    /// answered, model-group collapses, shared candidate executions and
-    /// assumption-selected solves. All zeros when the sweep ran a
-    /// per-cell adapter (which shares nothing across a row).
-    pub batch: BatchStats,
+mcm_obs::counter_table! {
+    /// What a sweep actually did, layer by layer.
+    #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+    pub struct SweepStats {
+        /// `models × tests`: the naive cost before any engine layer.
+        total_pairs: u64 = counter,
+        /// Work items after formula dedup and canonicalization:
+        /// `distinct formulas × orbit representatives`.
+        unique_pairs: u64 = counter,
+        /// Verdicts answered by the [`VerdictCache`] instead of a checker,
+        /// both tiers.
+        cache_hits: u64 = counter,
+        /// The subset of [`SweepStats::cache_hits`] answered by entries
+        /// hydrated from a durable store (disk tier) rather than computed
+        /// earlier in this process.
+        cache_hits_disk: u64 = counter,
+        /// Actual checker invocations (`unique_pairs - cache_hits`).
+        checker_calls: u64 = counter,
+        /// Orbit representatives actually checked.
+        canonical_tests: usize = counter,
+        /// Distinct must-not-reorder formulas actually checked.
+        distinct_models: usize = counter,
+        /// Tests pulled from the input suite or stream (equals the input
+        /// length for materialized sweeps).
+        tests_streamed: u64 = counter,
+        /// Largest number of input tests materialized at once: one chunk for
+        /// the streaming engine, the whole deduplicated suite otherwise.
+        peak_batch: usize = max,
+        /// Models merged into a shared verdict row *beyond* syntactic formula
+        /// equality — semantically identical formulas spelled differently,
+        /// found by the analyzer's truth-table key.
+        semantic_merged_models: usize = counter,
+        /// Model groups the sweep prefilter formed across all checked tests
+        /// (each group costs one checker call).
+        prefilter_groups: u64 = counter,
+        /// Checker calls the prefilter proved unnecessary: group members
+        /// beyond the representative, answered by fan-out.
+        prefilter_saved_calls: u64 = counter,
+    }
+    groups {
+        /// SAT-solver work totals, summed over every worker's checker. All
+        /// zeros when the sweep ran a solver-free checker (the explicit one).
+        sat: SolverStats,
+        /// Per-row amortization counters from the batched checkers: rows
+        /// answered, model-group collapses, shared candidate executions and
+        /// assumption-selected solves. All zeros when the sweep ran a
+        /// per-cell adapter (which shares nothing across a row).
+        batch: BatchStats,
+    }
 }
 
 impl SweepStats {
@@ -139,28 +143,6 @@ impl SweepStats {
     #[must_use]
     pub fn reduction_factor(&self) -> f64 {
         self.total_pairs as f64 / (self.checker_calls.max(1)) as f64
-    }
-
-    /// The scalar counters as stable `(name, value)` pairs — the
-    /// structured view serializable reports render from (the nested
-    /// [`SweepStats::sat`] and [`SweepStats::batch`] groups have
-    /// `counters()` views of their own).
-    #[must_use]
-    pub fn counters(&self) -> [(&'static str, u64); 12] {
-        [
-            ("total_pairs", self.total_pairs),
-            ("unique_pairs", self.unique_pairs),
-            ("cache_hits", self.cache_hits),
-            ("cache_hits_disk", self.cache_hits_disk),
-            ("checker_calls", self.checker_calls),
-            ("canonical_tests", self.canonical_tests as u64),
-            ("distinct_models", self.distinct_models as u64),
-            ("tests_streamed", self.tests_streamed),
-            ("peak_batch", self.peak_batch as u64),
-            ("semantic_merged_models", self.semantic_merged_models as u64),
-            ("prefilter_groups", self.prefilter_groups),
-            ("prefilter_saved_calls", self.prefilter_saved_calls),
-        ]
     }
 }
 
@@ -354,23 +336,17 @@ where
         .collect();
 
     // Shared state: a claim cursor over test rows, one result cell per
-    // (row, test) pair (0 = unset, 1 = forbidden, 2 = allowed), counters.
+    // (row, test) pair (0 = unset, 1 = forbidden, 2 = allowed). Each
+    // worker counts into its own `SweepStats`, merged after the join.
     let cursor = AtomicUsize::new(0);
     let results: Vec<AtomicU8> = (0..row_count * reps).map(|_| AtomicU8::new(0)).collect();
-    let cache_hits = AtomicU64::new(0);
-    let cache_hits_disk = AtomicU64::new(0);
-    let checker_calls = AtomicU64::new(0);
-    let prefilter_groups = AtomicU64::new(0);
-    let prefilter_saved = AtomicU64::new(0);
     // The rows' cache model ids, resolved once for the whole grid.
     let cached = cache.map(|cache| (cache, cache.model_ids(&rows.model_fps)));
 
-    let sweep = |local_batch: &mut Option<RowBatch<'_>>, checker: &dyn BatchChecker| {
-        let mut hits = 0u64;
-        let mut disk_hits = 0u64;
-        let mut calls = 0u64;
-        let mut groups_formed = 0u64;
-        let mut saved = 0u64;
+    let work = || {
+        let checker = make_checker();
+        let mut local_batch = cached.as_ref().map(|(_, ids)| RowBatch::new(ids));
+        let mut counts = SweepStats::default();
         let mut missing_rows: Vec<usize> = Vec::new();
         let mut missing_models: Vec<MemoryModel> = Vec::new();
         let mut lookup = RowLookup::default();
@@ -385,8 +361,8 @@ where
                 match &cached {
                     Some((cache, ids)) => {
                         cache.lookup_row(ids, fps[rep], &mut lookup);
-                        hits += lookup.hits_ram + lookup.hits_disk;
-                        disk_hits += lookup.hits_disk;
+                        counts.cache_hits += lookup.hits_ram + lookup.hits_disk;
+                        counts.cache_hits_disk += lookup.hits_disk;
                         for (row, &memoized) in lookup.verdicts.iter().enumerate() {
                             match memoized {
                                 Some(allowed) => {
@@ -409,10 +385,10 @@ where
                     _ => missing_rows.iter().map(|&r| vec![r]).collect(),
                 };
                 if prefilter.is_some() {
-                    groups_formed += groups.len() as u64;
-                    saved += (missing_rows.len() - groups.len()) as u64;
+                    counts.prefilter_groups += groups.len() as u64;
+                    counts.prefilter_saved_calls += (missing_rows.len() - groups.len()) as u64;
                 }
-                calls += groups.len() as u64;
+                counts.checker_calls += groups.len() as u64;
                 let verdicts = if groups.len() == row_count {
                     checker.check_all_executions(&execs[rep], &row_models)
                 } else {
@@ -440,18 +416,9 @@ where
                 }
             }
         }
-        cache_hits.fetch_add(hits, Ordering::Relaxed);
-        cache_hits_disk.fetch_add(disk_hits, Ordering::Relaxed);
-        checker_calls.fetch_add(calls, Ordering::Relaxed);
-        prefilter_groups.fetch_add(groups_formed, Ordering::Relaxed);
-        prefilter_saved.fetch_add(saved, Ordering::Relaxed);
-    };
-
-    let work = || {
-        let checker = make_checker();
-        let mut local = cached.as_ref().map(|(_, ids)| RowBatch::new(ids));
-        sweep(&mut local, checker.as_ref());
-        (local, checker.solver_stats(), checker.batch_stats())
+        counts.sat = checker.solver_stats().unwrap_or_default();
+        counts.batch = checker.batch_stats().unwrap_or_default();
+        (local_batch, counts)
     };
     let outcomes = if workers <= 1 {
         vec![work()]
@@ -475,22 +442,12 @@ where
                 .collect()
         })
     };
-    for (local, solver, batched) in outcomes {
+    for (local, counts) in outcomes {
         if let (Some((cache, _)), Some(local)) = (&cached, local) {
             cache.merge_rows(&local);
         }
-        if let Some(solver) = solver {
-            stats.sat.absorb(solver);
-        }
-        if let Some(batched) = batched {
-            stats.batch.absorb(batched);
-        }
+        stats.absorb(counts);
     }
-    stats.cache_hits += cache_hits.into_inner();
-    stats.cache_hits_disk += cache_hits_disk.into_inner();
-    stats.checker_calls += checker_calls.into_inner();
-    stats.prefilter_groups += prefilter_groups.into_inner();
-    stats.prefilter_saved_calls += prefilter_saved.into_inner();
     results
         .into_iter()
         .map(|slot| slot.into_inner() == 2)

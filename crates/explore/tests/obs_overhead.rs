@@ -1,7 +1,7 @@
 //! Observability must be close to free: the full 90-model streamed
 //! sweep with `mcm-obs` instrumentation **enabled** (the default: every
-//! checked row records into latency histograms, the cache mirrors its
-//! counters, spans take their two atomic loads) must produce
+//! checked row records into latency histograms, spans take their two
+//! atomic loads) must produce
 //! **bit-identical verdicts** and `SweepStats` to the same sweep with
 //! `mcm_obs::set_enabled(false)`, within a 3% wall-clock overhead budget
 //! (plus a 5 ms floor; best of 3 on both sides, so scheduler noise does

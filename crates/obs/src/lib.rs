@@ -1,10 +1,10 @@
 //! Zero-dependency observability for the `mcm` workspace.
 //!
-//! Three layers, all built on `std` alone:
+//! Four parts, all built on `std` alone:
 //!
 //! 1. **Metrics** ([`metrics`]) — a global registry of named series:
-//!    atomic [`metrics::Counter`]s, [`metrics::Gauge`]s, and fixed-bucket
-//!    log-scale [`metrics::Histogram`]s. The hot path (increment,
+//!    atomic [`metrics::Counter`]s and fixed-bucket log-scale
+//!    [`metrics::Histogram`]s. The hot path (increment,
 //!    record) is lock-free; the registry mutex is taken only when a
 //!    handle is first resolved, so instrumented code caches its
 //!    `Arc` handles at construction time. Snapshots are mergeable and
@@ -23,11 +23,16 @@
 //!    envelope), directly loadable by `chrome://tracing` and Perfetto
 //!    and parseable by `mcm_core::json`.
 //!
+//! 4. **Counter tables** ([`table`]) — [`counter_table!`] declares one
+//!    layer's work counters once; their struct, merging, checkpoint
+//!    order, JSON and Prometheus views are all derived from it.
+//!
 //! Instrumentation sites gate on [`enabled`] (a single relaxed atomic
 //! load) so the whole subsystem can be switched off; `mcm-explore`'s
 //! `obs_overhead` test holds the on-vs-off cost under 3%.
 
 pub mod metrics;
+pub mod table;
 pub mod trace;
 
 use std::sync::atomic::{AtomicBool, Ordering};

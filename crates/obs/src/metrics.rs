@@ -9,7 +9,7 @@
 
 use std::collections::BTreeMap;
 use std::fmt;
-use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
 /// Number of histogram buckets. Bucket `i` (for `i >= 1`) holds
@@ -50,54 +50,6 @@ impl Counter {
 impl fmt::Debug for Counter {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_tuple("Counter").field(&self.get()).finish()
-    }
-}
-
-/// An instantaneous level that can rise and fall (queue depth,
-/// in-flight requests). Lock-free.
-#[derive(Default)]
-pub struct Gauge {
-    value: AtomicI64,
-}
-
-impl Gauge {
-    /// New gauge at zero.
-    pub fn new() -> Self {
-        Gauge::default()
-    }
-
-    /// Add `n` (may be negative).
-    #[inline]
-    pub fn add(&self, n: i64) {
-        self.value.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Add one.
-    #[inline]
-    pub fn inc(&self) {
-        self.add(1);
-    }
-
-    /// Subtract one.
-    #[inline]
-    pub fn dec(&self) {
-        self.add(-1);
-    }
-
-    /// Overwrite with `n`.
-    pub fn set(&self, n: i64) {
-        self.value.store(n, Ordering::Relaxed);
-    }
-
-    /// Current value.
-    pub fn get(&self) -> i64 {
-        self.value.load(Ordering::Relaxed)
-    }
-}
-
-impl fmt::Debug for Gauge {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_tuple("Gauge").field(&self.get()).finish()
     }
 }
 
@@ -269,7 +221,6 @@ pub fn bucket_upper_bound(i: usize) -> u64 {
 #[derive(Debug, Clone)]
 enum Metric {
     Counter(Arc<Counter>),
-    Gauge(Arc<Gauge>),
     Histogram(Arc<Histogram>),
 }
 
@@ -313,21 +264,6 @@ impl Registry {
         }
     }
 
-    /// Resolve (registering on first use) the gauge `name{labels}`.
-    ///
-    /// # Panics
-    /// If the series exists with a different kind.
-    pub fn gauge(&self, name: &str, labels: &[(&str, &str)]) -> Arc<Gauge> {
-        let mut map = self.series.lock().unwrap();
-        let entry = map
-            .entry(key(name, labels))
-            .or_insert_with(|| Metric::Gauge(Arc::new(Gauge::new())));
-        match entry {
-            Metric::Gauge(g) => Arc::clone(g),
-            _ => panic!("series `{name}` already registered with a different kind"),
-        }
-    }
-
     /// Resolve (registering on first use) the histogram `name{labels}`.
     ///
     /// # Panics
@@ -354,7 +290,6 @@ impl Registry {
                     labels: labels.clone(),
                     value: match metric {
                         Metric::Counter(c) => Value::Counter(c.get()),
-                        Metric::Gauge(g) => Value::Gauge(g.get()),
                         Metric::Histogram(h) => Value::Histogram(Box::new(h.snapshot())),
                     },
                 })
@@ -384,11 +319,6 @@ pub fn counter(name: &str, labels: &[(&str, &str)]) -> Arc<Counter> {
     global().counter(name, labels)
 }
 
-/// Shorthand: resolve a gauge in the global registry.
-pub fn gauge(name: &str, labels: &[(&str, &str)]) -> Arc<Gauge> {
-    global().gauge(name, labels)
-}
-
 /// Shorthand: resolve a histogram in the global registry.
 pub fn histogram(name: &str, labels: &[(&str, &str)]) -> Arc<Histogram> {
     global().histogram(name, labels)
@@ -399,10 +329,7 @@ pub fn histogram(name: &str, labels: &[(&str, &str)]) -> Arc<Histogram> {
 pub enum Value {
     /// Monotonic count.
     Counter(u64),
-    /// Instantaneous level.
-    Gauge(i64),
-    /// Latency distribution (boxed: the bucket array dwarfs the
-    /// scalar variants).
+    /// Latency distribution (boxed: the bucket array dwarfs a count).
     Histogram(Box<HistogramSnapshot>),
 }
 
@@ -427,8 +354,7 @@ pub struct Snapshot {
 impl Snapshot {
     /// Counters and histograms become "what happened since `base`"
     /// (saturating subtraction; series absent from `base` pass
-    /// through whole). Gauges keep their current level — a delta of
-    /// an instantaneous level is meaningless.
+    /// through whole).
     pub fn delta_since(&self, base: &Snapshot) -> Snapshot {
         type BaseMap<'a> = BTreeMap<(&'a str, &'a [(String, String)]), &'a Value>;
         let base_map: BaseMap<'_> = base
@@ -487,12 +413,6 @@ impl Snapshot {
                 Value::Counter(v) => {
                     if typed != Some(s.name.as_str()) {
                         let _ = writeln!(out, "# TYPE {} counter", s.name);
-                    }
-                    let _ = writeln!(out, "{}{} {}", s.name, labels, v);
-                }
-                Value::Gauge(v) => {
-                    if typed != Some(s.name.as_str()) {
-                        let _ = writeln!(out, "# TYPE {} gauge", s.name);
                     }
                     let _ = writeln!(out, "{}{} {}", s.name, labels, v);
                 }
@@ -567,7 +487,7 @@ mod tests {
     use super::*;
 
     #[test]
-    fn counter_and_gauge_basics() {
+    fn counter_basics() {
         let r = Registry::new();
         let c = r.counter("hits", &[]);
         c.inc();
@@ -575,14 +495,6 @@ mod tests {
         assert_eq!(c.get(), 3);
         // Same key resolves to the same underlying counter.
         assert_eq!(r.counter("hits", &[]).get(), 3);
-
-        let g = r.gauge("depth", &[]);
-        g.inc();
-        g.inc();
-        g.dec();
-        assert_eq!(g.get(), 1);
-        g.set(-4);
-        assert_eq!(g.get(), -4);
     }
 
     #[test]
@@ -597,7 +509,7 @@ mod tests {
     fn kind_mismatch_panics() {
         let r = Registry::new();
         r.counter("x", &[]);
-        r.gauge("x", &[]);
+        r.histogram("x", &[]);
     }
 
     #[test]
@@ -637,19 +549,15 @@ mod tests {
         let r = Registry::new();
         let c = r.counter("c", &[]);
         let h = r.histogram("h", &[]);
-        let g = r.gauge("g", &[]);
         c.add(5);
         h.record(10);
-        g.set(3);
         let base = r.snapshot();
         c.add(2);
         h.record(20);
-        g.set(9);
         let delta = r.snapshot().delta_since(&base);
         for s in &delta.series {
             match (s.name.as_str(), &s.value) {
                 ("c", Value::Counter(v)) => assert_eq!(*v, 2),
-                ("g", Value::Gauge(v)) => assert_eq!(*v, 9),
                 ("h", Value::Histogram(hs)) => {
                     assert_eq!(hs.count, 1);
                     assert_eq!(hs.sum, 20);
@@ -663,14 +571,12 @@ mod tests {
     fn prometheus_render_contains_expected_series() {
         let r = Registry::new();
         r.counter("mcm_cache_hits_total", &[]).add(4);
-        r.gauge("mcm_serve_queue_depth", &[]).set(2);
         let h = r.histogram("mcm_serve_request_latency_us", &[("kind", "sweep")]);
         h.record(100);
         h.record(5000);
         let text = r.render_prometheus();
         assert!(text.contains("# TYPE mcm_cache_hits_total counter"));
         assert!(text.contains("mcm_cache_hits_total 4"));
-        assert!(text.contains("mcm_serve_queue_depth 2"));
         assert!(text.contains("# TYPE mcm_serve_request_latency_us histogram"));
         assert!(text.contains("mcm_serve_request_latency_us_count{kind=\"sweep\"} 2"));
         assert!(text.contains("mcm_serve_request_latency_us_bucket{kind=\"sweep\",le=\"+Inf\"} 2"));

@@ -69,7 +69,7 @@ pub use query::{
 };
 pub use render::{Format, Render, SCHEMA_VERSION};
 pub use reports::{
-    AnalyzeFinding, AnalyzeModelEntry, AnalyzePair, AnalyzeReport, CacheSummary, CatalogReport,
+    AnalyzeFinding, AnalyzeModelEntry, AnalyzePair, AnalyzeReport, CatalogReport,
     CheckEntry, CheckReport, CheckpointSummary, CompareReport, CompareWitness, CountsFigure,
     DistinguishReport, Fig1Figure, Fig4Figure, FigureSelection, FiguresReport, ParseReport,
     StoreSummary, StreamSummary, CheckerTiming, LatencySummary, SuiteReport, SweepReport,

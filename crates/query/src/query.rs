@@ -17,11 +17,11 @@ use mcm_synth::SynthBounds;
 
 use crate::error::QueryError;
 use crate::reports::{
-    AnalyzeFinding, AnalyzeModelEntry, AnalyzePair, AnalyzeReport, CacheSummary, CatalogReport,
-    CheckEntry, CheckReport, CheckpointSummary, CompareReport, CompareWitness, CountsFigure,
-    DistinguishReport, Fig1Figure, Fig4Figure, FigureSelection, FiguresReport, ParseReport,
-    StoreSummary, StreamSummary, SuiteReport, SweepReport, SynthMatrix, SynthPair, SynthReport,
-    TimingsCapture, WarmSummary,
+    AnalyzeFinding, AnalyzeModelEntry, AnalyzePair, AnalyzeReport, CatalogReport, CheckEntry,
+    CheckReport, CheckpointSummary, CompareReport, CompareWitness, CountsFigure, DistinguishReport,
+    Fig1Figure, Fig4Figure, FigureSelection, FiguresReport, ParseReport, StoreSummary,
+    StreamSummary, SuiteReport, SweepReport, SynthMatrix, SynthPair, SynthReport, TimingsCapture,
+    WarmSummary,
 };
 use crate::resolve::{self, ModelSpec};
 use crate::source::TestSource;
@@ -391,7 +391,7 @@ impl SweepQuery {
                 minimal_set: None,
                 nine_test_indices: Vec::new(),
                 nine_tests_sufficient: None,
-                cache: cache.map(cache_summary),
+                cache: cache.map(VerdictCache::stats),
                 store: disk.as_ref().map(store_summary),
                 // Reported for a saving run AND a resume-only run — the
                 // latter still needs its cursor surfaced.
@@ -460,7 +460,7 @@ impl SweepQuery {
             minimal_set: Some(space.minimal_set),
             nine_test_indices: space.nine_test_indices,
             nine_tests_sufficient: Some(space.nine_tests_sufficient),
-            cache: cache.map(cache_summary),
+            cache: cache.map(VerdictCache::stats),
             store: disk.as_ref().map(store_summary),
             checkpoint: None,
             warm,
@@ -726,7 +726,7 @@ impl DistinguishQuery {
             stats,
             classes,
             minimal,
-            cache: cache.map(cache_summary),
+            cache: cache.map(VerdictCache::stats),
             elapsed,
         })
     }
@@ -945,27 +945,10 @@ fn io_error(path: &Path, error: &impl std::fmt::Display) -> QueryError {
     }
 }
 
-fn cache_summary(cache: &VerdictCache) -> CacheSummary {
-    CacheSummary {
-        entries: cache.len(),
-        hits: cache.hits(),
-        hits_ram: cache.hits_ram(),
-        hits_disk: cache.hits_disk(),
-        misses: cache.misses(),
-        shard_contention: cache.shard_contention(),
-    }
-}
-
 fn store_summary(disk: &DiskCache) -> StoreSummary {
-    let stats = disk.stats();
     StoreSummary {
         path: disk.path().display().to_string(),
-        hydrated: stats.hydrated,
-        appended: stats.appended,
-        flushes: stats.flushes,
-        write_errors: stats.write_errors,
-        bytes: stats.bytes,
-        recovered_tail: stats.recovered_tail,
+        stats: disk.stats(),
     }
 }
 

@@ -137,23 +137,14 @@ pub(crate) fn test_json(test: &mcm_core::LitmusTest) -> Json {
     Json::Object(fields)
 }
 
-/// `(name, value)` counter lists (the `counters()` structured views the
-/// stats types expose) as JSON object fields — the single place counter
-/// serialization happens.
-pub(crate) fn counter_fields<'a>(
-    counters: impl IntoIterator<Item = &'a (&'static str, u64)>,
-) -> Vec<(String, Json)> {
-    counters
-        .into_iter()
-        .map(|(name, value)| ((*name).to_string(), Json::from(*value)))
-        .collect()
-}
-
-/// JSON view of a `(name, value)` counter list.
-pub(crate) fn counters_json<'a>(
-    counters: impl IntoIterator<Item = &'a (&'static str, u64)>,
-) -> Json {
-    Json::Object(counter_fields(counters))
+/// JSON view of a `(name, value)` counter list (a `counters()` view).
+pub(crate) fn counters_json(counters: &[(&'static str, u64)]) -> Json {
+    Json::Object(
+        counters
+            .iter()
+            .map(|&(name, value)| (name.to_string(), Json::from(value)))
+            .collect(),
+    )
 }
 
 #[cfg(test)]

@@ -8,8 +8,7 @@ use mcm_explore::distinguish::MinimalSet;
 use mcm_explore::{report, Exploration, SweepStats};
 
 use crate::render::{duration_json, duration_text, Render};
-use crate::reports::sweep::{cache_json, stats_json};
-use crate::reports::CacheSummary;
+use crate::reports::sweep::stats_json;
 
 /// What a distinguish query produced: the sweep, its equivalence
 /// classes, and a SAT-certified minimum distinguishing test set.
@@ -24,7 +23,7 @@ pub struct DistinguishReport {
     /// The minimum distinguishing set with its minimality certificate.
     pub minimal: MinimalSet,
     /// Cache totals, when the query ran with a verdict cache.
-    pub cache: Option<CacheSummary>,
+    pub cache: Option<mcm_explore::CacheStats>,
     /// Wall-clock of the sweep.
     pub elapsed: Duration,
 }
@@ -90,7 +89,12 @@ impl Render for DistinguishReport {
             ("stats".to_string(), stats_json(&self.stats)),
             ("classes".to_string(), classes),
             ("minimal_set".to_string(), minimal),
-            ("cache".to_string(), cache_json(&self.cache)),
+            (
+                "cache".to_string(),
+                self.cache
+                    .as_ref()
+                    .map_or(Json::Null, mcm_explore::CacheStats::to_json),
+            ),
             ("elapsed_ms".to_string(), duration_json(self.elapsed)),
         ]
     }

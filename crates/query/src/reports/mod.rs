@@ -21,9 +21,7 @@ pub use compare::{CompareReport, CompareWitness};
 pub use distinguish::DistinguishReport;
 pub use figures::{CountsFigure, Fig1Figure, Fig4Figure, FigureSelection, FiguresReport};
 pub use misc::{CatalogReport, ParseReport, SuiteReport};
-pub use sweep::{
-    CacheSummary, CheckpointSummary, StoreSummary, StreamSummary, SweepReport, WarmSummary,
-};
+pub use sweep::{CheckpointSummary, StoreSummary, StreamSummary, SweepReport, WarmSummary};
 pub use synth::{SynthMatrix, SynthPair, SynthReport};
 pub use timings::{
     CheckerTiming, LatencySummary, Timings, TimingsCapture, TIMINGS_SCHEMA_VERSION,

@@ -8,61 +8,38 @@ use mcm_core::json::Json;
 use mcm_core::LitmusTest;
 use mcm_explore::distinguish::MinimalSet;
 use mcm_explore::dot::{render_dot, DotOptions};
-use mcm_explore::{report, Exploration, Lattice, SweepStats};
+use mcm_explore::{report, CacheStats, Exploration, Lattice, SweepStats};
 use mcm_gen::StreamBounds;
+use mcm_store::StoreStats;
 
 use crate::render::{duration_json, duration_text, Render};
 
-/// What a [`mcm_explore::VerdictCache`] ended up holding after a query.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct CacheSummary {
-    /// Entries in the cache when the query finished.
-    pub entries: usize,
-    /// Lookups answered from the cache, both tiers
-    /// (`hits_ram + hits_disk`).
-    pub hits: u64,
-    /// Hits on entries computed earlier in this process (RAM tier).
-    pub hits_ram: u64,
-    /// Hits on entries hydrated from a durable store (disk tier) —
-    /// verdicts a previous process paid for.
-    pub hits_disk: u64,
-    /// Lookups that fell through to a checker.
-    pub misses: u64,
-    /// Shard locks that were contended on insert/merge (a measure of
-    /// worker convoying; same base name as `/metricsz`'s
-    /// `mcm_cache_shard_contention_total`).
-    pub shard_contention: u64,
-}
-
-impl std::fmt::Display for CacheSummary {
-    /// The standard cache line every report prints.
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "cache: {} entries, {} hits ({} ram + {} disk), {} misses",
-            self.entries, self.hits, self.hits_ram, self.hits_disk, self.misses,
-        )
-    }
-}
-
 /// What the disk-backed verdict store did during a query
-/// (`--store` / `mcm serve --store-dir`).
+/// (`--store` / `mcm serve --store-dir`): the log path and the store's
+/// counters, whose fields read through (`summary.appended`).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct StoreSummary {
     /// The verdict-log path.
     pub path: String,
-    /// Records replayed from the log when the cache opened.
-    pub hydrated: u64,
-    /// Fresh records appended during the query.
-    pub appended: u64,
-    /// Frames flushed (one per batch of fresh verdicts).
-    pub flushes: u64,
-    /// Append failures (counted, never fatal).
-    pub write_errors: u64,
-    /// Log size in bytes after the query.
-    pub bytes: u64,
-    /// Whether opening recovered from a torn/corrupt tail.
-    pub recovered_tail: bool,
+    /// The store's counters after the query.
+    pub stats: StoreStats,
+}
+
+impl std::ops::Deref for StoreSummary {
+    type Target = StoreStats;
+
+    fn deref(&self) -> &StoreStats {
+        &self.stats
+    }
+}
+
+impl StoreSummary {
+    /// The report's `store` section: the path, then the counters.
+    fn to_json(&self) -> Json {
+        let mut fields = vec![("path".to_string(), Json::from(self.path.as_str()))];
+        fields.extend(self.stats.json_fields());
+        Json::Object(fields)
+    }
 }
 
 impl std::fmt::Display for StoreSummary {
@@ -138,7 +115,7 @@ pub struct SweepReport {
     /// (materialized suites only).
     pub nine_tests_sufficient: Option<bool>,
     /// Cache totals, when the query ran with a verdict cache.
-    pub cache: Option<CacheSummary>,
+    pub cache: Option<CacheStats>,
     /// Disk-store activity, when the cache was backed by a verdict log.
     pub store: Option<StoreSummary>,
     /// Checkpointing activity, when a streamed sweep ran with
@@ -283,45 +260,13 @@ impl SweepReport {
 
 /// JSON view of the engine counters, nested groups included.
 pub(crate) fn stats_json(stats: &SweepStats) -> Json {
-    let mut fields = crate::render::counter_fields(&stats.counters());
-    fields.push((
-        "batch".to_string(),
-        crate::render::counters_json(&stats.batch.counters()),
-    ));
+    let mut fields = stats.json_fields();
+    fields.push(("batch".to_string(), stats.batch.to_json()));
     fields.push((
         "sat".to_string(),
         crate::render::counters_json(&stats.sat.counters()),
     ));
     Json::Object(fields)
-}
-
-pub(crate) fn cache_json(cache: &Option<CacheSummary>) -> Json {
-    match cache {
-        None => Json::Null,
-        Some(cache) => Json::object([
-            ("entries", Json::from(cache.entries)),
-            ("hits", Json::from(cache.hits)),
-            ("hits_ram", Json::from(cache.hits_ram)),
-            ("hits_disk", Json::from(cache.hits_disk)),
-            ("misses", Json::from(cache.misses)),
-            ("shard_contention", Json::from(cache.shard_contention)),
-        ]),
-    }
-}
-
-pub(crate) fn store_json(store: &Option<StoreSummary>) -> Json {
-    match store {
-        None => Json::Null,
-        Some(store) => Json::object([
-            ("path", Json::from(store.path.as_str())),
-            ("hydrated", Json::from(store.hydrated)),
-            ("appended", Json::from(store.appended)),
-            ("flushes", Json::from(store.flushes)),
-            ("write_errors", Json::from(store.write_errors)),
-            ("bytes", Json::from(store.bytes)),
-            ("recovered_tail", Json::Bool(store.recovered_tail)),
-        ]),
-    }
 }
 
 fn checkpoint_json(checkpoint: &Option<CheckpointSummary>) -> Json {
@@ -435,8 +380,16 @@ impl Render for SweepReport {
                 "nine_tests_sufficient".to_string(),
                 Json::from(self.nine_tests_sufficient),
             ),
-            ("cache".to_string(), cache_json(&self.cache)),
-            ("store".to_string(), store_json(&self.store)),
+            (
+                "cache".to_string(),
+                self.cache.as_ref().map_or(Json::Null, CacheStats::to_json),
+            ),
+            (
+                "store".to_string(),
+                self.store
+                    .as_ref()
+                    .map_or(Json::Null, StoreSummary::to_json),
+            ),
             ("checkpoint".to_string(), checkpoint_json(&self.checkpoint)),
             ("warm".to_string(), warm),
             ("stream".to_string(), stream),

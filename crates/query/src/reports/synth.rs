@@ -255,7 +255,7 @@ impl Render for SynthReport {
                 ])
             }
         };
-        let mut stats = crate::render::counter_fields(&self.stats.counters());
+        let mut stats = self.stats.json_fields();
         stats.push((
             "solver".to_string(),
             counters_json(&self.stats.solver.counters()),

@@ -66,6 +66,19 @@ impl SolverStats {
             ("learnt_clauses", self.learnt_clauses),
         ]
     }
+
+    /// The inverse of [`SolverStats::counters`]' values: reads the five
+    /// counters from `next` in that order, `None` when one is missing.
+    /// Checkpoints decode a nested solver group with it.
+    pub fn from_values(next: &mut dyn FnMut() -> Option<u64>) -> Option<SolverStats> {
+        Some(SolverStats {
+            decisions: next()?,
+            propagations: next()?,
+            conflicts: next()?,
+            restarts: next()?,
+            learnt_clauses: next()?,
+        })
+    }
 }
 
 #[derive(Clone, Debug)]

@@ -76,7 +76,7 @@ mod stats;
 
 pub use http::{HttpError, Request, Response, MAX_HEAD_BYTES};
 pub use queue::{Bounded, PushError};
-pub use stats::ServeStats;
+pub use stats::{RequestStats, ServeStats, ServiceGauges, Snapshot};
 
 /// Tunables for one server instance. `Default` is sized for local use;
 /// the CLI maps flags onto these fields.
@@ -133,6 +133,15 @@ struct ServeState {
     store: Option<DiskCache>,
     stats: ServeStats,
     queue: Bounded<TcpStream>,
+}
+
+impl ServeState {
+    /// The one snapshot `/statsz` and `/metricsz` render.
+    fn snapshot(&self) -> Snapshot {
+        let store = self.store.as_ref().map(DiskCache::stats);
+        self.stats
+            .snapshot(self.cache.stats(), self.queue.len(), store)
+    }
 }
 
 /// A bound, not-yet-running server. [`Server::run`] blocks until a
@@ -328,25 +337,11 @@ fn route(state: &ServeState, request: &Request) -> Response {
             ])
             .pretty(),
         ),
-        ("GET", "/statsz") => {
-            let store = state.store.as_ref().map(DiskCache::stats);
-            Response::ok(
-                "application/json",
-                state
-                    .stats
-                    .snapshot(&state.cache, state.queue.len(), store.as_ref())
-                    .pretty(),
-            )
-        }
-        ("GET", "/metricsz") => {
-            let store = state.store.as_ref().map(DiskCache::stats);
-            Response::ok(
-                "text/plain; version=0.0.4",
-                state
-                    .stats
-                    .render_prometheus(&state.cache, state.queue.len(), store.as_ref()),
-            )
-        }
+        ("GET", "/statsz") => Response::ok("application/json", state.snapshot().to_json().pretty()),
+        ("GET", "/metricsz") => Response::ok(
+            "text/plain; version=0.0.4",
+            state.snapshot().to_prometheus(),
+        ),
         ("POST", "/query") => execute(state, &request.body),
         (_, "/healthz" | "/statsz" | "/metricsz") => {
             Response::error(405, "this endpoint only answers GET").with_header("Allow", "GET")

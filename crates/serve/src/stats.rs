@@ -1,23 +1,22 @@
-//! Lock-free service counters, live gauges, and the `/statsz` and
-//! `/metricsz` documents.
+//! Service counters, live gauges, and the `/statsz` and `/metricsz`
+//! documents.
 //!
-//! Everything here is an `AtomicU64`/`AtomicI64` bumped with relaxed
-//! ordering on the request path — observability must never contend
-//! with the work it observes. The `/statsz` endpoint renders its
-//! sections from existing structured views: request counters owned by
-//! this module ([`ServeStats::counters`]), live gauges (queue depth,
-//! in-flight queries), engine totals accumulated from each sweep's
-//! [`SweepStats::counters`], and the shared [`VerdictCache::counters`].
-//! `/metricsz` renders the *same names* — prefixed per layer
-//! (`mcm_serve_`, `mcm_engine_`, `mcm_cache_`) and suffixed `_total`
-//! for counters, Prometheus-style — merged with every series in the
-//! global [`mcm_obs::metrics`] registry, which contributes the
+//! Both documents render one [`Snapshot`], whose sections are counter
+//! tables ([`mcm_obs::counter_table!`]): the request counters and live
+//! gauges declared here ([`RequestStats`], [`ServiceGauges`]), engine
+//! totals absorbed from each sweep's [`SweepStats`], the shared cache's
+//! [`CacheStats`] and, with `--store-dir`, the verdict store's
+//! [`StoreStats`]. `/statsz` renders each table's JSON and `/metricsz`
+//! its Prometheus text, prefixed per layer (`mcm_serve_`, `mcm_engine_`,
+//! `mcm_cache_`, `mcm_store_`). Per-kind query counts sit beside the
+//! tables, and the global [`mcm_obs::metrics`] registry contributes the
 //! per-query-kind latency histograms recorded around each `/query`.
 
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
+use std::sync::{Mutex, MutexGuard};
 
 use mcm_core::json::Json;
-use mcm_explore::{SweepStats, VerdictCache};
+use mcm_explore::{CacheStats, SweepStats};
 use mcm_store::StoreStats;
 
 /// Query kinds tracked per-kind, in wire-format order.
@@ -34,24 +33,42 @@ pub const KINDS: [&str; 10] = [
     "figures",
 ];
 
-/// One engine total per [`SweepStats::counters`] entry, which also
-/// names them; [`ServeStats::absorb_engine`] fails to compile if the two
-/// lengths drift apart.
-const ENGINE_SLOTS: usize = 12;
+mcm_obs::counter_table! {
+    /// What the service did with the connections it accepted.
+    #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+    pub struct RequestStats {
+        /// Connections accepted (before any queueing decision).
+        accepted: u64 = counter,
+        /// Responses written, any status.
+        completed: u64 = counter,
+        /// Connections shed with `503` because the queue was full.
+        rejected: u64 = counter,
+        /// Responses with a `4xx` status.
+        client_errors: u64 = counter,
+        /// Responses with a `5xx` status.
+        server_errors: u64 = counter,
+        /// Peers that vanished before a response could be written.
+        hangups: u64 = counter,
+    }
+}
 
 /// The service-wide counter set. One instance lives for the whole
 /// server; every worker and the acceptor share it.
 #[derive(Debug, Default)]
 pub struct ServeStats {
-    accepted: AtomicU64,
-    completed: AtomicU64,
-    rejected: AtomicU64,
-    client_errors: AtomicU64,
-    server_errors: AtomicU64,
-    hangups: AtomicU64,
+    requests: Mutex<RequestStats>,
     in_flight: AtomicI64,
     kinds: [AtomicU64; KINDS.len()],
-    engine: [AtomicU64; ENGINE_SLOTS],
+    engine: Mutex<SweepStats>,
+}
+
+/// Locks a counter table. Every update under the lock is whole-field
+/// arithmetic, so a table poisoned by a panicking worker still holds
+/// valid counts.
+fn lock<T>(table: &Mutex<T>) -> MutexGuard<'_, T> {
+    table
+        .lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
 impl ServeStats {
@@ -63,27 +80,28 @@ impl ServeStats {
 
     /// A connection was accepted (before any queueing decision).
     pub fn record_accepted(&self) {
-        self.accepted.fetch_add(1, Ordering::Relaxed);
+        lock(&self.requests).accepted += 1;
     }
 
     /// A connection was shed with `503` because the queue was full.
     pub fn record_rejected(&self) {
-        self.rejected.fetch_add(1, Ordering::Relaxed);
+        lock(&self.requests).rejected += 1;
     }
 
     /// The peer vanished before a response could be written.
     pub fn record_hangup(&self) {
-        self.hangups.fetch_add(1, Ordering::Relaxed);
+        lock(&self.requests).hangups += 1;
     }
 
     /// A response with `status` was written.
     pub fn record_response(&self, status: u16) {
-        self.completed.fetch_add(1, Ordering::Relaxed);
+        let mut requests = lock(&self.requests);
+        requests.completed += 1;
         match status {
-            400..=499 => self.client_errors.fetch_add(1, Ordering::Relaxed),
-            500..=599 => self.server_errors.fetch_add(1, Ordering::Relaxed),
-            _ => 0,
-        };
+            400..=499 => requests.client_errors += 1,
+            500..=599 => requests.server_errors += 1,
+            _ => {}
+        }
     }
 
     /// A query of `kind` was admitted for execution.
@@ -118,180 +136,105 @@ impl ServeStats {
         self.in_flight.load(Ordering::Relaxed)
     }
 
-    /// The request counters as stable `(name, value)` pairs — the one
-    /// place the names live. `/statsz` renders them verbatim;
-    /// `/metricsz` renders each as `mcm_serve_<name>_total`.
-    #[must_use]
-    pub fn counters(&self) -> [(&'static str, u64); 6] {
-        let load = |counter: &AtomicU64| counter.load(Ordering::Relaxed);
-        [
-            ("accepted", load(&self.accepted)),
-            ("completed", load(&self.completed)),
-            ("rejected", load(&self.rejected)),
-            ("client_errors", load(&self.client_errors)),
-            ("server_errors", load(&self.server_errors)),
-            ("hangups", load(&self.hangups)),
-        ]
-    }
-
     /// Folds one sweep's engine counters into the service totals.
     pub fn absorb_engine(&self, stats: &SweepStats) {
-        let counters: [(&str, u64); ENGINE_SLOTS] = stats.counters();
-        for ((_, value), total) in counters.iter().zip(&self.engine) {
-            total.fetch_add(*value, Ordering::Relaxed);
-        }
+        lock(&self.engine).absorb(*stats);
     }
 
-    /// The engine totals under [`SweepStats::counters`]' names.
-    fn engine_counters(&self) -> impl Iterator<Item = (&'static str, u64)> + '_ {
-        SweepStats::default()
-            .counters()
-            .into_iter()
-            .zip(&self.engine)
-            .map(|((name, _), total)| (name, total.load(Ordering::Relaxed)))
-    }
-
-    /// Responses written so far (any status).
-    #[must_use]
-    pub fn completed(&self) -> u64 {
-        self.completed.load(Ordering::Relaxed)
-    }
-
-    /// Connections shed with `503` so far.
-    #[must_use]
-    pub fn rejected(&self) -> u64 {
-        self.rejected.load(Ordering::Relaxed)
-    }
-
-    /// The `/statsz` document: request counters, live gauges (queue
-    /// depth and in-flight queries — instantaneous levels, zero when
-    /// drained), per-kind query counts, engine totals, the shared
-    /// cache's counters, and — when the server runs with `--store-dir`
-    /// — the verdict store's counters (`Json::Null` otherwise).
+    /// One moment of the service, given the shared cache's counters, the
+    /// queue depth and, with `--store-dir`, the store's counters.
     #[must_use]
     pub fn snapshot(
         &self,
-        cache: &VerdictCache,
+        cache: CacheStats,
         queue_depth: usize,
-        store: Option<&StoreStats>,
-    ) -> Json {
-        let load = |counter: &AtomicU64| Json::Int(counter.load(Ordering::Relaxed) as i64);
+        store: Option<StoreStats>,
+    ) -> Snapshot {
+        Snapshot {
+            requests: *lock(&self.requests),
+            gauges: ServiceGauges {
+                queue_depth,
+                in_flight: u64::try_from(self.in_flight()).unwrap_or(0),
+            },
+            queries: std::array::from_fn(|i| self.kinds[i].load(Ordering::Relaxed)),
+            engine: *lock(&self.engine),
+            cache,
+            store,
+        }
+    }
+}
+
+mcm_obs::counter_table! {
+    /// The service's live levels: instantaneous, zero when it is drained.
+    #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+    pub struct ServiceGauges {
+        /// Accepted connections waiting for a worker.
+        queue_depth: usize = gauge,
+        /// Queries executing on worker threads.
+        in_flight: u64 = gauge,
+    }
+}
+
+/// One moment of the whole service. `/statsz` is its JSON rendering and
+/// `/metricsz` its Prometheus rendering, so the two cannot disagree.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct Snapshot {
+    /// Request outcomes.
+    pub requests: RequestStats,
+    /// Live levels.
+    pub gauges: ServiceGauges,
+    /// Queries admitted per kind, in the wire format's kind order.
+    pub queries: [u64; KINDS.len()],
+    /// Engine totals over every sweep served.
+    pub engine: SweepStats,
+    /// The shared verdict cache's counters.
+    pub cache: CacheStats,
+    /// The verdict store's counters, with `--store-dir`.
+    pub store: Option<StoreStats>,
+}
+
+impl Snapshot {
+    /// The `/statsz` document: every table as a JSON section, the
+    /// per-kind query counts, and `store: null` without a store.
+    #[must_use]
+    pub fn to_json(&self) -> Json {
+        let queries = KINDS
+            .iter()
+            .zip(self.queries)
+            .map(|(name, count)| ((*name).to_string(), Json::from(count)));
         Json::object([
             ("schema_version", Json::Int(2)),
             ("kind", Json::from("serve_stats")),
-            (
-                "requests",
-                Json::Object(
-                    self.counters()
-                        .iter()
-                        .map(|(name, value)| ((*name).to_string(), Json::Int(*value as i64)))
-                        .collect(),
-                ),
-            ),
-            (
-                "gauges",
-                Json::object([
-                    ("queue_depth", Json::Int(queue_depth as i64)),
-                    ("in_flight", Json::Int(self.in_flight())),
-                ]),
-            ),
-            (
-                "queries",
-                Json::Object(
-                    KINDS
-                        .iter()
-                        .zip(&self.kinds)
-                        .map(|(name, counter)| ((*name).to_string(), load(counter)))
-                        .collect(),
-                ),
-            ),
-            (
-                "engine",
-                Json::Object(
-                    self.engine_counters()
-                        .map(|(name, value)| (name.to_string(), Json::Int(value as i64)))
-                        .collect(),
-                ),
-            ),
-            (
-                "cache",
-                Json::Object(
-                    cache
-                        .counters()
-                        .iter()
-                        .map(|(name, value)| ((*name).to_string(), Json::Int(*value as i64)))
-                        .collect(),
-                ),
-            ),
+            ("requests", self.requests.to_json()),
+            ("gauges", self.gauges.to_json()),
+            ("queries", Json::Object(queries.collect())),
+            ("engine", self.engine.to_json()),
+            ("cache", self.cache.to_json()),
             (
                 "store",
-                match store {
-                    None => Json::Null,
-                    Some(store) => Json::Object(
-                        store
-                            .counters()
-                            .iter()
-                            .map(|(name, value)| ((*name).to_string(), Json::Int(*value as i64)))
-                            .collect(),
-                    ),
-                },
+                self.store.as_ref().map_or(Json::Null, StoreStats::to_json),
             ),
         ])
     }
 
-    /// The `/metricsz` document: Prometheus exposition text. Serve,
-    /// engine and cache counters use the same base names as `/statsz`,
-    /// layer-prefixed and `_total`-suffixed; the global `mcm_obs`
-    /// registry contributes everything instrumented below the wire
-    /// (per-kind request latency, per-checker check latency, cache
-    /// hit/miss totals, CEGIS iteration latency).
+    /// The `/metricsz` document: the global `mcm_obs` registry (per-kind
+    /// request latency, per-checker check latency, store flush latency,
+    /// CEGIS iteration latency), then every table under its layer
+    /// prefix and the per-kind query counts.
     #[must_use]
-    pub fn render_prometheus(
-        &self,
-        cache: &VerdictCache,
-        queue_depth: usize,
-        store: Option<&StoreStats>,
-    ) -> String {
+    pub fn to_prometheus(&self) -> String {
         use std::fmt::Write;
         let mut out = mcm_obs::metrics::global().render_prometheus();
-        for (name, value) in self.counters() {
-            let _ = writeln!(out, "# TYPE mcm_serve_{name}_total counter");
-            let _ = writeln!(out, "mcm_serve_{name}_total {value}");
-        }
+        self.requests.render_prometheus("mcm_serve_", &mut out);
         let _ = writeln!(out, "# TYPE mcm_serve_queries_total counter");
-        for (name, counter) in KINDS.iter().zip(&self.kinds) {
-            let _ = writeln!(
-                out,
-                "mcm_serve_queries_total{{kind=\"{name}\"}} {}",
-                counter.load(Ordering::Relaxed)
-            );
+        for (name, count) in KINDS.iter().zip(self.queries) {
+            let _ = writeln!(out, "mcm_serve_queries_total{{kind=\"{name}\"}} {count}");
         }
-        for (gauge, value) in [
-            ("queue_depth", queue_depth as i64),
-            ("in_flight", self.in_flight()),
-        ] {
-            let _ = writeln!(out, "# TYPE mcm_serve_{gauge} gauge");
-            let _ = writeln!(out, "mcm_serve_{gauge} {value}");
-        }
-        for (name, value) in self.engine_counters() {
-            let _ = writeln!(out, "# TYPE mcm_engine_{name}_total counter");
-            let _ = writeln!(out, "mcm_engine_{name}_total {value}");
-        }
-        // Entries is a level, not a flow; hits/misses/contention flows
-        // are already global registry series (`mcm_cache_*_total`).
-        let _ = writeln!(out, "# TYPE mcm_cache_entries gauge");
-        let _ = writeln!(out, "mcm_cache_entries {}", cache.len());
-        if let Some(store) = store {
-            for (name, value) in store.counters() {
-                // hydrated/bytes/recovered_tail are levels, the rest flows.
-                if matches!(name, "hydrated" | "bytes" | "recovered_tail") {
-                    let _ = writeln!(out, "# TYPE mcm_store_{name} gauge");
-                    let _ = writeln!(out, "mcm_store_{name} {value}");
-                } else {
-                    let _ = writeln!(out, "# TYPE mcm_store_{name}_total counter");
-                    let _ = writeln!(out, "mcm_store_{name}_total {value}");
-                }
-            }
+        self.gauges.render_prometheus("mcm_serve_", &mut out);
+        self.engine.render_prometheus("mcm_engine_", &mut out);
+        self.cache.render_prometheus("mcm_cache_", &mut out);
+        if let Some(store) = &self.store {
+            store.render_prometheus("mcm_store_", &mut out);
         }
         out
     }
@@ -300,6 +243,7 @@ impl ServeStats {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mcm_explore::VerdictCache;
 
     #[test]
     fn snapshot_reflects_recorded_events() {
@@ -332,7 +276,7 @@ mod tests {
             bytes: 131,
             recovered_tail: true,
         };
-        let doc = stats.snapshot(&cache, 3, Some(&store));
+        let doc = stats.snapshot(cache.stats(), 3, Some(store)).to_json();
         let requests = doc.get("requests").unwrap();
         assert_eq!(requests.get("accepted").and_then(Json::as_i64), Some(2));
         assert_eq!(requests.get("rejected").and_then(Json::as_i64), Some(1));
@@ -353,10 +297,13 @@ mod tests {
         let store_doc = doc.get("store").unwrap();
         assert_eq!(store_doc.get("hydrated").and_then(Json::as_i64), Some(5));
         assert_eq!(store_doc.get("appended").and_then(Json::as_i64), Some(7));
-        assert_eq!(store_doc.get("recovered_tail").and_then(Json::as_i64), Some(1));
+        assert_eq!(
+            store_doc.get("recovered_tail").and_then(Json::as_bool),
+            Some(true)
+        );
 
         // Without a store the section is explicitly null, not absent.
-        let bare = stats.snapshot(&cache, 3, None);
+        let bare = stats.snapshot(cache.stats(), 3, None).to_json();
         assert_eq!(bare.get("store"), Some(&Json::Null));
     }
 
@@ -375,28 +322,26 @@ mod tests {
     #[test]
     fn statsz_and_metricsz_use_identical_base_names() {
         let stats = ServeStats::new();
-        let cache = VerdictCache::new();
-        let store = StoreStats {
-            hydrated: 1,
-            appended: 2,
-            flushes: 3,
-            write_errors: 0,
-            bytes: 46,
-            recovered_tail: false,
-        };
-        let text = stats.render_prometheus(&cache, 0, Some(&store));
-        // Every /statsz key appears in /metricsz under its layer prefix.
-        for (name, _) in stats.counters() {
-            assert!(
-                text.contains(&format!("mcm_serve_{name}_total ")),
-                "missing serve counter {name} in /metricsz"
-            );
-        }
-        for (name, _) in SweepStats::default().counters() {
-            assert!(
-                text.contains(&format!("mcm_engine_{name}_total ")),
-                "missing engine counter {name} in /metricsz"
-            );
+        let snapshot = stats.snapshot(VerdictCache::new().stats(), 0, Some(StoreStats::default()));
+        let (doc, text) = (snapshot.to_json(), snapshot.to_prometheus());
+        // Every key of every table section of /statsz appears in /metricsz
+        // under its layer prefix: `_total` for counters, bare otherwise.
+        for (section, layer) in [
+            ("requests", "serve"),
+            ("gauges", "serve"),
+            ("engine", "engine"),
+            ("cache", "cache"),
+            ("store", "store"),
+        ] {
+            let keys = doc.get(section).and_then(Json::as_object).unwrap();
+            assert!(!keys.is_empty(), "/statsz section {section} is empty");
+            for (name, _) in keys {
+                assert!(
+                    text.contains(&format!("\nmcm_{layer}_{name}_total "))
+                        || text.contains(&format!("\nmcm_{layer}_{name} ")),
+                    "/statsz {section}.{name} is missing from /metricsz"
+                );
+            }
         }
         for kind in KINDS {
             assert!(
@@ -404,24 +349,28 @@ mod tests {
                 "missing per-kind counter {kind} in /metricsz"
             );
         }
-        for gauge in ["queue_depth", "in_flight"] {
-            assert!(
-                text.contains(&format!("mcm_serve_{gauge} ")),
-                "missing gauge {gauge} in /metricsz"
-            );
-        }
-        assert!(text.contains("mcm_cache_entries "));
-        for gauge in ["hydrated", "bytes", "recovered_tail"] {
-            assert!(
-                text.contains(&format!("mcm_store_{gauge} ")),
-                "missing store gauge {gauge} in /metricsz"
-            );
-        }
-        for counter in ["appended", "flushes", "write_errors"] {
-            assert!(
-                text.contains(&format!("mcm_store_{counter}_total ")),
-                "missing store counter {counter} in /metricsz"
-            );
-        }
+    }
+
+    #[test]
+    fn peak_batch_is_a_high_water_mark_not_a_sum() {
+        let stats = ServeStats::new();
+        let sweep = SweepStats {
+            tests_streamed: 80,
+            peak_batch: 80,
+            ..SweepStats::default()
+        };
+        stats.absorb_engine(&sweep);
+        stats.absorb_engine(&sweep);
+        let snapshot = stats.snapshot(CacheStats::default(), 0, None);
+        let doc = snapshot.to_json();
+        let engine = doc.get("engine").unwrap();
+        assert_eq!(engine.get("peak_batch").and_then(Json::as_i64), Some(80));
+        assert_eq!(
+            engine.get("tests_streamed").and_then(Json::as_i64),
+            Some(160)
+        );
+        let text = snapshot.to_prometheus();
+        assert!(text.contains("# TYPE mcm_engine_peak_batch gauge\nmcm_engine_peak_batch 80\n"));
+        assert!(!text.contains("mcm_engine_peak_batch_total"));
     }
 }

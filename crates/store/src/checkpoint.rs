@@ -58,63 +58,6 @@ fn invalid(msg: impl Into<String>) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, msg.into())
 }
 
-fn encode_stats(out: &mut Vec<u8>, stats: &SweepStats) {
-    for (_, value) in stats.counters() {
-        put_u64(out, value);
-    }
-    let sat = &stats.sat;
-    for value in [
-        sat.decisions,
-        sat.propagations,
-        sat.conflicts,
-        sat.restarts,
-        sat.learnt_clauses,
-    ] {
-        put_u64(out, value);
-    }
-    let batch = &stats.batch;
-    for value in [
-        batch.rows,
-        batch.models_checked,
-        batch.model_groups,
-        batch.shared_candidates,
-        batch.group_evals,
-        batch.assumption_solves,
-    ] {
-        put_u64(out, value);
-    }
-}
-
-fn decode_stats(r: &mut Reader<'_>) -> Option<SweepStats> {
-    let mut stats = SweepStats {
-        total_pairs: r.u64()?,
-        unique_pairs: r.u64()?,
-        cache_hits: r.u64()?,
-        cache_hits_disk: r.u64()?,
-        checker_calls: r.u64()?,
-        canonical_tests: usize::try_from(r.u64()?).ok()?,
-        distinct_models: usize::try_from(r.u64()?).ok()?,
-        tests_streamed: r.u64()?,
-        peak_batch: usize::try_from(r.u64()?).ok()?,
-        semantic_merged_models: usize::try_from(r.u64()?).ok()?,
-        prefilter_groups: r.u64()?,
-        prefilter_saved_calls: r.u64()?,
-        ..SweepStats::default()
-    };
-    stats.sat.decisions = r.u64()?;
-    stats.sat.propagations = r.u64()?;
-    stats.sat.conflicts = r.u64()?;
-    stats.sat.restarts = r.u64()?;
-    stats.sat.learnt_clauses = r.u64()?;
-    stats.batch.rows = r.u64()?;
-    stats.batch.models_checked = r.u64()?;
-    stats.batch.model_groups = r.u64()?;
-    stats.batch.shared_candidates = r.u64()?;
-    stats.batch.group_evals = r.u64()?;
-    stats.batch.assumption_solves = r.u64()?;
-    Some(stats)
-}
-
 fn encode_payload(ckpt: &CheckpointFile) -> Vec<u8> {
     let mut out = Vec::new();
     let meta = &ckpt.meta;
@@ -153,7 +96,9 @@ fn encode_payload(ckpt: &CheckpointFile) -> Vec<u8> {
             put_u64(&mut out, w);
         }
     }
-    encode_stats(&mut out, &state.stats);
+    for value in state.stats.values() {
+        put_u64(&mut out, value);
+    }
     out
 }
 
@@ -203,7 +148,7 @@ fn decode_payload(payload: &[u8]) -> Option<CheckpointFile> {
         }
         row_verdicts.push(VerdictVector::from_words(words, len)?);
     }
-    let stats = decode_stats(&mut r)?;
+    let stats = SweepStats::from_values(&mut || r.u64())?;
     if r.remaining() != 0 {
         return None;
     }
@@ -405,5 +350,30 @@ mod tests {
             io::ErrorKind::InvalidData
         );
         std::fs::remove_file(&path).unwrap();
+    }
+
+    /// `sample()` as saved by format version 1. The encoder and decoder
+    /// both follow the counter tables' order, so a reordered table entry
+    /// would still round-trip; only fixed bytes catch it.
+    const SAMPLE_V1: [&str; 9] = [
+        "4d434d434b505400010000000300000000000000020000000000000002010001820000000000000001010000",
+        "000300000000400000000000000082000000000000005a0000000000000003000000aaaa000000000000bbbb",
+        "000000000000cccc000000000000030000005a00000000000000020000004992244992244992244992000000",
+        "00005a0000000000000002000000244992244992244992244902000000005a00000000000000020000009224",
+        "4992244992244992240100000000e803000000000000900100000000000025000000000000000c0000000000",
+        "00006b010000000000005a000000000000000500000000000000820000000000000040000000000000000100",
+        "00000000000014000000000000000b0000000000000039300000000000000000000000000000630000000000",
+        "0000000000000000000000000000000000005a00000000000000000000000000000000000000000000000000",
+        "00000000000000000000000000000700000000000000ee336a6166ac43f4",
+    ];
+
+    #[test]
+    fn checkpoint_bytes_are_pinned() {
+        let path = temp_path("pinned");
+        sample().save(&path).unwrap();
+        let saved = std::fs::read(&path).unwrap();
+        std::fs::remove_file(&path).unwrap();
+        let hex: String = saved.iter().map(|b| format!("{b:02x}")).collect();
+        assert_eq!(hex, SAMPLE_V1.concat(), "checkpoint byte layout moved");
     }
 }

@@ -66,8 +66,6 @@ pub fn compact(path: &Path) -> io::Result<CompactStats> {
     };
     if mcm_obs::enabled() {
         timer.record(&mcm_obs::metrics::histogram("mcm_store_compact_us", &[]));
-        mcm_obs::metrics::gauge("mcm_store_bytes", &[("log", "compacted")])
-            .set(i64::try_from(bytes_after).unwrap_or(i64::MAX));
     }
     Ok(stats)
 }

@@ -19,37 +19,25 @@ use mcm_explore::{DurableSink, VerdictCache};
 
 use crate::log::{LogWriter, Record};
 
-/// Counters describing a [`DiskCache`]'s life so far.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct StoreStats {
-    /// Records replayed from the log when the cache opened.
-    pub hydrated: u64,
-    /// Fresh records appended to the log since opening.
-    pub appended: u64,
-    /// Frames flushed (one per batch of fresh verdicts).
-    pub flushes: u64,
-    /// Append failures (counted, not propagated — the RAM tier keeps
-    /// serving).
-    pub write_errors: u64,
-    /// Current log size in bytes.
-    pub bytes: u64,
-    /// Whether the open recovered from a torn/corrupt tail.
-    pub recovered_tail: bool,
-}
-
-impl StoreStats {
-    /// The counters as stable `(name, value)` pairs for reports and
-    /// `/statsz` (the boolean renders as 0/1).
-    #[must_use]
-    pub fn counters(&self) -> [(&'static str, u64); 6] {
-        [
-            ("hydrated", self.hydrated),
-            ("appended", self.appended),
-            ("flushes", self.flushes),
-            ("write_errors", self.write_errors),
-            ("bytes", self.bytes),
-            ("recovered_tail", u64::from(self.recovered_tail)),
-        ]
+mcm_obs::counter_table! {
+    /// Counters describing a [`DiskCache`]'s life so far: the structured
+    /// view reports, `/statsz` and `/metricsz` (as `mcm_store_*`) render
+    /// from.
+    #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+    pub struct StoreStats {
+        /// Records replayed from the log when the cache opened.
+        hydrated: u64 = gauge,
+        /// Fresh records appended to the log since opening.
+        appended: u64 = counter,
+        /// Frames flushed (one per batch of fresh verdicts).
+        flushes: u64 = counter,
+        /// Append failures (counted, not propagated — the RAM tier keeps
+        /// serving).
+        write_errors: u64 = counter,
+        /// Current log size in bytes.
+        bytes: u64 = gauge,
+        /// Whether the open recovered from a torn/corrupt tail.
+        recovered_tail: bool = gauge,
     }
 }
 
@@ -92,8 +80,6 @@ impl DurableSink for SinkInner {
                 self.flushes.fetch_add(1, Ordering::Relaxed);
                 if mcm_obs::enabled() {
                     timer.record(&mcm_obs::metrics::histogram("mcm_store_flush_us", &[]));
-                    mcm_obs::metrics::gauge("mcm_store_bytes", &[("log", "live")])
-                        .set(i64::try_from(writer.bytes()).unwrap_or(i64::MAX));
                 }
             }
             Err(_) => {
@@ -153,10 +139,6 @@ impl DiskCache {
             cache.set_sink(sink.clone() as Arc<dyn DurableSink>),
             "a freshly built cache has no sink yet"
         );
-        if mcm_obs::enabled() {
-            mcm_obs::metrics::gauge("mcm_store_bytes", &[("log", "live")])
-                .set(i64::try_from(sink.bytes()).unwrap_or(i64::MAX));
-        }
         Ok(DiskCache {
             cache,
             sink,

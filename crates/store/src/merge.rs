@@ -44,10 +44,6 @@ pub fn merge(inputs: &[&Path], dest: &Path) -> io::Result<MergeStats> {
     let records_in = all.len() as u64;
     let live = live_set(&all);
     let bytes_out = write_atomic(dest, &live)?;
-    if mcm_obs::enabled() {
-        mcm_obs::metrics::gauge("mcm_store_bytes", &[("log", "merged")])
-            .set(i64::try_from(bytes_out).unwrap_or(i64::MAX));
-    }
     Ok(MergeStats {
         inputs: inputs.len() as u64,
         records_in,

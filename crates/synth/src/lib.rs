@@ -139,50 +139,35 @@ impl fmt::Display for SynthError {
 
 impl std::error::Error for SynthError {}
 
-/// What the CEGIS engine actually did, layer by layer.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct SynthStats {
-    /// SAT queries issued (one per synthesized structure plus one per
-    /// exhaustion certificate).
-    pub sat_queries: u64,
-    /// Structures (programs) synthesized by the solver.
-    pub structures: u64,
-    /// Candidate tests decoded (structures × their outcome variants).
-    pub candidates: u64,
-    /// Distinguishing witnesses found.
-    pub witnesses: u64,
-    /// `(shape, allower)` sub-spaces proven exhausted (the UNSAT halves of
-    /// the minimality certificates).
-    pub shapes_exhausted: u64,
-    /// Oracle verdicts answered by the cross-pair verdict cache.
-    pub oracle_cache_hits: u64,
-    /// Oracle verdicts computed by the axiomatic checker.
-    pub oracle_calls: u64,
-    /// Candidates the symbolic encoding admitted but the oracle rejected.
-    /// Always zero unless the encoding and the checker disagree; the test
-    /// suite asserts on it.
-    pub encoding_mismatches: u64,
-    /// SAT-solver work totals, summed over every per-model incremental
-    /// solver.
-    pub solver: SolverStats,
-}
-
-impl SynthStats {
-    /// The CEGIS counters as stable `(name, value)` pairs — the
-    /// structured view serializable reports render from (the nested
-    /// [`SynthStats::solver`] group has a `counters()` view of its own).
-    #[must_use]
-    pub fn counters(&self) -> [(&'static str, u64); 8] {
-        [
-            ("sat_queries", self.sat_queries),
-            ("structures", self.structures),
-            ("candidates", self.candidates),
-            ("witnesses", self.witnesses),
-            ("shapes_exhausted", self.shapes_exhausted),
-            ("oracle_cache_hits", self.oracle_cache_hits),
-            ("oracle_calls", self.oracle_calls),
-            ("encoding_mismatches", self.encoding_mismatches),
-        ]
+mcm_obs::counter_table! {
+    /// What the CEGIS engine actually did, layer by layer.
+    #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+    pub struct SynthStats {
+        /// SAT queries issued (one per synthesized structure plus one per
+        /// exhaustion certificate).
+        sat_queries: u64 = counter,
+        /// Structures (programs) synthesized by the solver.
+        structures: u64 = counter,
+        /// Candidate tests decoded (structures × their outcome variants).
+        candidates: u64 = counter,
+        /// Distinguishing witnesses found.
+        witnesses: u64 = counter,
+        /// `(shape, allower)` sub-spaces proven exhausted (the UNSAT halves of
+        /// the minimality certificates).
+        shapes_exhausted: u64 = counter,
+        /// Oracle verdicts answered by the cross-pair verdict cache.
+        oracle_cache_hits: u64 = counter,
+        /// Oracle verdicts computed by the axiomatic checker.
+        oracle_calls: u64 = counter,
+        /// Candidates the symbolic encoding admitted but the oracle rejected.
+        /// Always zero unless the encoding and the checker disagree; the test
+        /// suite asserts on it.
+        encoding_mismatches: u64 = counter,
+    }
+    groups {
+        /// SAT-solver work totals, summed over every per-model incremental
+        /// solver.
+        solver: SolverStats,
     }
 }
 
