@@ -34,10 +34,9 @@
 //!   atoms are constants, so the guarded units *are* its Tseitin encoding
 //!   restricted to this test.)
 //!
-//! Every per-cell [`Checker`] doubles as a [`BatchChecker`] through a
-//! blanket adapter that simply loops over the row — that is what
-//! `mcm-synth`'s oracle and the cross-validation suites use, and what the
-//! batched paths are property-tested against.
+//! [`crate::ExplicitChecker`] answers the row one cell at a time, sharing
+//! nothing: it is the sequential reference every batched path is
+//! property-tested against.
 
 use std::cell::{Cell, RefCell};
 use std::collections::HashMap;
@@ -46,7 +45,7 @@ use std::sync::Arc;
 use mcm_core::{EventId, Execution, LitmusTest, MemoryModel};
 use mcm_sat::{SatResult, Solver, SolverStats};
 
-use crate::checker::{Checker, Verdict, Witness};
+use crate::checker::{Verdict, Witness};
 use crate::co::enumerate_co_orders;
 use crate::hb::{base_edges, collect_edges, forced_po_pairs};
 use crate::rf::{enumerate_rf_maps, read_candidates};
@@ -90,8 +89,8 @@ impl BatchStats {
 
 /// Records one answered row into the global metric registry: latency
 /// into `mcm_check_latency_us{checker=…}` and the row's shared-work
-/// unit count (explicit: candidate executions; SAT: assumption solves;
-/// per-cell adapters: cells) into `mcm_check_candidates_total`.
+/// unit count (explicit: candidate executions; SAT: assumption solves)
+/// into `mcm_check_candidates_total`.
 /// No-op when `mcm_obs` instrumentation is disabled — the stopwatch
 /// never started, so this costs one branch.
 ///
@@ -141,13 +140,16 @@ thread_local! {
     static ROW_SERIES: RefCell<Vec<RowSeries>> = const { RefCell::new(Vec::new()) };
 }
 
-/// An admissibility checker that answers a whole row of models against
-/// one test, amortizing the model-independent work across the row.
+/// An admissibility checker: decides whether a litmus test's demanded
+/// outcome is allowed under each model of a row, amortizing the
+/// model-independent work across the row.
 ///
-/// Verdicts are returned in model order and agree bit-for-bit with the
-/// per-cell [`Checker`] verdicts (the property suite enforces this).
+/// Each [`crate::CheckerKind`] builds one implementation; the
+/// [`crate::ExplicitChecker`] reference answers cell by cell. Verdicts
+/// are returned in model order and agree bit-for-bit across
+/// implementations (the property suites enforce this).
 pub trait BatchChecker {
-    /// Short name for reports and benchmarks.
+    /// Short name for reports and metric labels.
     fn name(&self) -> &'static str;
 
     /// Decides admissibility of a pre-derived candidate execution under
@@ -159,39 +161,30 @@ pub trait BatchChecker {
         self.check_all_executions(&test.execution(), models)
     }
 
+    /// Decides admissibility of a litmus test under one model: a
+    /// one-model row.
+    fn check(&self, model: &MemoryModel, test: &LitmusTest) -> Verdict {
+        self.check_all(test, std::slice::from_ref(model))
+            .pop()
+            .expect("one model, one verdict")
+    }
+
+    /// Convenience: just the boolean of [`BatchChecker::check`].
+    fn is_allowed(&self, model: &MemoryModel, test: &LitmusTest) -> bool {
+        self.check(model, test).allowed
+    }
+
     /// Accumulated amortization counters, for checkers that share work
-    /// across a row. Per-cell adapters return `None` (the default).
+    /// across a row. The reference checker returns `None` (the default).
     fn batch_stats(&self) -> Option<BatchStats> {
         None
     }
 
-    /// Accumulated SAT-solver work counters, mirroring
-    /// [`Checker::solver_stats`].
+    /// Accumulated SAT-solver work counters, for checkers backed by
+    /// `mcm-sat`. Totals cover every row this instance answered.
+    /// Checkers with no solver return `None` (the default).
     fn solver_stats(&self) -> Option<SolverStats> {
         None
-    }
-}
-
-/// Every per-cell checker is a batch checker that answers the row one
-/// cell at a time — the thin adapter that keeps old call sites (and
-/// `mcm-synth`'s oracle) working unchanged on the test-major engine.
-impl<C: Checker> BatchChecker for C {
-    fn name(&self) -> &'static str {
-        Checker::name(self)
-    }
-
-    fn check_all_executions(&self, exec: &Execution, models: &[MemoryModel]) -> Vec<Verdict> {
-        let started = mcm_obs::Stopwatch::start();
-        let verdicts: Vec<Verdict> = models
-            .iter()
-            .map(|model| self.check_execution(model, exec))
-            .collect();
-        observe_row(Checker::name(self), started, models.len() as u64);
-        verdicts
-    }
-
-    fn solver_stats(&self) -> Option<SolverStats> {
-        Checker::solver_stats(self)
     }
 }
 
@@ -245,7 +238,7 @@ impl BatchExplicitChecker {
 
 impl BatchChecker for BatchExplicitChecker {
     fn name(&self) -> &'static str {
-        "batch-explicit"
+        "explicit"
     }
 
     fn check_all_executions(&self, exec: &Execution, models: &[MemoryModel]) -> Vec<Verdict> {
@@ -260,7 +253,7 @@ impl BatchChecker for BatchExplicitChecker {
             // Value-infeasible outcome: forbidden everywhere, no grouping
             // or coherence enumeration needed.
             self.stats.set(stats);
-            observe_row(BatchChecker::name(self), started, 0);
+            observe_row(self.name(), started, 0);
             return models.iter().map(|_| Verdict::forbidden()).collect();
         }
 
@@ -306,7 +299,7 @@ impl BatchChecker for BatchExplicitChecker {
 
         self.stats.set(stats);
         observe_row(
-            BatchChecker::name(self),
+            self.name(),
             started,
             stats.shared_candidates - candidates_before,
         );
@@ -325,10 +318,10 @@ impl BatchChecker for BatchExplicitChecker {
 /// each model group's program-order units selected by assumption
 /// literals.
 ///
-/// The base encoding mirrors [`crate::MonolithicSatChecker`] clause for
-/// clause (partial order + coherence + read-from selectors); the only
-/// model-dependent clauses are guarded units `¬g_i ∨ o(x, y)`, one
-/// activation literal `g_i` per distinct forced-program-order group.
+/// The base encoding is model-free — partial order, coherence and
+/// read-from selectors; the only model-dependent clauses are guarded
+/// units `¬g_i ∨ o(x, y)`, one activation literal `g_i` per distinct
+/// forced-program-order group.
 /// Solving the row is then one `solve_with_assumptions(&[g_i])` per
 /// group on the same solver, so conflict clauses learnt for one model
 /// prune the search for the next.
@@ -348,7 +341,7 @@ impl BatchSatChecker {
 
 impl BatchChecker for BatchSatChecker {
     fn name(&self) -> &'static str {
-        "batch-sat"
+        "monolithic"
     }
 
     fn check_all_executions(&self, exec: &Execution, models: &[MemoryModel]) -> Vec<Verdict> {
@@ -361,7 +354,7 @@ impl BatchChecker for BatchSatChecker {
         let candidates = read_candidates(exec);
         if candidates.iter().any(|(_, sources)| sources.is_empty()) {
             self.stats.set(stats);
-            observe_row(BatchChecker::name(self), started, 0);
+            observe_row(self.name(), started, 0);
             return models.iter().map(|_| Verdict::forbidden()).collect();
         }
 
@@ -419,7 +412,7 @@ impl BatchChecker for BatchSatChecker {
         self.solver_stats.set(sat);
         self.stats.set(stats);
         observe_row(
-            BatchChecker::name(self),
+            self.name(),
             started,
             stats.assumption_solves - solves_before,
         );
@@ -515,15 +508,38 @@ mod tests {
         );
     }
 
+    fn lb() -> LitmusTest {
+        // Load buffering: R X=1; W Y=1 || R Y=1; W X=1.
+        let program = Program::builder()
+            .thread()
+            .read(Loc::X, Reg(1))
+            .write(Loc::Y, Value(1))
+            .thread()
+            .read(Loc::Y, Reg(2))
+            .write(Loc::X, Value(1))
+            .build()
+            .unwrap();
+        let outcome = Outcome::new()
+            .constrain(ThreadId(0), Reg(1), Value(1))
+            .constrain(ThreadId(1), Reg(2), Value(1));
+        LitmusTest::new("LB", program, outcome).unwrap()
+    }
+
     #[test]
-    fn per_cell_adapter_serves_any_checker() {
-        let test = sb();
-        let adapter: Box<dyn BatchChecker> = Box::new(ExplicitChecker::new());
-        let verdicts = adapter.check_all(&test, &models());
-        assert_eq!(BatchChecker::name(&ExplicitChecker::new()), "explicit");
-        assert!(!verdicts[0].allowed);
-        assert!(verdicts[1].allowed);
-        assert!(adapter.batch_stats().is_none(), "adapters have no row stats");
+    fn batch_sat_lb_under_sc_and_weakest() {
+        let checker = BatchSatChecker::new();
+        assert!(!checker.is_allowed(&models()[0], &lb()));
+        assert!(checker.is_allowed(&models()[1], &lb()));
+    }
+
+    #[test]
+    fn batch_sat_witness_decodes_selectors() {
+        let verdict = BatchSatChecker::new().check(&models()[1], &lb());
+        let witness = verdict.witness.expect("allowed");
+        // Both reads read 1, which only the cross-thread writes store.
+        for (_, source) in &witness.rf.pairs {
+            assert!(matches!(source, crate::rf::RfSource::Write(_)));
+        }
     }
 
     #[test]

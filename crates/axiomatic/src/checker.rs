@@ -1,9 +1,8 @@
-//! The admissibility interface shared by all checkers.
+//! Verdicts, witnesses and the built-in checker kinds.
 
 use std::fmt;
 
-use mcm_core::{EventId, Execution, LitmusTest, MemoryModel};
-use mcm_sat::SolverStats;
+use mcm_core::EventId;
 
 use crate::co::CoOrder;
 use crate::hb::EdgeKind;
@@ -60,51 +59,18 @@ impl fmt::Display for Verdict {
     }
 }
 
-/// An admissibility checker: decides whether a litmus test's demanded
-/// outcome is allowed under a memory model.
-///
-/// Three independent implementations exist — [`crate::ExplicitChecker`]
-/// (enumeration + cycle detection), [`crate::SatChecker`] (the paper's
-/// architecture: SAT over happens-before ordering variables) and
-/// [`crate::MonolithicSatChecker`] (read-from choices encoded as SAT
-/// variables too) — and the test suite cross-validates them.
-pub trait Checker {
-    /// Short name for reports and benchmarks.
-    fn name(&self) -> &'static str;
-
-    /// Decides admissibility of a pre-derived candidate execution.
-    fn check_execution(&self, model: &MemoryModel, exec: &Execution) -> Verdict;
-
-    /// Decides admissibility of a litmus test under `model`.
-    fn check(&self, model: &MemoryModel, test: &LitmusTest) -> Verdict {
-        self.check_execution(model, &test.execution())
-    }
-
-    /// Convenience: just the boolean.
-    fn is_allowed(&self, model: &MemoryModel, test: &LitmusTest) -> bool {
-        self.check(model, test).allowed
-    }
-
-    /// Accumulated SAT-solver work counters, for checkers that are backed
-    /// by `mcm-sat` ([`crate::SatChecker`], [`crate::MonolithicSatChecker`]).
-    /// Totals cover every query this checker instance has answered.
-    /// Checkers with no solver return `None` (the default).
-    fn solver_stats(&self) -> Option<SolverStats> {
-        None
-    }
-}
-
-/// The built-in checkers, as data: names, construction and capabilities
-/// in one place, so CLI `--checker` resolution and cross-validation test
-/// matrices dispatch on an enum instead of string-matching display names.
+/// The built-in checkers, as data: names and construction in one place,
+/// so CLI `--checker` resolution and cross-validation test matrices
+/// dispatch on an enum instead of string-matching display names.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub enum CheckerKind {
-    /// [`crate::ExplicitChecker`] — exhaustive `(rf, co)` enumeration.
+    /// [`crate::BatchExplicitChecker`] — `(rf, co)` enumeration shared
+    /// across the row.
     Explicit,
-    /// [`crate::SatChecker`] — the paper's §4.1 architecture: one SAT
-    /// query per read-from map.
+    /// [`crate::BatchRfSatChecker`] — the paper's §4.1 architecture: SAT
+    /// queries per read-from map.
     Sat,
-    /// [`crate::MonolithicSatChecker`] — one SAT query per test with
+    /// [`crate::BatchSatChecker`] — one SAT encoding per test with
     /// read-from selector variables.
     Monolithic,
 }
@@ -132,29 +98,13 @@ impl CheckerKind {
             .find(|kind| kind.name().eq_ignore_ascii_case(name))
     }
 
-    /// Whether this checker is backed by `mcm-sat` (and so reports
-    /// [`Checker::solver_stats`]).
-    #[must_use]
-    pub fn sat_backed(self) -> bool {
-        !matches!(self, CheckerKind::Explicit)
-    }
-
-    /// Builds the per-cell checker.
-    #[must_use]
-    pub fn build(self) -> Box<dyn Checker> {
-        match self {
-            CheckerKind::Explicit => Box::new(crate::ExplicitChecker::new()),
-            CheckerKind::Sat => Box::new(crate::SatChecker::new()),
-            CheckerKind::Monolithic => Box::new(crate::MonolithicSatChecker::new()),
-        }
-    }
-
-    /// Builds the batched (test-major) counterpart: the shared-candidate
-    /// enumerator for [`CheckerKind::Explicit`], one model-free encoding
-    /// per read-from map with model groups selected by assumptions for
-    /// [`CheckerKind::Sat`], and the assumption-selected incremental
-    /// encoding for [`CheckerKind::Monolithic`] (whose base clauses it
-    /// shares). Each shares the row's model-independent work.
+    /// Builds the checker: the shared-candidate enumerator for
+    /// [`CheckerKind::Explicit`], one model-free encoding per read-from
+    /// map with model groups selected by assumptions for
+    /// [`CheckerKind::Sat`], and one assumption-selected incremental
+    /// encoding per test for [`CheckerKind::Monolithic`]. Each shares the
+    /// row's model-independent work. Its [`crate::BatchChecker::name`] is
+    /// [`CheckerKind::name`].
     #[must_use]
     pub fn build_batch(self) -> Box<dyn crate::BatchChecker> {
         match self {
@@ -190,25 +140,22 @@ mod tests {
                 CheckerKind::from_name(&kind.name().to_uppercase()),
                 Some(kind)
             );
-            // Display names may be longer (`sat-monolithic`), but always
-            // contain the stable kind name.
-            assert!(kind.build().name().contains(kind.name()));
+            assert_eq!(kind.build_batch().name(), kind.name());
         }
         assert_eq!(CheckerKind::from_name("powerpc"), None);
     }
 
     #[test]
     fn capabilities_match_the_implementations() {
-        assert!(!CheckerKind::Explicit.sat_backed());
-        assert!(CheckerKind::Sat.sat_backed());
-        assert!(CheckerKind::Monolithic.sat_backed());
         for kind in CheckerKind::ALL {
-            assert_eq!(kind.build().solver_stats().is_some(), kind.sat_backed());
-            // Every kind's batched build shares work across the row.
-            assert!(kind.build_batch().batch_stats().is_some());
+            let checker = kind.build_batch();
+            // Every kind shares work across the row; all but the explicit
+            // one are backed by `mcm-sat`.
+            assert!(checker.batch_stats().is_some());
+            assert_eq!(
+                checker.solver_stats().is_some(),
+                kind != CheckerKind::Explicit
+            );
         }
-        assert_eq!(CheckerKind::Explicit.build_batch().name(), "batch-explicit");
-        assert_eq!(CheckerKind::Monolithic.build_batch().name(), "batch-sat");
-        assert_eq!(CheckerKind::Sat.build_batch().name(), "sat");
     }
 }

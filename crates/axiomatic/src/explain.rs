@@ -128,7 +128,7 @@ fn render_refutation(out: &mut String, model: &MemoryModel, exec: &Execution) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::checker::Checker;
+    use crate::batch::BatchChecker;
     use crate::explicit::ExplicitChecker;
     use mcm_core::{Formula, LitmusTest, Loc, Outcome, Program, Reg, ThreadId, Value};
 

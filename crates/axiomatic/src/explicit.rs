@@ -8,12 +8,17 @@
 
 use mcm_core::{Execution, MemoryModel};
 
-use crate::checker::{Checker, Verdict, Witness};
-use crate::co::enumerate_co_orders;
+use crate::batch::BatchChecker;
+use crate::checker::{Verdict, Witness};
+use crate::co::{enumerate_co_orders, CoOrder};
 use crate::hb::required_edges;
-use crate::rf::enumerate_rf_maps;
+use crate::rf::{enumerate_rf_maps, RfMap};
 
-/// Admissibility by exhaustive `(rf, co)` enumeration.
+/// Admissibility by exhaustive `(rf, co)` enumeration, one cell at a time.
+///
+/// The sequential reference: it shares no work across a row and records
+/// no row metrics, so every batched checker and engine path is compared
+/// against it.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct ExplicitChecker;
 
@@ -25,27 +30,42 @@ impl ExplicitChecker {
     }
 }
 
-impl Checker for ExplicitChecker {
+impl BatchChecker for ExplicitChecker {
     fn name(&self) -> &'static str {
         "explicit"
     }
 
-    fn check_execution(&self, model: &MemoryModel, exec: &Execution) -> Verdict {
+    fn check_all_executions(&self, exec: &Execution, models: &[MemoryModel]) -> Vec<Verdict> {
+        let rf_maps = enumerate_rf_maps(exec);
         let co_orders = enumerate_co_orders(exec);
-        for rf in enumerate_rf_maps(exec) {
-            for co in &co_orders {
-                let edges = required_edges(model, exec, &rf, co);
-                if edges.admits_partial_order(exec) {
-                    return Verdict::allowed(Witness {
-                        rf,
-                        co: co.clone(),
-                        hb_edges: edges.labeled,
-                    });
-                }
+        models
+            .iter()
+            .map(|model| check_cell(model, exec, &rf_maps, &co_orders))
+            .collect()
+    }
+}
+
+/// The first `(rf, co)` candidate, in enumeration order, whose forced
+/// edges admit a partial order under `model`.
+fn check_cell(
+    model: &MemoryModel,
+    exec: &Execution,
+    rf_maps: &[RfMap],
+    co_orders: &[CoOrder],
+) -> Verdict {
+    for rf in rf_maps {
+        for co in co_orders {
+            let edges = required_edges(model, exec, rf, co);
+            if edges.admits_partial_order(exec) {
+                return Verdict::allowed(Witness {
+                    rf: rf.clone(),
+                    co: co.clone(),
+                    hb_edges: edges.labeled,
+                });
             }
         }
-        Verdict::forbidden()
     }
+    Verdict::forbidden()
 }
 
 #[cfg(test)]
@@ -90,6 +110,16 @@ mod tests {
         let verdict = checker.check(&weakest(), &sb());
         let witness = verdict.witness.expect("allowed verdict has witness");
         assert_eq!(witness.rf.pairs.len(), 2);
+    }
+
+    #[test]
+    fn reference_answers_rows_cell_by_cell() {
+        let checker: Box<dyn BatchChecker> = Box::new(ExplicitChecker::new());
+        let verdicts = checker.check_all(&sb(), &[sc(), weakest()]);
+        assert_eq!(checker.name(), "explicit");
+        assert!(!verdicts[0].allowed);
+        assert!(verdicts[1].allowed);
+        assert!(checker.batch_stats().is_none(), "the reference has no row stats");
     }
 
     #[test]

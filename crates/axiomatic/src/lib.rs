@@ -1,21 +1,27 @@
 //! # mcm-axiomatic
 //!
 //! The happens-before semantics of the paper's class of memory models
-//! (§2.2) and three independent admissibility checkers:
+//! (§2.2) and three independent admissibility checkers, one per
+//! [`CheckerKind`], each answering a whole row of models per test
+//! through the one checker trait, [`BatchChecker`]:
 //!
-//! * [`ExplicitChecker`] — enumerates read-from maps ([`rf`]) and coherence
-//!   orders ([`co`]), builds the forced happens-before edges ([`hb`]) and
-//!   decides by cycle detection ([`graph`]);
-//! * [`SatChecker`] — the paper's §4.1 architecture: read-from maps are
-//!   enumerated, the rest of the axioms become CNF over ordering variables
-//!   solved by `mcm-sat` (the MiniSat substitute); [`BatchRfSatChecker`]
-//!   answers a whole model row per read-from map;
-//! * [`MonolithicSatChecker`] — a single SAT query per test, with
-//!   read-from selector variables.
+//! * [`BatchExplicitChecker`] — enumerates read-from maps ([`rf`]) and
+//!   coherence orders ([`co`]) once per test, builds the forced
+//!   happens-before edges ([`hb`]) and decides each model group by cycle
+//!   detection ([`graph`]);
+//! * [`BatchRfSatChecker`] — the paper's §4.1 architecture: read-from maps
+//!   are enumerated, the rest of the axioms become CNF over ordering
+//!   variables solved by `mcm-sat` (the MiniSat substitute), one solver
+//!   per map with the models selected by assumptions;
+//! * [`BatchSatChecker`] — one SAT encoding per test, with read-from
+//!   selector variables and each model group's units guarded by an
+//!   activation literal.
 //!
-//! All three agree by construction and are cross-validated by property
-//! tests; the exploration layer uses the explicit checker for speed and the
-//! SAT checkers for fidelity to the paper.
+//! [`ExplicitChecker`] is the sequential reference: the same enumeration
+//! one cell at a time, sharing nothing across the row. All three backends
+//! agree with it and are cross-validated by property tests; the
+//! exploration layer uses the explicit backend for speed and the SAT
+//! backends for fidelity to the paper.
 //!
 //! ## Example
 //!
@@ -23,7 +29,7 @@
 //! write ordered before a program-later read:
 //!
 //! ```
-//! use mcm_axiomatic::{Checker, ExplicitChecker};
+//! use mcm_axiomatic::{BatchChecker, ExplicitChecker};
 //! use mcm_core::{Formula, LitmusTest, Loc, MemoryModel, Outcome, Program, Reg, ThreadId, Value};
 //!
 //! # fn main() -> Result<(), mcm_core::CoreError> {
@@ -57,25 +63,17 @@ pub mod graph;
 pub mod hb;
 pub mod rf;
 pub mod sat_common;
-mod sat_full;
 mod sat_hb;
 
 pub use batch::{BatchChecker, BatchExplicitChecker, BatchSatChecker, BatchStats};
-pub use checker::{Checker, CheckerKind, Verdict, Witness};
+pub use checker::{CheckerKind, Verdict, Witness};
 pub use explicit::ExplicitChecker;
 pub use hb::EdgeKind;
 pub use sat_common::{ClauseSink, GuardedSink, OrderVars};
-pub use sat_full::MonolithicSatChecker;
-pub use sat_hb::{encode_all_cnf, encode_cnf, BatchRfSatChecker, SatChecker};
+pub use sat_hb::{encode_all_cnf, encode_cnf, BatchRfSatChecker};
 
-/// All built-in per-cell checkers, for cross-validation loops.
-#[must_use]
-pub fn all_checkers() -> Vec<Box<dyn Checker>> {
-    CheckerKind::ALL.iter().map(|kind| kind.build()).collect()
-}
-
-/// All built-in batched checkers, for cross-validation loops over whole
-/// model rows.
+/// All built-in checkers, one per [`CheckerKind`], for cross-validation
+/// loops.
 #[must_use]
 pub fn all_batch_checkers() -> Vec<Box<dyn BatchChecker>> {
     CheckerKind::ALL

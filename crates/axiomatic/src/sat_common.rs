@@ -120,20 +120,8 @@ impl OrderVars {
         }
     }
 
-    /// Adds the model-dependent program-order units and the write-write
-    /// (coherence) constraints.
-    pub fn add_model_clauses<S: ClauseSink>(
-        &self,
-        solver: &mut S,
-        model: &MemoryModel,
-        exec: &Execution,
-    ) {
-        self.add_program_order_units(solver, model, exec);
-        self.add_coherence_clauses(solver, exec);
-    }
-
-    /// Adds only the model-dependent part of [`OrderVars::add_model_clauses`]:
-    /// a unit `o(x, y)` for every same-thread pair the must-not-reorder
+    /// Adds the model-dependent program-order units: a unit `o(x, y)`
+    /// for every same-thread pair the must-not-reorder
     /// function forces. On a concrete execution every formula atom is a
     /// constant, so this *is* the model formula's (degenerate) Tseitin
     /// encoding over the pair — wrap the sink in a [`GuardedSink`] to emit
@@ -156,9 +144,9 @@ impl OrderVars {
         }
     }
 
-    /// Adds only the model-independent write-write (coherence) part of
-    /// [`OrderVars::add_model_clauses`]: same-location writes are totally
-    /// ordered, respecting program order within a thread.
+    /// Adds the model-independent write-write (coherence) constraints:
+    /// same-location writes are totally ordered, respecting program order
+    /// within a thread.
     pub fn add_coherence_clauses<S: ClauseSink>(&self, solver: &mut S, exec: &Execution) {
         let writes: Vec<_> = exec.writes().collect();
         for (a, w1) in writes.iter().enumerate() {
@@ -243,9 +231,8 @@ impl<S: ClauseSink> ClauseSink for GuardedSink<'_, S> {
 
 /// Allocates read-from selector variables and emits the write-read /
 /// read-write axioms conditioned on them — the model-independent read-from
-/// layer shared by [`crate::MonolithicSatChecker`] and the batched SAT
-/// checker. Returns one selector literal per candidate source, parallel to
-/// `candidates`:
+/// layer of [`crate::BatchSatChecker`]. Returns one selector literal per
+/// candidate source, parallel to `candidates`:
 ///
 /// * exactly one selector per read is true;
 /// * selecting the initial value puts the read before every same-location

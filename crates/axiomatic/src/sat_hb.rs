@@ -15,9 +15,9 @@
 //! over its `o(x, y)` literals. A model contributes only unit clauses, so
 //! the assumptions *are* its clauses and no guard variables are needed. A
 //! satisfying assignment also decides every other undecided group whose
-//! forced pairs all hold in it. The per-cell [`SatChecker`] is the same
-//! code on a one-model row, and the DIMACS export ([`encode_cnf`]) is the
-//! same model-free encoding with the model's units appended.
+//! forced pairs all hold in it. One cell is a one-model row, and the
+//! DIMACS export ([`encode_cnf`]) is the same model-free encoding with the
+//! model's units appended.
 
 use std::cell::Cell;
 
@@ -25,8 +25,8 @@ use mcm_core::{Execution, MemoryModel};
 use mcm_sat::dimacs::Cnf;
 use mcm_sat::{Lit, SatResult, Solver, SolverStats};
 
-use crate::batch::{group_models, observe_row, BatchStats, ModelGroups};
-use crate::checker::{Checker, Verdict, Witness};
+use crate::batch::{group_models, observe_row, BatchChecker, BatchStats, ModelGroups};
+use crate::checker::{Verdict, Witness};
 use crate::hb::collect_edges;
 use crate::rf::{enumerate_rf_maps, RfMap, RfSource};
 use crate::sat_common::{ClauseSink, OrderVars};
@@ -114,7 +114,7 @@ pub fn encode_all_cnf(model: &MemoryModel, exec: &Execution) -> Vec<Cnf> {
 /// Batched admissibility via one SAT query per read-from map and model
 /// group: the paper's §4.1 checker answering a whole row (see the module
 /// doc). Read-from maps are tried in enumeration order and each model
-/// takes the first one that admits it, exactly as the per-cell loop does.
+/// takes the first one that admits it, exactly as a per-cell loop would.
 #[derive(Clone, Debug, Default)]
 pub struct BatchRfSatChecker {
     /// Row counters; interior mutability because the trait takes `&self`.
@@ -129,11 +129,17 @@ impl BatchRfSatChecker {
     pub fn new() -> Self {
         BatchRfSatChecker::default()
     }
+}
 
-    /// Answers the row without recording it in the metric registry (the
-    /// per-cell [`SatChecker`] is recorded by its own adapter).
-    fn answer_row(&self, exec: &Execution, models: &[MemoryModel]) -> Vec<Verdict> {
+impl BatchChecker for BatchRfSatChecker {
+    fn name(&self) -> &'static str {
+        "sat"
+    }
+
+    fn check_all_executions(&self, exec: &Execution, models: &[MemoryModel]) -> Vec<Verdict> {
+        let started = mcm_obs::Stopwatch::start();
         let mut stats = self.stats.get();
+        let solves_before = stats.assumption_solves;
         stats.rows += 1;
         stats.models_checked += models.len() as u64;
 
@@ -141,6 +147,7 @@ impl BatchRfSatChecker {
         if rf_maps.is_empty() {
             // Value-infeasible outcome: forbidden everywhere.
             self.stats.set(stats);
+            observe_row(self.name(), started, 0);
             return models.iter().map(|_| Verdict::forbidden()).collect();
         }
 
@@ -203,30 +210,15 @@ impl BatchRfSatChecker {
 
         self.solver_stats.set(sat);
         self.stats.set(stats);
+        observe_row(
+            self.name(),
+            started,
+            stats.assumption_solves - solves_before,
+        );
         group_of
             .iter()
             .map(|&g| verdicts[g].clone().unwrap_or_else(Verdict::forbidden))
             .collect()
-    }
-}
-
-// Named by path: importing the trait would make every per-cell method
-// call in this module ambiguous (`Checker` types are `BatchChecker`s too).
-impl crate::batch::BatchChecker for BatchRfSatChecker {
-    fn name(&self) -> &'static str {
-        "sat"
-    }
-
-    fn check_all_executions(&self, exec: &Execution, models: &[MemoryModel]) -> Vec<Verdict> {
-        let started = mcm_obs::Stopwatch::start();
-        let solves_before = self.stats.get().assumption_solves;
-        let verdicts = self.answer_row(exec, models);
-        observe_row(
-            "sat",
-            started,
-            self.stats.get().assumption_solves - solves_before,
-        );
-        verdicts
     }
 
     fn batch_stats(&self) -> Option<BatchStats> {
@@ -235,40 +227,6 @@ impl crate::batch::BatchChecker for BatchRfSatChecker {
 
     fn solver_stats(&self) -> Option<SolverStats> {
         Some(self.solver_stats.get())
-    }
-}
-
-/// Admissibility via one SAT query per read-from map: the
-/// [`BatchRfSatChecker`] row on a single model.
-#[derive(Clone, Debug, Default)]
-pub struct SatChecker {
-    /// The row checker; its solver counters total every query this
-    /// checker answered.
-    row: BatchRfSatChecker,
-}
-
-impl SatChecker {
-    /// Creates the checker.
-    #[must_use]
-    pub fn new() -> Self {
-        SatChecker::default()
-    }
-}
-
-impl Checker for SatChecker {
-    fn name(&self) -> &'static str {
-        "sat"
-    }
-
-    fn check_execution(&self, model: &MemoryModel, exec: &Execution) -> Verdict {
-        self.row
-            .answer_row(exec, std::slice::from_ref(model))
-            .pop()
-            .expect("one model, one verdict")
-    }
-
-    fn solver_stats(&self) -> Option<SolverStats> {
-        Some(self.row.solver_stats.get())
     }
 }
 
@@ -303,14 +261,14 @@ mod tests {
 
     #[test]
     fn mp_under_sc_and_weakest() {
-        let checker = SatChecker::new();
+        let checker = BatchRfSatChecker::new();
         assert!(!checker.is_allowed(&sc(), &mp()));
         assert!(checker.is_allowed(&weakest(), &mp()));
     }
 
     #[test]
     fn solver_stats_accumulate_across_queries() {
-        let checker = SatChecker::new();
+        let checker = BatchRfSatChecker::new();
         assert_eq!(checker.solver_stats(), Some(mcm_sat::SolverStats::default()));
         let _ = checker.check(&sc(), &mp());
         let after_one = checker.solver_stats().expect("sat-backed");
@@ -326,14 +284,14 @@ mod tests {
     fn row_matches_per_cell_and_counts_work() {
         let models = [sc(), weakest(), weakest()];
         let row = BatchRfSatChecker::new();
-        let verdicts = crate::BatchChecker::check_all(&row, &mp(), &models);
+        let verdicts = row.check_all(&mp(), &models);
         let allowed: Vec<bool> = verdicts.iter().map(|v| v.allowed).collect();
         assert_eq!(allowed, [false, true, true]);
-        let stats = crate::BatchChecker::batch_stats(&row).expect("native batch has stats");
+        let stats = row.batch_stats().expect("native batch has stats");
         assert_eq!((stats.rows, stats.models_checked), (1, 3));
         assert_eq!(stats.model_groups, 2, "the weakest twins share a group");
         assert!(stats.assumption_solves >= 2);
-        let solver_stats = crate::BatchChecker::solver_stats(&row).expect("sat-backed");
+        let solver_stats = row.solver_stats().expect("sat-backed");
         assert!(solver_stats.propagations > 0);
     }
 
@@ -352,9 +310,9 @@ mod tests {
         )
         .unwrap();
         let row = BatchRfSatChecker::new();
-        let verdicts = crate::BatchChecker::check_all(&row, &test, &[sc(), weakest()]);
+        let verdicts = row.check_all(&test, &[sc(), weakest()]);
         assert!(verdicts.iter().all(|v| v.allowed));
-        let stats = crate::BatchChecker::batch_stats(&row).expect("native batch has stats");
+        let stats = row.batch_stats().expect("native batch has stats");
         assert_eq!(stats.model_groups, 2);
         assert_eq!(stats.assumption_solves, 1, "the second group is reused");
         for (model, verdict) in [sc(), weakest()].iter().zip(&verdicts) {
@@ -368,7 +326,7 @@ mod tests {
 
     #[test]
     fn witnesses_are_valid() {
-        let checker = SatChecker::new();
+        let checker = BatchRfSatChecker::new();
         let verdict = checker.check(&weakest(), &mp());
         let witness = verdict.witness.expect("allowed");
         // The witness coherence order covers both written locations.
@@ -386,7 +344,7 @@ mod tests {
             .unwrap();
         let outcome = Outcome::new().constrain(ThreadId(0), Reg(1), Value(0));
         let test = LitmusTest::new("local", program, outcome).unwrap();
-        assert!(!SatChecker::new().is_allowed(&weakest(), &test));
+        assert!(!BatchRfSatChecker::new().is_allowed(&weakest(), &test));
     }
 
     #[test]
@@ -408,7 +366,7 @@ mod tests {
             }
             assert_eq!(
                 any_sat,
-                SatChecker::new().is_allowed(&model, &test),
+                BatchRfSatChecker::new().is_allowed(&model, &test),
                 "CNF export disagrees for {} on {}",
                 model.name(),
                 test.name()

@@ -1,10 +1,15 @@
-//! The three admissibility checkers must agree on every (model, test)
-//! pair. This is the workspace's strongest evidence that the SAT encodings
-//! implement exactly the five axioms of §2.2.
+//! Every checker backend must agree with the sequential reference
+//! checker on every (model, test) pair, and every "allowed" verdict must
+//! carry a witness that re-validates. This is the workspace's strongest
+//! evidence that the SAT encodings implement exactly the five axioms of
+//! §2.2.
 
-use mcm_axiomatic::{Checker, ExplicitChecker, MonolithicSatChecker, SatChecker};
+use mcm_axiomatic::hb::required_edges;
+use mcm_axiomatic::rf::enumerate_rf_maps;
+use mcm_axiomatic::{BatchChecker, CheckerKind, ExplicitChecker, Verdict};
 use mcm_core::{
-    ArgPos, Atom, Formula, LitmusTest, Loc, MemoryModel, Outcome, Program, Reg, ThreadId, Value,
+    ArgPos, Atom, Execution, Formula, LitmusTest, Loc, MemoryModel, Outcome, Program, Reg,
+    ThreadId, Value,
 };
 use proptest::prelude::*;
 
@@ -120,6 +125,23 @@ fn build_test(threads: &[Vec<Step>]) -> Option<LitmusTest> {
     LitmusTest::new("random", program, outcome).ok()
 }
 
+/// Whether an "allowed" verdict's witness re-validates: its read-from map
+/// is one of the test's value-consistent maps, and its read-from map and
+/// coherence order force acyclic happens-before edges under `model` —
+/// exactly the edges the witness lists. "Forbidden" verdicts pass.
+fn witness_revalidates(model: &MemoryModel, exec: &Execution, verdict: &Verdict) -> bool {
+    if !verdict.allowed {
+        return verdict.witness.is_none();
+    }
+    let Some(witness) = &verdict.witness else {
+        return false;
+    };
+    let edges = required_edges(model, exec, &witness.rf, &witness.co);
+    enumerate_rf_maps(exec).contains(&witness.rf)
+        && edges.admits_partial_order(exec)
+        && edges.labeled == witness.hb_edges
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(192))]
 
@@ -132,18 +154,38 @@ proptest! {
         let Some(test) = build_test(&[t1, t2]) else {
             return Ok(()); // builder rejected the shape; nothing to check
         };
-        let model = &model_pool()[model_idx];
-        let explicit = ExplicitChecker::new().check(model, &test);
-        let sat = SatChecker::new().check(model, &test);
-        let monolithic = MonolithicSatChecker::new().check(model, &test);
-        prop_assert_eq!(
-            explicit.allowed, sat.allowed,
-            "explicit vs sat disagree on {} under {}", test, model
-        );
-        prop_assert_eq!(
-            sat.allowed, monolithic.allowed,
-            "sat vs monolithic disagree on {} under {}", test, model
-        );
+        let pool = model_pool();
+        let model = &pool[model_idx];
+        let exec = test.execution();
+        let reference = ExplicitChecker::new();
+        let expected = reference.check(model, &test);
+        let expected_row = reference.check_all(&test, &pool);
+        prop_assert!(witness_revalidates(model, &exec, &expected));
+        for kind in CheckerKind::ALL {
+            let checker = kind.build_batch();
+            // The one-model row.
+            let verdict = checker.check(model, &test);
+            prop_assert_eq!(
+                verdict.allowed, expected.allowed,
+                "{} disagrees with the reference on {} under {}", kind, test, model
+            );
+            prop_assert!(
+                witness_revalidates(model, &exec, &verdict),
+                "{} witness for {} under {} does not re-validate", kind, test, model
+            );
+            // The whole pool row.
+            let row = checker.check_all(&test, &pool);
+            for ((pool_model, verdict), expected) in pool.iter().zip(&row).zip(&expected_row) {
+                prop_assert_eq!(
+                    verdict.allowed, expected.allowed,
+                    "{} row disagrees with the reference on {} under {}", kind, test, pool_model
+                );
+                prop_assert!(
+                    witness_revalidates(pool_model, &exec, verdict),
+                    "{} row witness for {} under {} does not re-validate", kind, test, pool_model
+                );
+            }
+        }
     }
 
     #[test]

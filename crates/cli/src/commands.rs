@@ -194,25 +194,10 @@ const SYNTH_SPEC: ArgSpec = ArgSpec {
     options: &["--max-size", "--max-accesses", "--max-locs", "--models"],
 };
 
-/// Parses the synthesis bounds shared by both `synth` modes.
+/// Parses the synthesis bounds shared by both `synth` modes: the
+/// streamed-enumeration box plus `--max-size`.
 fn synth_bounds(args: &[String]) -> Result<(SynthBounds, usize), CliError> {
-    let mut bounds = SynthBounds::default();
-    if let Some(n) = option_value(args, "--max-accesses") {
-        bounds.max_accesses_per_thread = n
-            .parse::<usize>()
-            .ok()
-            .filter(|&n| (1..=4).contains(&n))
-            .ok_or_else(|| usage(format!("--max-accesses needs 1..=4, got `{n}`")))?;
-    }
-    if let Some(n) = option_value(args, "--max-locs") {
-        bounds.max_locs = n
-            .parse::<u8>()
-            .ok()
-            .filter(|&n| n >= 1)
-            .ok_or_else(|| usage(format!("--max-locs needs 1..=255, got `{n}`")))?;
-    }
-    bounds.include_fences = flag(args, "--fences");
-    bounds.include_deps = flag(args, "--deps");
+    let bounds = stream_bounds(args)?;
     let max_size = match option_value(args, "--max-size") {
         None => bounds.max_total(),
         Some(n) => n

@@ -116,6 +116,8 @@ fn explore_nodep_writes_dot() {
     let dot = dot_path.to_str().unwrap();
     let (ok, stdout, _) = mcm(&["explore", "--no-deps", "--dot", dot]);
     assert!(ok);
+    assert!(stdout.contains("explored 36 models"));
+    assert!(stdout.contains("equivalence classes: 30"));
     assert!(stdout.contains("equivalent pairs: 6"));
     let written = std::fs::read_to_string(&dot_path).unwrap();
     assert!(written.starts_with("digraph"));

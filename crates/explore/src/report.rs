@@ -2,72 +2,7 @@
 
 use std::fmt::Write as _;
 
-use crate::paper::SpaceReport;
 use crate::space::{Exploration, SweepStats};
-
-/// Renders the full §4.2 report as human-readable text: space size,
-/// equivalence classes, equivalent pairs, the minimum distinguishing set
-/// and the lattice edge list.
-#[must_use]
-pub fn text(report: &SpaceReport) -> String {
-    let mut out = String::new();
-    let expl = &report.exploration;
-    let _ = writeln!(
-        out,
-        "explored {} models against {} litmus tests",
-        expl.models.len(),
-        expl.tests.len()
-    );
-    let _ = writeln!(
-        out,
-        "equivalence classes: {}",
-        report.lattice.classes.len()
-    );
-    let _ = writeln!(out, "equivalent pairs: {}", report.equivalent_pairs.len());
-    for (a, b) in &report.equivalent_pairs {
-        let _ = writeln!(out, "  {a} == {b}");
-    }
-    let names: Vec<&str> = report
-        .minimal_set
-        .tests
-        .iter()
-        .map(|&t| expl.tests[t].name())
-        .collect();
-    let _ = writeln!(
-        out,
-        "minimum distinguishing set ({} tests, SAT-certified: {}): {}",
-        report.minimal_set.tests.len(),
-        report.minimal_set.proved_minimum,
-        names.join(", ")
-    );
-    let _ = writeln!(
-        out,
-        "the paper's nine tests L1-L9 are sufficient: {}",
-        report.nine_tests_sufficient
-    );
-    let _ = writeln!(out, "lattice (weaker -> stronger, covering edges):");
-    for edge in &report.lattice.edges {
-        let weaker = class_label(expl, &report.lattice.classes[edge.weaker].members);
-        let stronger = class_label(expl, &report.lattice.classes[edge.stronger].members);
-        let label = edge
-            .distinguishing
-            .iter()
-            .find(|t| report.nine_test_indices.contains(t))
-            .or_else(|| edge.distinguishing.first())
-            .map(|&t| expl.tests[t].name())
-            .unwrap_or("?");
-        let _ = writeln!(out, "  {weaker} --[{label}]--> {stronger}");
-    }
-    out
-}
-
-fn class_label(expl: &Exploration, members: &[usize]) -> String {
-    members
-        .iter()
-        .map(|&m| expl.models[m].name().to_string())
-        .collect::<Vec<_>>()
-        .join("/")
-}
 
 /// Renders the layer-by-layer sweep counters as the standard multi-line
 /// stats block: pair reduction, batching amortization (when the batched
@@ -232,24 +167,8 @@ pub fn csv_matrix(expl: &Exploration) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::paper;
     use mcm_axiomatic::ExplicitChecker;
     use mcm_models::{catalog, named};
-
-    #[test]
-    fn text_report_mentions_the_headline_numbers() {
-        let expl = Exploration::run(
-            paper::digit_space_models(false),
-            paper::comparison_tests(false),
-            &ExplicitChecker::new(),
-        );
-        let report = paper::report_from(expl);
-        let text = text(&report);
-        assert!(text.contains("36 models"));
-        assert!(text.contains("equivalence classes: 30"));
-        assert!(text.contains("equivalent pairs: 6"));
-        assert!(text.contains("-->"));
-    }
 
     #[test]
     fn streaming_summary_reads_like_a_sentence() {

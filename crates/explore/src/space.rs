@@ -2,8 +2,9 @@
 //!
 //! Two sweeps, one core:
 //!
-//! * [`Exploration::run`] — the sequential reference: any [`Checker`],
-//!   no deduplication, no cache. Every engine test compares against it.
+//! * [`Exploration::run`] — the sequential reference: any
+//!   [`BatchChecker`] (typically [`mcm_axiomatic::ExplicitChecker`]), no
+//!   deduplication, no cache. Every engine test compares against it.
 //! * [`Exploration::run_engine_streaming_with`] — **the** sweep engine:
 //!   consumes any test iterator (typically `mcm_gen::stream::leaders`,
 //!   which yields one canonical representative per symmetry orbit
@@ -23,7 +24,7 @@ use std::collections::HashSet;
 use std::sync::atomic::{AtomicU8, AtomicUsize, Ordering};
 
 use mcm_analyze::SweepPrefilter;
-use mcm_axiomatic::{BatchChecker, BatchStats, Checker};
+use mcm_axiomatic::{BatchChecker, BatchStats};
 use mcm_core::{Execution, LitmusTest, MemoryModel};
 use mcm_gen::canon;
 use mcm_sat::SolverStats;
@@ -130,8 +131,8 @@ mcm_obs::counter_table! {
         sat: SolverStats,
         /// Per-row amortization counters from the batched checkers: rows
         /// answered, model-group collapses, shared candidate executions and
-        /// assumption-selected solves. All zeros when the sweep ran a
-        /// per-cell adapter (which shares nothing across a row).
+        /// assumption-selected solves. All zeros when the sweep ran the
+        /// per-cell reference checker (which shares nothing across a row).
         batch: BatchStats,
     }
 }
@@ -457,12 +458,17 @@ where
 impl Exploration {
     /// Runs the exploration sequentially with the given checker.
     #[must_use]
-    pub fn run(models: Vec<MemoryModel>, tests: Vec<LitmusTest>, checker: &dyn Checker) -> Self {
-        let executions: Vec<Execution> = tests.iter().map(LitmusTest::execution).collect();
-        let verdicts = models
-            .iter()
-            .map(|m| verdict_vector(m, &executions, checker))
-            .collect();
+    pub fn run(
+        models: Vec<MemoryModel>,
+        tests: Vec<LitmusTest>,
+        checker: &dyn BatchChecker,
+    ) -> Self {
+        let mut verdicts = vec![VerdictVector::new(tests.len()); models.len()];
+        for (t, test) in tests.iter().enumerate() {
+            for (vector, verdict) in verdicts.iter_mut().zip(checker.check_all(test, &models)) {
+                vector.set(t, verdict.allowed);
+            }
+        }
         Exploration {
             models,
             tests,
@@ -484,10 +490,8 @@ impl Exploration {
     ///
     /// `make_checker` is called once per worker thread, so checkers need
     /// not be `Sync` (the SAT checkers carry per-instance solver state).
-    /// Any per-cell [`Checker`] coerces through its blanket
-    /// [`BatchChecker`] adapter; pass a natively batched checker
-    /// ([`mcm_axiomatic::CheckerKind::build_batch`]) to amortize candidate
-    /// enumeration / encoding across each row.
+    /// Pass a [`mcm_axiomatic::CheckerKind::build_batch`] checker to
+    /// amortize candidate enumeration / encoding across each row.
     #[must_use]
     pub fn run_engine<F>(
         models: Vec<MemoryModel>,
@@ -815,18 +819,6 @@ impl Exploration {
     }
 }
 
-fn verdict_vector(
-    model: &MemoryModel,
-    executions: &[Execution],
-    checker: &dyn Checker,
-) -> VerdictVector {
-    let mut vector = VerdictVector::new(executions.len());
-    for (i, exec) in executions.iter().enumerate() {
-        vector.set(i, checker.check_execution(model, exec).allowed);
-    }
-    vector
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -844,7 +836,7 @@ mod tests {
         Exploration::run_engine_streaming_with(
             models,
             tests,
-            || Box::new(ExplicitChecker::new()),
+            || Box::new(BatchExplicitChecker::new()),
             config,
             cache,
             StreamControl::default(),
@@ -910,7 +902,7 @@ mod tests {
         let (engine, stats) = Exploration::run_engine(
             models,
             tests,
-            || Box::new(ExplicitChecker::new()),
+            || Box::new(BatchExplicitChecker::new()),
             &EngineConfig::canonicalizing(),
             None,
         );
@@ -950,7 +942,7 @@ mod tests {
             "grouping never exceeds the model count"
         );
         assert!(stats.batch.shared_candidates > 0);
-        // Per-cell adapters share nothing and report no row counters.
+        // The per-cell reference shares nothing and reports no row counters.
         let (_, per_cell) = Exploration::run_engine(
             vec![named::sc(), named::tso()],
             catalog::all_tests(),
@@ -994,7 +986,7 @@ mod tests {
         let (_, explicit) = Exploration::run_engine(
             models,
             tests,
-            || Box::new(ExplicitChecker::new()),
+            || Box::new(BatchExplicitChecker::new()),
             &EngineConfig::default(),
             None,
         );
@@ -1009,7 +1001,7 @@ mod tests {
         let (engine, stats) = Exploration::run_engine(
             models,
             tests,
-            || Box::new(ExplicitChecker::new()),
+            || Box::new(BatchExplicitChecker::new()),
             &EngineConfig {
                 jobs: Some(1),
                 ..EngineConfig::default()
@@ -1154,7 +1146,7 @@ mod tests {
         let (engine, stats) = Exploration::run_engine(
             models,
             tests,
-            || Box::new(ExplicitChecker::new()),
+            || Box::new(BatchExplicitChecker::new()),
             &EngineConfig::default(),
             None,
         );

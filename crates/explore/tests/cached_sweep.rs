@@ -5,7 +5,7 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use mcm_axiomatic::{BatchChecker, Checker, ExplicitChecker, Verdict};
+use mcm_axiomatic::{BatchChecker, BatchExplicitChecker, ExplicitChecker, Verdict};
 use mcm_core::{Execution, MemoryModel};
 use mcm_explore::{
     cache::VerdictCache, paper, EngineConfig, Exploration, StreamControl, SweepStats,
@@ -13,20 +13,20 @@ use mcm_explore::{
 use mcm_gen::canon;
 use mcm_models::{catalog, named};
 
-/// An explicit checker that counts its invocations.
+/// An explicit checker that counts the (model, test) cells it decides.
 struct CountingChecker {
     inner: ExplicitChecker,
     calls: Arc<AtomicU64>,
 }
 
-impl Checker for CountingChecker {
+impl BatchChecker for CountingChecker {
     fn name(&self) -> &'static str {
         "counting-explicit"
     }
 
-    fn check_execution(&self, model: &MemoryModel, exec: &Execution) -> Verdict {
-        self.calls.fetch_add(1, Ordering::Relaxed);
-        self.inner.check_execution(model, exec)
+    fn check_all_executions(&self, exec: &Execution, models: &[MemoryModel]) -> Vec<Verdict> {
+        self.calls.fetch_add(models.len() as u64, Ordering::Relaxed);
+        self.inner.check_all_executions(exec, models)
     }
 }
 
@@ -159,7 +159,7 @@ fn cache_is_shared_across_different_model_subsets() {
     let tests = catalog::all_tests();
     let cache = VerdictCache::new();
     let config = EngineConfig::default();
-    let factory = || Box::new(ExplicitChecker::new()) as Box<dyn BatchChecker>;
+    let factory = || Box::new(BatchExplicitChecker::new()) as Box<dyn BatchChecker>;
 
     let (_, cold) = Exploration::run_engine(
         vec![named::tso()],
@@ -197,7 +197,7 @@ fn canonicalization_reduces_unique_pairs_on_the_paper_suite() {
     let (_, stats) = Exploration::run_engine(
         models,
         tests,
-        || Box::new(ExplicitChecker::new()),
+        || Box::new(BatchExplicitChecker::new()),
         &EngineConfig::canonicalizing(),
         None,
     );

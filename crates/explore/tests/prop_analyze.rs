@@ -105,7 +105,7 @@ fn minimized_dnf_is_a_verdict_preserving_drop_in() {
     let b = Exploration::run(rewritten.clone(), tests.clone(), &ExplicitChecker::new());
     assert_eq!(a.verdicts, b.verdicts, "explicit checker must not notice");
 
-    let sat = Exploration::run(rewritten, tests, &mcm_axiomatic::SatChecker::new());
+    let sat = Exploration::run(rewritten, tests, &*mcm_axiomatic::CheckerKind::Sat.build_batch());
     assert_eq!(a.verdicts, sat.verdicts, "nor the SAT checker");
 }
 

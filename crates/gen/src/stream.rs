@@ -89,6 +89,18 @@ impl From<&NaiveBounds> for StreamBounds {
 }
 
 impl StreamBounds {
+    /// Largest total test length representable in these bounds.
+    #[must_use]
+    pub fn max_total(&self) -> usize {
+        self.threads * self.max_accesses_per_thread
+    }
+
+    /// Smallest total test length representable (one access per thread).
+    #[must_use]
+    pub fn min_total(&self) -> usize {
+        self.threads
+    }
+
     /// The "one step past Theorem 1" space: four accesses per thread,
     /// fences and dependencies on, over `max_locs` locations.
     #[must_use]

@@ -8,7 +8,7 @@
 //! 3. **Orbit invariance** — mechanically transformed symmetric variants
 //!    (thread permutation, location rotation) land in the same orbit.
 
-use mcm_axiomatic::{Checker, ExplicitChecker};
+use mcm_axiomatic::{BatchChecker, ExplicitChecker};
 use mcm_core::{
     AddrExpr, Instruction, LitmusTest, Loc, MemoryModel, Outcome, Program, RegExpr, Thread,
     ThreadId,

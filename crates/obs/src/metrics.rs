@@ -1,7 +1,7 @@
 //! Atomic metric primitives and the global series registry.
 //!
 //! Series are identified by a metric name plus a sorted label set
-//! (`mcm_check_latency_us{checker="batch-sat"}`). Handles are `Arc`s:
+//! (`mcm_check_latency_us{checker="monolithic"}`). Handles are `Arc`s:
 //! resolve once (one registry lock), then increment/record lock-free
 //! forever after. Histograms use fixed power-of-two microsecond
 //! buckets, so two histograms merge by adding bucket arrays — exactly
@@ -338,7 +338,7 @@ pub enum Value {
 pub struct SeriesSnapshot {
     /// Metric name, e.g. `mcm_check_latency_us`.
     pub name: String,
-    /// Sorted label pairs, e.g. `[("checker", "batch-sat")]`.
+    /// Sorted label pairs, e.g. `[("checker", "monolithic")]`.
     pub labels: Vec<(String, String)>,
     /// The snapshotted value.
     pub value: Value,

@@ -5,12 +5,11 @@
 //! know nothing of happens-before; the axiomatic checkers know nothing of
 //! machine states. On every catalog test (Test A, L1–L9, SB, MP, LB,
 //! CoRR, IRIW) each machine must coincide with its axiomatic model under
-//! **every** built-in checker — the three per-cell implementations
-//! ([`mcm_axiomatic::all_checkers`]) and the batched test-major ones
-//! ([`mcm_axiomatic::all_batch_checkers`]), which answer all four models
-//! of a machine row in one call.
+//! **every** checker — each [`mcm_axiomatic::CheckerKind`] backend and the
+//! sequential [`mcm_axiomatic::ExplicitChecker`] reference — both cell by
+//! cell and on the whole four-model machine row.
 
-use mcm_axiomatic::{all_batch_checkers, all_checkers};
+use mcm_axiomatic::{BatchChecker, CheckerKind, ExplicitChecker};
 use mcm_core::{LitmusTest, MemoryModel};
 use mcm_models::{catalog, named};
 use mcm_operational::{ibm370_allows, pso_allows, sc_allows, tso_allows};
@@ -28,13 +27,24 @@ fn machine_models() -> Vec<(&'static str, Machine, MemoryModel)> {
     ]
 }
 
+/// Every backend, then the reference.
+fn every_checker() -> Vec<Box<dyn BatchChecker>> {
+    CheckerKind::ALL
+        .into_iter()
+        .map(CheckerKind::build_batch)
+        .chain([Box::new(ExplicitChecker::new()) as Box<dyn BatchChecker>])
+        .collect()
+}
+
 #[test]
 fn every_checker_agrees_with_every_machine_on_the_catalog() {
     let machines = machine_models();
-    for test in catalog::all_tests() {
-        for (machine_name, allows, model) in &machines {
-            let operational = allows(&test);
-            for checker in all_checkers() {
+    let models: Vec<MemoryModel> = machines.iter().map(|(_, _, m)| m.clone()).collect();
+    for checker in every_checker() {
+        for test in catalog::all_tests() {
+            let row = checker.check_all(&test, &models);
+            for ((machine_name, allows, model), verdict) in machines.iter().zip(&row) {
+                let operational = allows(&test);
                 assert_eq!(
                     checker.is_allowed(model, &test),
                     operational,
@@ -43,25 +53,12 @@ fn every_checker_agrees_with_every_machine_on_the_catalog() {
                     checker.name(),
                     test.name()
                 );
-            }
-        }
-    }
-}
-
-#[test]
-fn batched_checkers_agree_with_every_machine_on_the_catalog() {
-    let machines = machine_models();
-    let models: Vec<MemoryModel> = machines.iter().map(|(_, _, m)| m.clone()).collect();
-    for test in catalog::all_tests() {
-        for batch in all_batch_checkers() {
-            let verdicts = batch.check_all(&test, &models);
-            for ((machine_name, allows, model), verdict) in machines.iter().zip(&verdicts) {
                 assert_eq!(
                     verdict.allowed,
-                    allows(&test),
-                    "{}: {machine_name} disagrees with the batched {} checker on {}\n{test}",
+                    operational,
+                    "{}: {machine_name} disagrees with the {} checker's row on {}\n{test}",
                     model.name(),
-                    batch.name(),
+                    checker.name(),
                     test.name()
                 );
             }
@@ -87,7 +84,7 @@ fn digit_aliases_of_the_machines_agree_too() {
                 .to_model()
         })
         .collect();
-    for batch in all_batch_checkers() {
+    for batch in every_checker() {
         for test in catalog::all_tests() {
             let verdicts = batch.check_all(&test, &models);
             for ((allows, name), verdict) in aliases.iter().zip(&verdicts) {

@@ -4,7 +4,7 @@ use std::cell::Cell;
 use std::path::{Path, PathBuf};
 use std::time::Instant;
 
-use mcm_axiomatic::{explain, Checker, CheckerKind, ExplicitChecker};
+use mcm_axiomatic::{explain, BatchChecker, CheckerKind, ExplicitChecker};
 use mcm_core::MemoryModel;
 use mcm_explore::dot::{render_dot, DotOptions};
 use mcm_explore::{
@@ -878,7 +878,7 @@ impl CheckQuery {
     pub fn run(self) -> Result<CheckReport, QueryError> {
         let model = resolve::model(&self.model)?;
         let tests = self.source.load()?;
-        let checker = self.checker.build();
+        let checker = self.checker.build_batch();
         let entries = tests
             .iter()
             .map(|test| {

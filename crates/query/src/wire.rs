@@ -331,13 +331,7 @@ fn parse_synth_options(
             "bounds",
             &["max_accesses", "max_locs", "fences", "deps"],
         )?;
-        let b = &mut query.bounds;
-        parse_space(
-            inner,
-            "bounds",
-            (&mut b.max_accesses_per_thread, &mut b.max_locs),
-            (&mut b.include_fences, &mut b.include_deps),
-        )?;
+        parse_space(inner, "bounds", &mut query.bounds)?;
     }
     if let Some(n) = opt_int(pairs, "max_size")? {
         let bounds = &query.bounds;
@@ -466,12 +460,7 @@ fn parse_stream(body: &Json) -> Result<TestSource, QueryError> {
         ],
     )?;
     let mut bounds = StreamBounds::default();
-    parse_space(
-        inner,
-        "stream",
-        (&mut bounds.max_accesses_per_thread, &mut bounds.max_locs),
-        (&mut bounds.include_fences, &mut bounds.include_deps),
-    )?;
+    parse_space(inner, "stream", &mut bounds)?;
     let limit = opt_positive(inner, "limit", "stream limit")?;
     let shard = match get(inner, "shard") {
         None => None,
@@ -493,23 +482,22 @@ fn parse_stream(body: &Json) -> Result<TestSource, QueryError> {
 fn parse_space(
     inner: &[(String, Json)],
     what: &str,
-    (accesses, locs): (&mut usize, &mut u8),
-    (fences, deps): (&mut bool, &mut bool),
+    bounds: &mut StreamBounds,
 ) -> Result<(), QueryError> {
     if let Some(n) = opt_int(inner, "max_accesses")? {
-        *accesses = usize::try_from(n)
+        bounds.max_accesses_per_thread = usize::try_from(n)
             .ok()
             .filter(|n| (1..=4).contains(n))
             .ok_or_else(|| invalid(format!("{what} max_accesses needs 1..=4, got {n}")))?;
     }
     if let Some(n) = opt_int(inner, "max_locs")? {
-        *locs = u8::try_from(n)
+        bounds.max_locs = u8::try_from(n)
             .ok()
             .filter(|&n| n >= 1)
             .ok_or_else(|| invalid(format!("{what} max_locs needs 1..=255, got {n}")))?;
     }
-    set(fences, opt_bool(inner, "fences")?);
-    set(deps, opt_bool(inner, "deps")?);
+    set(&mut bounds.include_fences, opt_bool(inner, "fences")?);
+    set(&mut bounds.include_deps, opt_bool(inner, "deps")?);
     Ok(())
 }
 

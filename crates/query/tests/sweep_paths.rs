@@ -7,12 +7,18 @@
 //! * a streamed sweep with a verdict log (`--store`), re-run over the
 //!   same log the way a restarted process would, makes zero checker
 //!   calls, answers every lookup from the disk tier, appends nothing and
-//!   reproduces the cold outcome bit for bit.
+//!   reproduces the cold outcome bit for bit;
+//! * `Query::check` on the catalog gives the reference checker's verdicts
+//!   and witness text under every `CheckerKind`, and each backend's
+//!   witness re-validates.
 
 use std::path::{Path, PathBuf};
 
+use mcm_axiomatic::hb::required_edges;
+use mcm_axiomatic::{explain, BatchChecker, ExplicitChecker, Verdict};
 use mcm_explore::{paper, EngineConfig, Exploration, SweepStats};
 use mcm_gen::stream::StreamBounds;
+use mcm_models::{catalog, named};
 use mcm_query::{CheckerKind, ModelSpec, Query, SweepReport, TestSource};
 
 /// One worker, no cache: deterministic counters on both paths.
@@ -143,4 +149,49 @@ fn warm_from_disk_sweep_makes_no_checker_calls() {
     );
 
     let _ = std::fs::remove_file(&log);
+}
+
+#[test]
+fn check_gives_the_reference_verdicts_and_witnesses_under_every_checker() {
+    let tests = catalog::all_tests();
+    let reference = ExplicitChecker::new();
+    let models = [
+        named::sc(),
+        named::tso(),
+        named::x86(),
+        named::pso(),
+        named::ibm370(),
+        named::rmo(),
+        named::alpha(),
+    ];
+    for model in models {
+        let expected: Vec<Verdict> = tests.iter().map(|t| reference.check(&model, t)).collect();
+        for kind in CheckerKind::ALL {
+            let report = Query::check(model.name(), TestSource::Catalog)
+                .checker(kind)
+                .witness(true)
+                .run()
+                .expect("the catalog checks");
+            assert_eq!(report.checker, kind.name());
+            assert_eq!(report.entries.len(), tests.len());
+            let backend = kind.build_batch();
+            for ((test, entry), want) in tests.iter().zip(&report.entries).zip(&expected) {
+                let context = format!("{} under {} ({kind})", test.name(), model.name());
+                assert_eq!(entry.test, test.name(), "{context}");
+                assert_eq!(entry.allowed, want.allowed, "{context}");
+                let exec = test.execution();
+                let verdict = backend.check(&model, test);
+                assert_eq!(verdict.allowed, want.allowed, "{context}");
+                if verdict.allowed {
+                    let witness = verdict.witness.as_ref().expect("allowed has a witness");
+                    let edges = required_edges(&model, &exec, &witness.rf, &witness.co);
+                    assert!(edges.admits_partial_order(&exec), "{context}");
+                    assert_eq!(edges.labeled, witness.hb_edges, "{context}");
+                }
+                let rendered = entry.witness.as_deref().expect("witness requested");
+                assert_eq!(rendered, explain::render(&model, &exec, &verdict), "{context}");
+                assert_eq!(rendered, explain::render(&model, &exec, want), "{context}");
+            }
+        }
+    }
 }

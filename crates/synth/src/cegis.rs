@@ -587,7 +587,7 @@ fn shapes(total: usize, threads: usize, max_per_thread: usize) -> Vec<Vec<usize>
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mcm_axiomatic::{Checker, ExplicitChecker};
+    use mcm_axiomatic::{BatchChecker, ExplicitChecker};
     use mcm_models::named;
 
     fn tiny_bounds() -> SynthBounds {

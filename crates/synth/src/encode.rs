@@ -24,8 +24,9 @@
 //! 2. **the allower's axioms** — for every program-ordered slot pair, a
 //!    Tseitin encoding of the model's must-not-reorder formula (over
 //!    symbolic kind/address/dependency atoms) implies the order variable;
-//!    plus coherence, fence and read-from axioms mirroring
-//!    [`mcm_axiomatic::MonolithicSatChecker`] clause for clause;
+//!    plus coherence, fence and read-from axioms mirroring the
+//!    monolithic checker ([`mcm_axiomatic::BatchSatChecker`]) clause for
+//!    clause;
 //! 3. **blocking clauses** — each enumerated candidate is excluded under
 //!    its own shape guard ([`Solver::block_model_with`]), leaving other
 //!    shapes untouched.

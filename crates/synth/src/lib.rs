@@ -64,50 +64,11 @@ use mcm_sat::SolverStats;
 
 pub use cegis::{MatrixSynthesis, PairSynthesis, Synthesizer};
 
-/// Bounds of the synthesized space — the same box the streaming
-/// enumeration (`mcm_gen::stream::StreamBounds`) sweeps, so synthesized
-/// minimal lengths are directly comparable to exhaustive ones.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct SynthBounds {
-    /// Maximum memory accesses per thread (Theorem 1: 3).
-    pub max_accesses_per_thread: usize,
-    /// Number of threads; every thread of a synthesized test is non-empty.
-    pub threads: usize,
-    /// Maximum distinct locations (first-use ordering caps the effective
-    /// count at the slot count anyway).
-    pub max_locs: u8,
-    /// Allow an optional full fence between consecutive accesses.
-    pub include_fences: bool,
-    /// Allow the paper's data-dependency idiom: a write may store
-    /// `r - r + k` where `r` is the most recent preceding read.
-    pub include_deps: bool,
-}
-
-impl Default for SynthBounds {
-    fn default() -> Self {
-        SynthBounds {
-            max_accesses_per_thread: 3,
-            threads: 2,
-            max_locs: 4,
-            include_fences: false,
-            include_deps: false,
-        }
-    }
-}
-
-impl SynthBounds {
-    /// Largest total test length representable in these bounds.
-    #[must_use]
-    pub fn max_total(&self) -> usize {
-        self.threads * self.max_accesses_per_thread
-    }
-
-    /// Smallest total test length representable (one access per thread).
-    #[must_use]
-    pub fn min_total(&self) -> usize {
-        self.threads
-    }
-}
+/// Bounds of the synthesized space: the same box the streaming
+/// enumeration sweeps, so synthesized minimal lengths are directly
+/// comparable to exhaustive ones. Every thread of a synthesized test is
+/// non-empty.
+pub use mcm_gen::stream::StreamBounds as SynthBounds;
 
 /// Why a synthesis request cannot be served.
 #[derive(Clone, Debug, PartialEq, Eq)]

@@ -8,7 +8,7 @@
 //! model pair; the property tests sample pairs under extended predicates
 //! (data dependencies) and re-verify witness properties.
 
-use mcm_axiomatic::{BatchExplicitChecker, Checker, ExplicitChecker};
+use mcm_axiomatic::{BatchChecker, BatchExplicitChecker, ExplicitChecker};
 use mcm_core::MemoryModel;
 use mcm_explore::{paper, EngineConfig, Exploration};
 use mcm_gen::{canon, stream, StreamBounds};
@@ -37,16 +37,6 @@ fn sweep_lengths(
     mcm_explore::distinguish::minimal_length_matrix(&exploration)
 }
 
-fn synth_bounds(stream: &StreamBounds) -> SynthBounds {
-    SynthBounds {
-        max_accesses_per_thread: stream.max_accesses_per_thread,
-        threads: stream.threads,
-        max_locs: stream.max_locs,
-        include_fences: stream.include_fences,
-        include_deps: stream.include_deps,
-    }
-}
-
 /// The satellite contract: for every Figure-4 model pair, the synthesized
 /// minimal length at small sizes equals the exhaustive streaming sweep's,
 /// and every synthesized witness is a canonical leader the allower admits
@@ -65,7 +55,7 @@ fn figure4_minimal_lengths_match_the_exhaustive_sweep() {
     let expected = sweep_lengths(&models, &stream_bounds, max_total);
 
     let mut synth =
-        Synthesizer::new(models.clone(), synth_bounds(&stream_bounds)).expect("valid bounds");
+        Synthesizer::new(models.clone(), stream_bounds).expect("valid bounds");
     let checker = ExplicitChecker::new();
     let mut distinguishable = 0usize;
     for i in 0..models.len() {
@@ -126,7 +116,7 @@ fn named_panel_matrix_matches_the_exhaustive_sweep() {
     };
     let expected = sweep_lengths(&models, &stream_bounds, usize::MAX);
     let mut synth =
-        Synthesizer::new(models.clone(), synth_bounds(&stream_bounds)).expect("valid bounds");
+        Synthesizer::new(models.clone(), stream_bounds).expect("valid bounds");
     let matrix = synth.matrix(4);
     let checker = ExplicitChecker::new();
     for i in 0..models.len() {
@@ -168,7 +158,7 @@ proptest! {
         };
         let pair_models = vec![models[a].clone(), models[b].clone()];
         let expected = sweep_lengths(&pair_models, &stream_bounds, 4)[0][1];
-        let mut synth = Synthesizer::new(pair_models, synth_bounds(&stream_bounds))
+        let mut synth = Synthesizer::new(pair_models, stream_bounds)
             .expect("valid bounds");
         let result = synth.pair(0, 1, 4);
         prop_assert_eq!(result.length, expected);
@@ -191,7 +181,7 @@ proptest! {
         };
         let pair_models = vec![models[a].clone(), models[b].clone()];
         let expected = sweep_lengths(&pair_models, &stream_bounds, 3)[0][1];
-        let mut synth = Synthesizer::new(pair_models, synth_bounds(&stream_bounds))
+        let mut synth = Synthesizer::new(pair_models, stream_bounds)
             .expect("valid bounds");
         let result = synth.pair(0, 1, 3);
         prop_assert_eq!(result.length, expected);

@@ -5,7 +5,7 @@
 
 use std::time::Instant;
 
-use litmus_mcm::axiomatic::{ExplicitChecker, SatChecker};
+use litmus_mcm::axiomatic::{BatchRfSatChecker, ExplicitChecker};
 use litmus_mcm::explore::{paper, Exploration};
 use litmus_mcm::gen::count;
 use litmus_mcm::gen::naive::{count_tests, count_tests_raw, NaiveBounds};
@@ -43,7 +43,7 @@ fn main() {
             litmus_mcm::models::named::ibm370(),
         ],
         paper::comparison_tests(true),
-        &SatChecker::new(),
+        &BatchRfSatChecker::new(),
     );
     println!(
         "single pair via SAT checker: {:.2?} (relation: {})",

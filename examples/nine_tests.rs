@@ -4,7 +4,7 @@
 //!
 //! Run with `cargo run --example nine_tests`.
 
-use litmus_mcm::axiomatic::{Checker, ExplicitChecker};
+use litmus_mcm::axiomatic::{BatchChecker, ExplicitChecker};
 use litmus_mcm::models::{catalog, named};
 
 fn main() {

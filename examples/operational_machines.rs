@@ -5,7 +5,7 @@
 //!
 //! Run with `cargo run --release --example operational_machines`.
 
-use litmus_mcm::axiomatic::{Checker, ExplicitChecker};
+use litmus_mcm::axiomatic::{BatchChecker, ExplicitChecker};
 use litmus_mcm::models::{catalog, named};
 use litmus_mcm::operational::{ibm370_allows, pso_allows, sc_allows, tso_allows};
 

@@ -4,7 +4,7 @@
 //!
 //! Run with `cargo run --example quickstart`.
 
-use litmus_mcm::axiomatic::{Checker, ExplicitChecker, SatChecker};
+use litmus_mcm::axiomatic::{BatchChecker, BatchRfSatChecker, ExplicitChecker};
 use litmus_mcm::core::{
     Formula, LitmusTest, Loc, MemoryModel, Outcome, Program, Reg, ThreadId, Value,
 };
@@ -55,7 +55,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("under {} the outcome is {}", my_model.name(), checker.check(&my_model, &sb));
 
     // ----- 3. The SAT checker agrees (the paper's tool architecture) ---
-    let sat = SatChecker::new();
+    let sat = BatchRfSatChecker::new();
     assert_eq!(
         sat.is_allowed(&my_model, &sb),
         checker.is_allowed(&my_model, &sb)

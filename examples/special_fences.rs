@@ -6,7 +6,7 @@
 //!
 //! Run with `cargo run --example special_fences`.
 
-use litmus_mcm::axiomatic::{Checker, ExplicitChecker};
+use litmus_mcm::axiomatic::{BatchChecker, ExplicitChecker};
 use litmus_mcm::gen::local;
 
 fn main() {

@@ -14,7 +14,7 @@
 
 use std::time::Instant;
 
-use mcm_axiomatic::ExplicitChecker;
+use mcm_axiomatic::BatchExplicitChecker;
 use mcm_explore::{paper, report, EngineConfig, Exploration, Relation, StreamControl};
 use mcm_gen::stream::{self, StreamBounds};
 use mcm_gen::naive;
@@ -23,7 +23,7 @@ fn sweep(bounds: &StreamBounds, limit: usize) -> (Exploration, mcm_explore::Swee
     Exploration::run_engine_streaming_with(
         paper::digit_space_models(false),
         stream::leaders(bounds).take(limit),
-        || Box::new(ExplicitChecker::new()),
+        || Box::new(BatchExplicitChecker::new()),
         &EngineConfig::default(),
         None,
         StreamControl::default(),

@@ -46,7 +46,7 @@
 //! Check the paper's Figure 1 test against TSO and SC:
 //!
 //! ```
-//! use litmus_mcm::axiomatic::{Checker, ExplicitChecker};
+//! use litmus_mcm::axiomatic::{BatchChecker, ExplicitChecker};
 //! use litmus_mcm::models::{catalog, named};
 //!
 //! let test = catalog::test_a();

@@ -15,7 +15,7 @@
 //!
 //! Every checker must produce the same table.
 
-use litmus_mcm::axiomatic::{all_checkers, Checker};
+use litmus_mcm::axiomatic::{all_batch_checkers, BatchChecker};
 use litmus_mcm::core::{LitmusTest, MemoryModel};
 use litmus_mcm::models::{catalog, named};
 
@@ -54,7 +54,7 @@ fn models() -> Vec<MemoryModel> {
 #[test]
 fn nine_tests_verdicts_match_the_paper() {
     let models = models();
-    for checker in all_checkers() {
+    for checker in all_batch_checkers() {
         for (test, expected) in expected_table() {
             for (model, &want) in models.iter().zip(expected.iter()) {
                 let got = checker.is_allowed(model, &test);
@@ -77,7 +77,7 @@ fn nine_tests_verdicts_match_the_paper() {
 /// on the whole catalog under SC, TSO and RMO.
 #[test]
 fn every_checker_agrees_on_the_catalog() {
-    let checkers = all_checkers();
+    let checkers = all_batch_checkers();
     for test in catalog::all_tests() {
         for model in [named::sc(), named::tso(), named::rmo()] {
             let verdicts: Vec<bool> = checkers

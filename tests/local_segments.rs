@@ -5,7 +5,7 @@
 //! full chain distinguishes the models, and *every* incomplete chain fails
 //! to.
 
-use litmus_mcm::axiomatic::{all_checkers, Checker};
+use litmus_mcm::axiomatic::{all_batch_checkers, BatchChecker};
 use litmus_mcm::gen::local;
 
 #[test]
@@ -13,7 +13,7 @@ fn full_chain_contrasts_the_models() {
     for n in 1..=4u8 {
         let (f1, f2) = local::special_chain_models(n);
         let test = local::special_chain_contrast_test(n);
-        for checker in all_checkers() {
+        for checker in all_batch_checkers() {
             assert!(
                 checker.is_allowed(&f2, &test),
                 "n={n}: F2 (SameAddr only) must allow the outcome ({})",

@@ -10,7 +10,7 @@
 //! Checked over the paper catalog, the full dependency-aware template
 //! suite, and the naive bounded universe.
 
-use litmus_mcm::axiomatic::{Checker, ExplicitChecker};
+use litmus_mcm::axiomatic::{BatchChecker, ExplicitChecker};
 use litmus_mcm::core::LitmusTest;
 use litmus_mcm::gen::naive::{enumerate_tests, NaiveBounds};
 use litmus_mcm::models::{catalog, named};

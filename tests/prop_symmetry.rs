@@ -5,7 +5,7 @@
 //! whole pipeline: program construction, dataflow, formula evaluation and
 //! the checkers.
 
-use litmus_mcm::axiomatic::{Checker, ExplicitChecker};
+use litmus_mcm::axiomatic::{BatchChecker, ExplicitChecker};
 use litmus_mcm::core::{
     AddrExpr, Instruction, LitmusTest, Loc, MemoryModel, Outcome, Program, RegExpr, Thread,
     ThreadId,
