@@ -524,11 +524,11 @@ pub fn distinguish_cmd(args: &[String]) -> Result<(), CliError> {
     };
     let report = Query::distinguish()
         .models(models)
-        .with_deps(with_deps)
+        .tests(TestSource::TemplateSuite { with_deps })
         .checker(checker_kind_from(args)?)
         .engine(config)
         .cache(use_cache)
-        .run()?;
+        .run_distinguish()?;
     emit(&report, args)
 }
 

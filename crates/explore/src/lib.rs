@@ -14,7 +14,7 @@
 //! * [`distinguish`] — greedy and SAT-certified minimum distinguishing
 //!   test sets (the paper's nine tests);
 //! * [`dot`] — Graphviz rendering of Figure 4;
-//! * [`paper`] — the whole §4.2 experiment in one call.
+//! * [`paper`] — the §4.2 digit model space and comparison suite.
 //!
 //! ## Example
 //!

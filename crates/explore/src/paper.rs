@@ -1,13 +1,9 @@
-//! One-call reproduction of the paper's §4.2 exploration.
+//! The paper's §4.2 experiment inputs: the digit model space and the
+//! comparison suite it is swept over.
 
-use mcm_axiomatic::BatchExplicitChecker;
 use mcm_core::{LitmusTest, MemoryModel};
 use mcm_gen::suite::template_suite;
 use mcm_models::{catalog, DigitModel};
-
-use crate::distinguish::{self, MinimalSet};
-use crate::lattice::Lattice;
-use crate::space::{EngineConfig, Exploration};
 
 /// The models of the §4.2 space: all 90 digit models, or the 36
 /// dependency-free ones drawn in Figure 4.
@@ -44,66 +40,6 @@ pub fn comparison_tests(with_deps: bool) -> Vec<LitmusTest> {
     }
     tests.extend(template_suite(with_deps).tests);
     tests
-}
-
-/// Everything §4.2 reports, computed in one call.
-#[derive(Clone, Debug)]
-pub struct SpaceReport {
-    /// The exploration (models × tests verdict matrix).
-    pub exploration: Exploration,
-    /// The Hasse diagram of model classes.
-    pub lattice: Lattice,
-    /// Pairs of equivalent models, by name.
-    pub equivalent_pairs: Vec<(String, String)>,
-    /// A minimum distinguishing set (with SAT minimality certificate).
-    pub minimal_set: MinimalSet,
-    /// Indices of the paper's nine tests within the suite.
-    pub nine_test_indices: Vec<usize>,
-    /// Whether the paper's nine tests alone distinguish every
-    /// non-equivalent pair (the paper's §4.2 claim).
-    pub nine_tests_sufficient: bool,
-}
-
-/// Runs the full §4.2 experiment: explore the digit space, group
-/// equivalent models, build the lattice and compute distinguishing sets.
-///
-/// With `with_deps = true` this is the 90-model exploration (expect **8
-/// equivalent pairs**); with `false`, the 36-model space of Figure 4.
-#[must_use]
-pub fn explore_digit_space(with_deps: bool) -> SpaceReport {
-    let models = digit_space_models(with_deps);
-    let tests = comparison_tests(with_deps);
-    let (exploration, _) = Exploration::run_engine(
-        models,
-        tests,
-        || Box::new(BatchExplicitChecker::new()),
-        &EngineConfig::default(),
-        None,
-    );
-    report_from(exploration)
-}
-
-/// Builds a [`SpaceReport`] from an existing exploration (exposed so the
-/// CLI can reuse a sequential or custom-checker run).
-#[must_use]
-pub fn report_from(exploration: Exploration) -> SpaceReport {
-    let lattice = Lattice::build(&exploration);
-    let equivalent_pairs = exploration.equivalent_pair_names();
-    let minimal_set = distinguish::minimal_distinguishing_set(&exploration);
-    let nine_test_indices: Vec<usize> = ["L1", "L2", "L3", "L4", "L5", "L6", "L7", "L8", "L9"]
-        .iter()
-        .filter_map(|name| exploration.tests.iter().position(|t| t.name() == *name))
-        .collect();
-    let nine_tests_sufficient =
-        distinguish::is_sufficient(&exploration, &nine_test_indices);
-    SpaceReport {
-        exploration,
-        lattice,
-        equivalent_pairs,
-        minimal_set,
-        nine_test_indices,
-        nine_tests_sufficient,
-    }
 }
 
 #[cfg(test)]

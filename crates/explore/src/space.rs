@@ -45,31 +45,23 @@ pub struct EngineConfig {
     /// Worker threads; `None` uses all available cores, `Some(1)` runs
     /// the whole sweep on the calling thread.
     pub jobs: Option<usize>,
-    /// Work items — **test rows**, each checked against every model at
-    /// once — claimed per scheduling step. Small batches steal well when
-    /// per-row cost is uneven; large batches lower contention.
-    pub batch_size: usize,
     /// Tests materialized per chunk by the streaming engine — the memory
     /// high-water mark of a streamed sweep. [`Exploration::run_engine`]
     /// ignores it: a materialized suite is a single chunk.
     pub stream_chunk: usize,
-    /// Group models that provably agree on a test before calling the
-    /// checker ([`mcm_analyze::SweepPrefilter`]): per test, models whose
-    /// truth tables coincide on the valuations its program-order pairs
-    /// realize force identical edges, so one group representative is
-    /// checked and the verdict fanned out. Sound unconditionally; the
-    /// skipped calls are counted in [`SweepStats::prefilter_saved_calls`].
-    pub prefilter: bool,
 }
+
+/// Work items — **test rows**, each checked against every model at once
+/// — a grid worker claims per scheduling step. Small batches steal well
+/// when per-row cost is uneven; large batches lower contention.
+const ROW_BATCH: usize = 4;
 
 impl Default for EngineConfig {
     fn default() -> Self {
         EngineConfig {
             canonicalize: false,
             jobs: None,
-            batch_size: 4,
             stream_chunk: 4096,
-            prefilter: true,
         }
     }
 }
@@ -324,8 +316,7 @@ where
     let jobs = resolve_jobs(config);
     let reps = execs.len();
     let row_count = rows.row_models.len();
-    let batch = config.batch_size.max(1);
-    let workers = jobs.min(reps.div_ceil(batch)).max(1);
+    let workers = jobs.min(reps.div_ceil(ROW_BATCH)).max(1);
 
     // The distinct-formula models, cloned once per sweep so rows that
     // reach the checker whole (no prefilter, or every row its own group)
@@ -352,11 +343,11 @@ where
         let mut missing_models: Vec<MemoryModel> = Vec::new();
         let mut lookup = RowLookup::default();
         loop {
-            let start = cursor.fetch_add(batch, Ordering::Relaxed);
+            let start = cursor.fetch_add(ROW_BATCH, Ordering::Relaxed);
             if start >= reps {
                 break;
             }
-            let end = (start + batch).min(reps);
+            let end = (start + ROW_BATCH).min(reps);
             for rep in start..end {
                 missing_rows.clear();
                 match &cached {
@@ -594,7 +585,13 @@ impl Exploration {
     {
         let _span = mcm_obs::trace::span("engine.stream");
         let rows = formula_rows(&models);
-        let prefilter = (config.prefilter && rows.row_models.len() >= 2).then(|| {
+        // Group models that provably agree on a test before calling the
+        // checker ([`SweepPrefilter`]): per test, models whose truth tables
+        // coincide on the valuations its program-order pairs realize force
+        // identical edges, so one group representative is checked and the
+        // verdict fanned out. Sound unconditionally; the skipped calls are
+        // counted in `SweepStats::prefilter_saved_calls`.
+        let prefilter = (rows.row_models.len() >= 2).then(|| {
             let _span = mcm_obs::trace::span("engine.prefilter");
             let refs: Vec<&MemoryModel> = rows.row_models.iter().map(|&m| &models[m]).collect();
             SweepPrefilter::new(&refs)
@@ -1102,30 +1099,20 @@ mod tests {
             .map(|s| s.parse::<DigitModel>().unwrap().to_model())
             .collect();
         let tests = catalog::all_tests();
-        let (on, on_stats) = Exploration::run_engine(
-            models.clone(),
-            tests.clone(),
+        let seq = Exploration::run(models.clone(), tests.clone(), &ExplicitChecker::new());
+        let (engine, stats) = Exploration::run_engine(
+            models,
+            tests,
             || Box::new(BatchExplicitChecker::new()),
             &EngineConfig::default(),
             None,
         );
-        let (off, off_stats) = Exploration::run_engine(
-            models,
-            tests,
-            || Box::new(BatchExplicitChecker::new()),
-            &EngineConfig {
-                prefilter: false,
-                ..EngineConfig::default()
-            },
-            None,
-        );
-        assert_eq!(on.verdicts, off.verdicts, "the prefilter must be invisible");
-        assert_eq!(off_stats.prefilter_groups, 0);
-        assert_eq!(off_stats.prefilter_saved_calls, 0);
-        assert!(on_stats.prefilter_saved_calls > 0, "some tests must group models");
+        assert_eq!(seq.verdicts, engine.verdicts, "the prefilter must be invisible");
+        assert!(stats.prefilter_saved_calls > 0, "some tests must group models");
+        // Without a cache every unique pair is either checked or saved.
         assert_eq!(
-            on_stats.checker_calls + on_stats.prefilter_saved_calls,
-            off_stats.checker_calls
+            stats.checker_calls + stats.prefilter_saved_calls,
+            stats.unique_pairs
         );
     }
 

@@ -32,12 +32,7 @@ fn tiny_bounds() -> StreamBounds {
 /// each model's verdict keyed by orbit fingerprint.
 fn materialized_verdicts(models: &[MemoryModel]) -> Vec<HashMap<u64, bool>> {
     let raw = naive::enumerate_tests_raw(
-        &naive::NaiveBounds {
-            max_accesses_per_thread: 2,
-            threads: 2,
-            max_locs: 2,
-            include_fences: false,
-        },
+        &tiny_bounds(),
         usize::MAX,
     );
     let (expl, _) = Exploration::run_engine(
@@ -103,12 +98,7 @@ fn streamed_lattice_equals_materialized_lattice() {
     // The lattice (pairwise relations) is therefore identical too; check
     // it directly as the CI smoke assertion.
     let raw = naive::enumerate_tests_raw(
-        &naive::NaiveBounds {
-            max_accesses_per_thread: 2,
-            threads: 2,
-            max_locs: 2,
-            include_fences: false,
-        },
+        &tiny_bounds(),
         usize::MAX,
     );
     let (mat_expl, _) = Exploration::run_engine(

@@ -856,13 +856,13 @@ mod tests {
     #[test]
     fn dedup_collapses_the_raw_naive_enumeration() {
         for max_locs in [2, 3] {
-            let bounds = crate::naive::NaiveBounds {
+            let bounds = crate::stream::StreamBounds {
                 max_accesses_per_thread: 2,
                 max_locs,
                 ..Default::default()
             };
             let raw = crate::naive::enumerate_tests_raw(&bounds, usize::MAX);
-            let filtered = crate::naive::enumerate_tests(&bounds, usize::MAX);
+            let leaders = crate::stream::count_leaders(&bounds);
             let canonical = dedup(&raw);
             assert!(
                 canonical.dedup_ratio() > 3.0,
@@ -870,9 +870,8 @@ mod tests {
                 raw.len(),
                 canonical.len()
             );
-            // The orbit quotient is at least as sharp as the enumerator's
-            // built-in shape filter (it also sees outcome/value symmetries).
-            assert!(canonical.len() <= filtered.len(), "max_locs {max_locs}");
+            // The orbit quotient is exactly the leader stream's.
+            assert_eq!(canonical.len() as u64, leaders, "max_locs {max_locs}");
         }
     }
 

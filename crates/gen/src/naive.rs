@@ -1,57 +1,28 @@
 //! Naive bounded enumeration of litmus tests (the baseline §3.4 compares
 //! against).
 //!
-//! Enumerates every two-thread program within the Theorem 1 bounds (up to
-//! three memory accesses per thread) together with every value-shape
-//! outcome. The paper reports "approximately a million tests even without
-//! dependencies" for this strategy versus 124/230 template instantiations
-//! — this module reproduces that comparison.
-//!
-//! The symmetry quotient is delegated to [`crate::stream`]: the canonical
-//! counts and enumerations here are defined as **orbit leaders** of the
-//! full §2.3 group (thread permutation, location/register renaming and
-//! per-location value renaming), not the looser shape-level filter earlier
-//! revisions used — that filter was blind to fences and value symmetry
-//! and therefore under-deduplicated, disagreeing with
-//! [`crate::canon::canonical`].
+//! Materializes every two-thread program within the Theorem 1 bounds (up
+//! to three memory accesses per thread) together with every value-shape
+//! outcome, with no symmetry reduction at all. The paper reports
+//! "approximately a million tests even without dependencies" for this
+//! strategy versus 124/230 template instantiations. The raw size is
+//! counted by [`crate::stream::count_raw`] and the orbit leaders are
+//! streamed by [`crate::stream::leaders`]; this module is the independent
+//! reference that the canonicalization and stream tests compare both
+//! against, so it shares no enumeration code with them.
 
 use mcm_core::{LitmusTest, Loc, Outcome, Program, Reg, ThreadId, Value};
 
-use crate::stream::{self, StreamBounds};
-
-/// Bounds for the naive enumeration.
-#[derive(Clone, Copy, Debug)]
-pub struct NaiveBounds {
-    /// Maximum memory accesses per thread (Theorem 1: 3).
-    pub max_accesses_per_thread: usize,
-    /// Number of threads (Theorem 1: 2).
-    pub threads: usize,
-    /// Maximum distinct locations (4 suffices for six accesses).
-    pub max_locs: u8,
-    /// Whether to also enumerate an optional full fence between
-    /// consecutive accesses.
-    pub include_fences: bool,
-}
-
-impl Default for NaiveBounds {
-    fn default() -> Self {
-        NaiveBounds {
-            max_accesses_per_thread: 3,
-            threads: 2,
-            max_locs: 4,
-            include_fences: false,
-        }
-    }
-}
+use crate::stream::StreamBounds;
 
 /// One access in a naive program shape: `(is_write, location, fence_after)`.
 type Shape = Vec<Vec<(bool, u8, bool)>>;
 
-fn thread_shapes(bounds: &NaiveBounds) -> Vec<Vec<(bool, u8, bool)>> {
+fn thread_shapes(bounds: &StreamBounds) -> Vec<Vec<(bool, u8, bool)>> {
     let mut all = Vec::new();
     let mut current = Vec::new();
     fn recurse(
-        bounds: &NaiveBounds,
+        bounds: &StreamBounds,
         current: &mut Vec<(bool, u8, bool)>,
         all: &mut Vec<Vec<(bool, u8, bool)>>,
     ) {
@@ -88,80 +59,23 @@ fn thread_shapes(bounds: &NaiveBounds) -> Vec<Vec<(bool, u8, bool)>> {
     all
 }
 
-/// Number of outcome choices: every read may expect the initial value or
-/// the value of any write to its location.
-fn outcome_count(shape: &Shape) -> u64 {
-    let mut writes_per_loc = [0u64; 256];
-    for thread in shape {
-        for &(is_write, loc, _) in thread {
-            if is_write {
-                writes_per_loc[loc as usize] += 1;
-            }
-        }
-    }
-    let mut count = 1u64;
-    for thread in shape {
-        for &(is_write, loc, _) in thread {
-            if !is_write {
-                count *= writes_per_loc[loc as usize] + 1;
-            }
-        }
-    }
-    count
-}
-
-/// Counts the canonical naive tests within `bounds` without materialising
-/// the raw space: one count per **orbit leader** of the full §2.3
-/// symmetry group, exactly the tests [`enumerate_tests`] yields.
+/// Materialises up to `limit` tests of the bounded space **without** any
+/// symmetry reduction: every location labelling and thread ordering. This
+/// is the truly naive baseline, [`crate::stream::count_raw`] tests in all;
+/// `mcm_gen::canon::dedup` recovers the reduction lazily performed by the
+/// leader stream (more than 3× at two accesses per thread, as `canon`'s
+/// tests pin).
+///
+/// # Panics
+///
+/// If `bounds.include_deps` is set: the naive baseline enumerates only
+/// constant writes.
 #[must_use]
-pub fn count_tests(bounds: &NaiveBounds) -> u64 {
-    stream::count_leaders(&StreamBounds::from(bounds))
-}
-
-/// Counts the naive tests *without* any symmetry reduction — the paper's
-/// "approximately million tests even without dependencies" figure.
-#[must_use]
-pub fn count_tests_raw(bounds: &NaiveBounds) -> u64 {
-    let threads = thread_shapes(bounds);
-    let mut total = 0u64;
-    let mut stack: Shape = Vec::new();
-    fn recurse(threads: &[Vec<(bool, u8, bool)>], remaining: usize, stack: &mut Shape, total: &mut u64) {
-        if remaining == 0 {
-            *total += outcome_count(stack);
-            return;
-        }
-        for t in threads {
-            stack.push(t.clone());
-            recurse(threads, remaining - 1, stack, total);
-            stack.pop();
-        }
-    }
-    recurse(&threads, bounds.threads, &mut stack, &mut total);
-    total
-}
-
-/// Counts only the canonical program shapes (ignoring outcomes), i.e. one
-/// per program orbit under the §2.3 symmetries.
-#[must_use]
-pub fn count_programs(bounds: &NaiveBounds) -> u64 {
-    stream::count_leader_programs(&StreamBounds::from(bounds))
-}
-
-/// Materialises the canonical naive tests: the orbit leaders of the
-/// bounded space, in the deterministic order of [`stream::leaders`]. Only
-/// sensible for small bounds or small `limit`s.
-#[must_use]
-pub fn enumerate_tests(bounds: &NaiveBounds, limit: usize) -> Vec<LitmusTest> {
-    stream::leaders(&StreamBounds::from(bounds)).take(limit).collect()
-}
-
-/// Like [`enumerate_tests`] but **without** any symmetry reduction: every
-/// location labelling and thread ordering is materialised. This is the
-/// truly naive baseline ([`count_tests_raw`]); `mcm_gen::canon::dedup`
-/// recovers the reduction lazily performed by the leader stream (more
-/// than 3× at two accesses per thread, as `canon`'s tests pin).
-#[must_use]
-pub fn enumerate_tests_raw(bounds: &NaiveBounds, limit: usize) -> Vec<LitmusTest> {
+pub fn enumerate_tests_raw(bounds: &StreamBounds, limit: usize) -> Vec<LitmusTest> {
+    assert!(
+        !bounds.include_deps,
+        "the naive enumeration has no dependency idioms"
+    );
     let threads = thread_shapes(bounds);
     let mut tests = Vec::new();
     let mut stack: Shape = Vec::new();
@@ -282,37 +196,46 @@ fn build_test(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::canon;
+    use crate::{canon, stream};
+
+    fn small_bounds(include_fences: bool) -> StreamBounds {
+        StreamBounds {
+            max_accesses_per_thread: 2,
+            threads: 2,
+            max_locs: 2,
+            include_fences,
+            include_deps: false,
+        }
+    }
 
     #[test]
     fn tiny_bounds_count_by_hand() {
-        // 1 thread, 1 access, 1 location: orbits are R0 (read the initial
-        // value) and W0.
-        let bounds = NaiveBounds {
+        // 1 thread, 1 access, 1 location: the raw space and its orbits are
+        // both R0 (read the initial value) and W0.
+        let bounds = StreamBounds {
             max_accesses_per_thread: 1,
             threads: 1,
             max_locs: 1,
-            include_fences: false,
+            ..small_bounds(false)
         };
-        assert_eq!(count_programs(&bounds), 2);
+        assert_eq!(enumerate_tests_raw(&bounds, usize::MAX).len(), 2);
+        assert_eq!(stream::count_leader_programs(&bounds), 2);
         // R0 has one outcome (init); W0 has one (no reads): 2 tests.
-        assert_eq!(count_tests(&bounds), 2);
+        assert_eq!(stream::count_leaders(&bounds), 2);
     }
 
     #[test]
     fn enumeration_matches_count_on_small_bounds() {
-        let bounds = NaiveBounds {
-            max_accesses_per_thread: 2,
-            threads: 2,
-            max_locs: 2,
-            include_fences: false,
-        };
-        let count = count_tests(&bounds);
-        let tests = enumerate_tests(&bounds, usize::MAX);
-        assert_eq!(tests.len() as u64, count);
-        // Every materialised test is well-formed (constructor validated).
-        for test in &tests {
-            assert!(test.program().access_count() <= 4);
+        // The raw enumeration materialises exactly the space the stream
+        // counts by shape.
+        for fences in [false, true] {
+            let bounds = small_bounds(fences);
+            let tests = enumerate_tests_raw(&bounds, usize::MAX);
+            assert_eq!(tests.len() as u64, stream::count_raw(&bounds));
+            // Every materialised test is well-formed (constructor validated).
+            for test in &tests {
+                assert!(test.program().access_count() <= 4);
+            }
         }
     }
 
@@ -320,13 +243,7 @@ mod tests {
     fn enumerated_tests_are_orbit_leaders() {
         // The canonical enumeration is exactly the leader set: dedup finds
         // nothing left to collapse, and every test is a canon fixed point.
-        let bounds = NaiveBounds {
-            max_accesses_per_thread: 2,
-            threads: 2,
-            max_locs: 2,
-            include_fences: true,
-        };
-        let tests = enumerate_tests(&bounds, usize::MAX);
+        let tests: Vec<LitmusTest> = stream::leaders(&small_bounds(true)).collect();
         let orbits = canon::dedup(&tests);
         assert_eq!(orbits.len(), tests.len(), "leader set must be dedup-free");
         for test in &tests {
@@ -340,39 +257,36 @@ mod tests {
         // thread sort) kept 41 tests on these bounds; the true §2.3
         // quotient — which also sees value symmetry and fences — keeps
         // fewer, and exactly matches dedup of the raw space.
-        let bounds = NaiveBounds {
-            max_accesses_per_thread: 2,
-            threads: 2,
-            max_locs: 2,
-            include_fences: false,
-        };
-        let raw = enumerate_tests_raw(&bounds, usize::MAX);
-        let orbits = canon::dedup(&raw);
-        assert_eq!(count_tests(&bounds), orbits.len() as u64);
+        let bounds = small_bounds(false);
+        let orbits = canon::dedup(&enumerate_tests_raw(&bounds, usize::MAX));
+        assert_eq!(stream::count_leaders(&bounds), orbits.len() as u64);
     }
 
     #[test]
     fn default_bounds_are_order_of_magnitude_million() {
         // The paper: "approximately million tests even without
         // dependencies" — that is the raw, symmetry-unreduced count.
-        let raw = count_tests_raw(&NaiveBounds::default());
-        assert!(raw > 100_000, "got {raw}");
-        assert!(raw < 100_000_000, "got {raw}");
+        assert_eq!(stream::count_raw(&StreamBounds::default()), 1_340_528);
     }
 
     #[test]
     fn fences_increase_the_count() {
-        let bounds = NaiveBounds {
-            max_accesses_per_thread: 2,
-            threads: 2,
-            max_locs: 2,
-            include_fences: false,
-        };
-        let without = count_tests(&bounds);
-        let with = count_tests(&NaiveBounds {
-            include_fences: true,
-            ..bounds
-        });
-        assert!(with > without);
+        let raw = |fences| enumerate_tests_raw(&small_bounds(fences), usize::MAX).len();
+        assert!(raw(true) > raw(false));
+        assert!(
+            stream::count_leaders(&small_bounds(true)) > stream::count_leaders(&small_bounds(false))
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "no dependency idioms")]
+    fn dependencies_are_rejected() {
+        let _ = enumerate_tests_raw(
+            &StreamBounds {
+                include_deps: true,
+                ..small_bounds(false)
+            },
+            1,
+        );
     }
 }

@@ -42,7 +42,6 @@
 use mcm_core::{LitmusTest, Loc, Outcome, Program, Reg, RegExpr, ThreadId, Value};
 
 use crate::canon;
-use crate::naive::NaiveBounds;
 
 /// Bounds of the streamed space: the naive Theorem 1 box, generalized past
 /// it (up to four accesses per thread, optional fences, optional
@@ -71,18 +70,6 @@ impl Default for StreamBounds {
             threads: 2,
             max_locs: 4,
             include_fences: false,
-            include_deps: false,
-        }
-    }
-}
-
-impl From<&NaiveBounds> for StreamBounds {
-    fn from(bounds: &NaiveBounds) -> Self {
-        StreamBounds {
-            max_accesses_per_thread: bounds.max_accesses_per_thread,
-            threads: bounds.threads,
-            max_locs: bounds.max_locs,
-            include_fences: bounds.include_fences,
             include_deps: false,
         }
     }
@@ -744,15 +731,7 @@ mod tests {
         // the raw materialized space: same orbit fingerprints, no more,
         // no fewer.
         let bounds = small_bounds();
-        let raw = naive::enumerate_tests_raw(
-            &NaiveBounds {
-                max_accesses_per_thread: bounds.max_accesses_per_thread,
-                threads: bounds.threads,
-                max_locs: bounds.max_locs,
-                include_fences: bounds.include_fences,
-            },
-            usize::MAX,
-        );
+        let raw = naive::enumerate_tests_raw(&bounds, usize::MAX);
         let orbits = canon::dedup(&raw);
         let mut expected: Vec<u64> = orbits.fingerprints.clone();
         expected.sort_unstable();

@@ -58,16 +58,17 @@ proptest! {
     ) {
         // The dependency-free slice is the one the materializing baseline
         // can enumerate; compare orbit sets exactly on it.
-        let naive_bounds = naive::NaiveBounds {
+        let bounds = StreamBounds {
             max_accesses_per_thread: accesses,
             threads: 2,
             max_locs: locs,
             include_fences: fences,
+            include_deps: false,
         };
-        let raw = naive::enumerate_tests_raw(&naive_bounds, usize::MAX);
+        let raw = naive::enumerate_tests_raw(&bounds, usize::MAX);
         let mut materialized: Vec<u64> = canon::dedup(&raw).fingerprints;
         materialized.sort_unstable();
-        let mut streamed: Vec<u64> = stream::leaders(&StreamBounds::from(&naive_bounds))
+        let mut streamed: Vec<u64> = stream::leaders(&bounds)
             .map(|t| canon::fingerprint(&t))
             .collect();
         streamed.sort_unstable();

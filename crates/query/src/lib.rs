@@ -64,8 +64,7 @@ pub mod wire;
 
 pub use error::QueryError;
 pub use query::{
-    AnalyzeQuery, CheckQuery, CompareQuery, DistinguishQuery, Query, SuiteQuery, SweepQuery,
-    SynthMode, SynthQuery,
+    AnalyzeQuery, CheckQuery, CompareQuery, Query, SuiteQuery, SweepQuery, SynthMode, SynthQuery,
 };
 pub use render::{Format, Render, SCHEMA_VERSION};
 pub use reports::{

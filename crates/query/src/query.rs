@@ -10,7 +10,7 @@ use mcm_explore::dot::{render_dot, DotOptions};
 use mcm_explore::{
     distinguish, paper, EngineConfig, Exploration, Lattice, StreamControl, VerdictCache,
 };
-use mcm_gen::{count, naive, template_suite};
+use mcm_gen::{count, stream, template_suite, StreamBounds};
 use mcm_models::catalog;
 use mcm_store::{CheckpointFile, DiskCache, SweepMeta};
 use mcm_synth::SynthBounds;
@@ -83,16 +83,14 @@ impl Query {
         }
     }
 
-    /// A SAT-certified minimum distinguishing test set for a model space.
+    /// A SAT-certified minimum distinguishing test set for a model space:
+    /// a sweep of the 90-model space over the with-dependencies comparison
+    /// suite, run with [`SweepQuery::run_distinguish`].
     #[must_use]
-    pub fn distinguish() -> DistinguishQuery {
-        DistinguishQuery {
-            models: ModelSpec::Full90,
-            with_deps: true,
-            checker: CheckerKind::Explicit,
-            engine: EngineConfig::default(),
-            cache: None,
-        }
+    pub fn distinguish() -> SweepQuery {
+        Query::sweep()
+            .models(ModelSpec::Full90)
+            .tests(TestSource::TemplateSuite { with_deps: true })
     }
 
     /// CEGIS synthesis of a minimal distinguishing test for one pair.
@@ -178,7 +176,7 @@ pub struct SweepQuery {
     /// The checker backend (built test-major via
     /// [`CheckerKind::build_batch`]).
     pub checker: CheckerKind,
-    /// Engine tuning: canonicalization, worker count, batch sizes.
+    /// Engine tuning: canonicalization, worker count, stream chunk size.
     pub engine: EngineConfig,
     /// Verdict memoization: `Some(true)` asks for a [`VerdictCache`],
     /// `Some(false)` refuses one, `None` lets the runner decide — a server
@@ -281,10 +279,55 @@ impl SweepQuery {
         self.run_with(None)
     }
 
+    /// Runs the sweep and reads the distinguish view off its report: the
+    /// equivalence classes and the certified minimum distinguishing set.
+    ///
+    /// # Errors
+    ///
+    /// As [`SweepQuery::run`], plus [`QueryError::InvalidSpec`] for a
+    /// space of fewer than two models or a streamed test source, both
+    /// raised before any checker runs.
+    pub fn run_distinguish(self) -> Result<DistinguishReport, QueryError> {
+        self.distinguish_with(None)
+    }
+
     /// [`SweepQuery::run`] with the runner's shared cache, used unless
     /// the query refused caching.
     pub(crate) fn run_with(self, shared: Option<&VerdictCache>) -> Result<SweepReport, QueryError> {
         let models = resolve_models(&self.models)?;
+        self.sweep(models, shared)
+    }
+
+    /// [`SweepQuery::run_distinguish`] with the runner's shared cache.
+    pub(crate) fn distinguish_with(
+        self,
+        shared: Option<&VerdictCache>,
+    ) -> Result<DistinguishReport, QueryError> {
+        let models = resolve_models(&self.models)?;
+        if models.len() < 2 {
+            return Err(QueryError::InvalidSpec(
+                "distinguish needs at least two models".to_string(),
+            ));
+        }
+        if matches!(self.source, TestSource::Stream { .. }) {
+            return Err(QueryError::InvalidSpec(
+                "distinguish needs a materializable test source, not a stream".to_string(),
+            ));
+        }
+        Ok(DistinguishReport {
+            sweep: self.sweep(models, shared)?,
+        })
+    }
+
+    /// The §4.2 sweep over resolved models. The source decides the engine
+    /// call and its own report sections: the stream summary and
+    /// checkpointing for streamed sources; the minimal set, the nine-test
+    /// check and the warm re-sweep for materialized ones.
+    fn sweep(
+        self,
+        models: Vec<MemoryModel>,
+        shared: Option<&VerdictCache>,
+    ) -> Result<SweepReport, QueryError> {
         // A disk-backed store supplies the cache when requested; it
         // outranks the shared and owned caches so its write-through sink
         // sees every fresh verdict of the sweep.
@@ -304,132 +347,116 @@ impl SweepQuery {
             .or(shared)
             .or(owned.as_ref());
         let checker = self.checker;
-        if let TestSource::Stream {
-            bounds,
-            limit,
-            shard,
-        } = &self.source
-        {
-            let raw_space = {
-                let _span = mcm_obs::trace::span("query.raw_count");
-                mcm_gen::stream::try_count_raw(bounds, 20_000_000)
-            };
-            let meta = SweepMeta {
-                bounds: *bounds,
-                limit: limit.map(|l| l as u64),
-                shard: *shard,
-                canonicalize: self.engine.canonicalize,
-                stream_chunk: self.engine.stream_chunk as u64,
-            };
-            let resume_state = match &self.resume {
-                None => None,
-                Some(path) => {
-                    let _span = mcm_obs::trace::span("query.checkpoint_load");
-                    match CheckpointFile::load(path).map_err(|e| io_error(path, &e))? {
-                        // Cold start: the checkpoint was never written
-                        // (first run of a `--checkpoint F --resume F` loop).
-                        None => None,
-                        Some(ckpt) if ckpt.meta != meta => {
-                            return Err(QueryError::InvalidSpec(format!(
-                                "checkpoint {} was taken over a different sweep \
-                                 (bounds, limit, shard or engine chunking differ)",
-                                path.display()
-                            )));
-                        }
-                        Some(ckpt) => Some(ckpt.state),
-                    }
-                }
-            };
-            let resumed_at = resume_state.as_ref().map(|s| s.tests_streamed);
-            let saves = Cell::new(0u64);
-            let save_errors = Cell::new(0u64);
-            let mut control = StreamControl {
-                on_checkpoint: None,
-                resume: resume_state,
-            };
-            if let Some(path) = &self.checkpoint {
-                control.on_checkpoint = Some(Box::new(|state| {
-                    let file = CheckpointFile {
-                        meta,
-                        state: state.clone(),
-                    };
-                    match file.save(path) {
-                        Ok(()) => saves.set(saves.get() + 1),
-                        Err(_) => save_errors.set(save_errors.get() + 1),
-                    }
-                    true
-                }));
-            }
-            let timings = TimingsCapture::start();
-            let start = Instant::now();
-            let stream = match shard {
-                Some(shard) => mcm_gen::stream::leaders_sharded(bounds, *shard),
-                None => mcm_gen::stream::leaders(bounds),
-            }
-            .take(limit.unwrap_or(usize::MAX));
-            let (exploration, stats) = Exploration::run_engine_streaming_with(
-                models,
-                stream,
-                || checker.build_batch(),
-                &self.engine,
-                cache,
-                control,
-            )
-            .map_err(|e| QueryError::InvalidSpec(e.to_string()))?;
-            let elapsed = start.elapsed();
-            let timings = timings.finish();
-            let (lattice, equivalent_pairs) = {
-                let _span = mcm_obs::trace::span("query.report");
-                let pairs = exploration.equivalent_pair_names();
-                (Lattice::build(&exploration), pairs)
-            };
-            return Ok(SweepReport {
-                exploration,
-                stats,
-                lattice,
-                equivalent_pairs,
-                minimal_set: None,
-                nine_test_indices: Vec::new(),
-                nine_tests_sufficient: None,
-                cache: cache.map(VerdictCache::stats),
-                store: disk.as_ref().map(store_summary),
-                // Reported for a saving run AND a resume-only run — the
-                // latter still needs its cursor surfaced.
-                checkpoint: self
-                    .checkpoint
-                    .as_ref()
-                    .or(self.resume.as_ref())
-                    .map(|path| CheckpointSummary {
-                        path: path.display().to_string(),
-                        saves: saves.get(),
-                        save_errors: save_errors.get(),
-                        resumed_at,
-                    }),
-                warm: None,
-                stream: Some(StreamSummary {
+        let saves = Cell::new(0u64);
+        let save_errors = Cell::new(0u64);
+        let mut stream = None;
+        let mut resumed_at = None;
+        let timings = TimingsCapture::start();
+        let start = Instant::now();
+        let (exploration, stats) = match &self.source {
+            TestSource::Stream {
+                bounds,
+                limit,
+                shard,
+            } => {
+                let raw_space = {
+                    let _span = mcm_obs::trace::span("query.raw_count");
+                    mcm_gen::stream::try_count_raw(bounds, 20_000_000)
+                };
+                stream = Some(StreamSummary {
                     bounds: *bounds,
                     limit: *limit,
                     shard: *shard,
                     raw_space,
-                }),
-                timings,
-                elapsed,
-            });
-        }
-        let tests = {
-            let _span = mcm_obs::trace::span("query.load");
-            self.source.load()?
-        };
-        let timings = TimingsCapture::start();
-        let start = Instant::now();
-        let (exploration, stats) =
-            Exploration::run_engine(models, tests, || checker.build_batch(), &self.engine, cache);
-        let space = {
-            let _span = mcm_obs::trace::span("query.report");
-            paper::report_from(exploration)
+                });
+                let meta = SweepMeta {
+                    bounds: *bounds,
+                    limit: limit.map(|l| l as u64),
+                    shard: *shard,
+                    canonicalize: self.engine.canonicalize,
+                    stream_chunk: self.engine.stream_chunk as u64,
+                };
+                let resume = match &self.resume {
+                    None => None,
+                    Some(path) => {
+                        let _span = mcm_obs::trace::span("query.checkpoint_load");
+                        match CheckpointFile::load(path).map_err(|e| io_error(path, &e))? {
+                            // Cold start: the checkpoint was never written
+                            // (first run of a `--checkpoint F --resume F` loop).
+                            None => None,
+                            Some(ckpt) if ckpt.meta != meta => {
+                                return Err(QueryError::InvalidSpec(format!(
+                                    "checkpoint {} was taken over a different sweep \
+                                     (bounds, limit, shard or engine chunking differ)",
+                                    path.display()
+                                )));
+                            }
+                            Some(ckpt) => Some(ckpt.state),
+                        }
+                    }
+                };
+                resumed_at = resume.as_ref().map(|s| s.tests_streamed);
+                let mut control = StreamControl {
+                    on_checkpoint: None,
+                    resume,
+                };
+                if let Some(path) = &self.checkpoint {
+                    control.on_checkpoint = Some(Box::new(|state| {
+                        let file = CheckpointFile {
+                            meta,
+                            state: state.clone(),
+                        };
+                        match file.save(path) {
+                            Ok(()) => saves.set(saves.get() + 1),
+                            Err(_) => save_errors.set(save_errors.get() + 1),
+                        }
+                        true
+                    }));
+                }
+                let leaders = match shard {
+                    Some(shard) => mcm_gen::stream::leaders_sharded(bounds, *shard),
+                    None => mcm_gen::stream::leaders(bounds),
+                }
+                .take(limit.unwrap_or(usize::MAX));
+                Exploration::run_engine_streaming_with(
+                    models,
+                    leaders,
+                    || checker.build_batch(),
+                    &self.engine,
+                    cache,
+                    control,
+                )
+                .map_err(|e| QueryError::InvalidSpec(e.to_string()))?
+            }
+            source => {
+                let tests = {
+                    let _span = mcm_obs::trace::span("query.load");
+                    source.load()?
+                };
+                Exploration::run_engine(models, tests, || checker.build_batch(), &self.engine, cache)
+            }
         };
         let elapsed = start.elapsed();
         let timings = timings.finish();
+        let materialized = stream.is_none();
+        let report_span = mcm_obs::trace::span("query.report");
+        let lattice = Lattice::build(&exploration);
+        let equivalent_pairs = exploration.equivalent_pair_names();
+        let (minimal_set, nine_test_indices, nine_tests_sufficient) = if materialized {
+            let nine: Vec<usize> = ["L1", "L2", "L3", "L4", "L5", "L6", "L7", "L8", "L9"]
+                .iter()
+                .filter_map(|name| exploration.tests.iter().position(|t| t.name() == *name))
+                .collect();
+            let sufficient = distinguish::is_sufficient(&exploration, &nine);
+            (
+                Some(distinguish::minimal_distinguishing_set(&exploration)),
+                nine,
+                Some(sufficient),
+            )
+        } else {
+            (None, Vec::new(), None)
+        };
+        drop(report_span);
         // The warm re-sweep demo is only honest after a sweep that covered
         // the full 90-model digit space and its dependency-bearing suite —
         // anything smaller leaves the Figure 4 subspace cold.
@@ -453,18 +480,30 @@ impl SweepQuery {
             _ => None,
         };
         Ok(SweepReport {
-            exploration: space.exploration,
+            exploration,
             stats,
-            lattice: space.lattice,
-            equivalent_pairs: space.equivalent_pairs,
-            minimal_set: Some(space.minimal_set),
-            nine_test_indices: space.nine_test_indices,
-            nine_tests_sufficient: Some(space.nine_tests_sufficient),
+            lattice,
+            equivalent_pairs,
+            minimal_set,
+            nine_test_indices,
+            nine_tests_sufficient,
             cache: cache.map(VerdictCache::stats),
             store: disk.as_ref().map(store_summary),
-            checkpoint: None,
+            // Reported for a saving run AND a resume-only run of a
+            // streamed sweep — the latter still needs its cursor surfaced.
+            checkpoint: self
+                .checkpoint
+                .as_ref()
+                .or(self.resume.as_ref())
+                .filter(|_| !materialized)
+                .map(|path| CheckpointSummary {
+                    path: path.display().to_string(),
+                    saves: saves.get(),
+                    save_errors: save_errors.get(),
+                    resumed_at,
+                }),
             warm,
-            stream: None,
+            stream,
             timings,
             elapsed,
         })
@@ -624,110 +663,6 @@ impl CompareQuery {
             tests: expl.tests.len(),
             witnesses,
             elapsed: start.elapsed(),
-        })
-    }
-}
-
-/// Builder for [`Query::distinguish`].
-#[derive(Clone, Debug)]
-pub struct DistinguishQuery {
-    /// The model space to separate (at least two models).
-    pub models: ModelSpec,
-    /// Include the dependency-idiom templates in the comparison suite.
-    pub with_deps: bool,
-    /// The checker backend.
-    pub checker: CheckerKind,
-    /// Engine tuning: canonicalization, worker count, batch sizes.
-    pub engine: EngineConfig,
-    /// Verdict memoization, as [`SweepQuery::cache`].
-    pub cache: Option<bool>,
-}
-
-impl DistinguishQuery {
-    /// Sets [`DistinguishQuery::models`].
-    #[must_use]
-    pub fn models(mut self, models: ModelSpec) -> Self {
-        self.models = models;
-        self
-    }
-
-    /// Sets [`DistinguishQuery::with_deps`].
-    #[must_use]
-    pub fn with_deps(mut self, with_deps: bool) -> Self {
-        self.with_deps = with_deps;
-        self
-    }
-
-    /// Sets [`DistinguishQuery::checker`].
-    #[must_use]
-    pub fn checker(mut self, checker: CheckerKind) -> Self {
-        self.checker = checker;
-        self
-    }
-
-    /// Sets [`DistinguishQuery::engine`].
-    #[must_use]
-    pub fn engine(mut self, config: EngineConfig) -> Self {
-        self.engine = config;
-        self
-    }
-
-    /// Memoize verdicts in a fresh [`VerdictCache`] (or refuse any
-    /// cache); see [`DistinguishQuery::cache`].
-    #[must_use]
-    pub fn cache(mut self, cache: bool) -> Self {
-        self.cache = Some(cache);
-        self
-    }
-
-    /// Runs the sweep and computes the certified minimum set.
-    ///
-    /// # Errors
-    ///
-    /// [`QueryError::InvalidSpec`] for unresolvable models or a space of
-    /// fewer than two.
-    pub fn run(self) -> Result<DistinguishReport, QueryError> {
-        self.run_with(None)
-    }
-
-    /// [`DistinguishQuery::run`] with the runner's shared cache, used
-    /// unless the query refused caching.
-    pub(crate) fn run_with(
-        self,
-        shared: Option<&VerdictCache>,
-    ) -> Result<DistinguishReport, QueryError> {
-        let models = resolve_models(&self.models)?;
-        if models.len() < 2 {
-            return Err(QueryError::InvalidSpec(
-                "distinguish needs at least two models".to_string(),
-            ));
-        }
-        let shared = shared.filter(|_| self.cache != Some(false));
-        let owned = (shared.is_none() && self.cache == Some(true)).then(VerdictCache::new);
-        let cache: Option<&VerdictCache> = shared.or(owned.as_ref());
-        let checker = self.checker;
-        let tests = {
-            let _span = mcm_obs::trace::span("query.load");
-            paper::comparison_tests(self.with_deps)
-        };
-        let start = Instant::now();
-        let (exploration, stats) =
-            Exploration::run_engine(models, tests, || checker.build_batch(), &self.engine, cache);
-        let elapsed = start.elapsed();
-        let (classes, minimal) = {
-            let _span = mcm_obs::trace::span("query.report");
-            (
-                exploration.equivalence_classes(),
-                distinguish::minimal_distinguishing_set(&exploration),
-            )
-        };
-        Ok(DistinguishReport {
-            exploration,
-            stats,
-            classes,
-            minimal,
-            cache: cache.map(VerdictCache::stats),
-            elapsed,
         })
     }
 }
@@ -992,24 +927,26 @@ fn figures_report(selection: FigureSelection) -> FiguresReport {
     });
     let fig3 = want(S::Fig3).then(catalog::nine_tests);
     let counts = want(S::Counts).then(|| {
-        let bounds = naive::NaiveBounds::default();
+        let bounds = StreamBounds::default();
         CountsFigure {
             bound_with_deps: count::paper_bound(true),
             bound_without_deps: count::paper_bound(false),
-            naive_raw: naive::count_tests_raw(&bounds),
-            naive_canonical: naive::count_tests(&bounds),
+            naive_raw: stream::count_raw(&bounds),
+            naive_canonical: stream::count_leaders(&bounds),
             suite_with_deps: template_suite(true).len(),
             suite_without_deps: template_suite(false).len(),
         }
     });
     let fig4 = want(S::Fig4).then(|| {
-        let report = paper::explore_digit_space(false);
+        let report = Query::sweep()
+            .run()
+            .expect("the default sweep's models resolve and its suite loads");
         let dot = render_dot(
             &report.exploration,
             &report.lattice,
             &DotOptions {
                 name: "figure4".to_string(),
-                preferred_tests: report.nine_test_indices.clone(),
+                preferred_tests: report.nine_test_indices,
                 ..DotOptions::default()
             },
         );

@@ -129,7 +129,8 @@ pub struct SweepReport {
     /// (`None` when obs was disabled). JSON-only: profiling data, not
     /// part of the human-readable story.
     pub timings: Option<crate::reports::Timings>,
-    /// Wall-clock of the sweep.
+    /// Wall-clock of the sweep: preparing the test source and running the
+    /// engine. The lattice, minimal set and warm re-sweep come after it.
     pub elapsed: Duration,
 }
 

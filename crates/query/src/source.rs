@@ -31,8 +31,8 @@ pub enum TestSource {
         limit: Option<usize>,
         /// Sweep only stripe `i` of `n` (`--shard i/n`); `None` sweeps
         /// the whole stream. Shards of the same bounds partition the
-        /// enumeration, so N processes can split a space and their
-        /// verdict logs be merged afterwards.
+        /// enumeration, so N processes can split a space by appending
+        /// to one shared verdict log (`--store`).
         shard: Option<Shard>,
     },
     /// The built-in catalog: Test A, L1–L9 and the classic tests.

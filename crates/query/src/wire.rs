@@ -56,8 +56,7 @@ use mcm_gen::{Shard, StreamBounds};
 
 use crate::error::QueryError;
 use crate::query::{
-    AnalyzeQuery, CheckQuery, CompareQuery, DistinguishQuery, SuiteQuery, SweepQuery, SynthMode,
-    SynthQuery,
+    AnalyzeQuery, CheckQuery, CompareQuery, SuiteQuery, SweepQuery, SynthMode, SynthQuery,
 };
 use crate::render::{Format, Render};
 use crate::reports::FigureSelection;
@@ -120,8 +119,9 @@ pub enum QuerySpec {
     Sweep(SweepQuery),
     /// [`Query::compare`].
     Compare(CompareQuery),
-    /// [`Query::distinguish`].
-    Distinguish(DistinguishQuery),
+    /// [`Query::distinguish`]: a sweep rendered as its distinguish view
+    /// ([`SweepQuery::run_distinguish`]).
+    Distinguish(SweepQuery),
     /// [`Query::analyze`].
     Analyze(AnalyzeQuery),
     /// [`Query::synth`] or [`Query::synth_matrix`].
@@ -218,8 +218,8 @@ impl QuerySpec {
                 (Box::new(report), Some(stats))
             }
             QuerySpec::Distinguish(query) => {
-                let report = query.run_with(shared)?;
-                let stats = report.stats;
+                let report = query.distinguish_with(shared)?;
+                let stats = report.sweep.stats;
                 (Box::new(report), Some(stats))
             }
             QuerySpec::Compare(query) => (Box::new(query.run()?), None),
@@ -286,7 +286,10 @@ fn parse_distinguish(pairs: &[(String, Json)]) -> Result<QuerySpec, QueryError> 
     )?;
     let mut query = Query::distinguish();
     set(&mut query.models, parse_models(pairs)?);
-    set(&mut query.with_deps, opt_bool(pairs, "with_deps")?);
+    set(
+        &mut query.source,
+        opt_bool(pairs, "with_deps")?.map(|with_deps| TestSource::TemplateSuite { with_deps }),
+    );
     set(&mut query.checker, parse_checker(pairs)?);
     parse_engine(pairs, &mut query.engine)?;
     set(&mut query.cache, opt_bool(pairs, "cache")?.map(Some));
@@ -523,16 +526,12 @@ fn parse_engine(pairs: &[(String, Json)], config: &mut EngineConfig) -> Result<(
     check_named_fields(
         inner,
         "engine",
-        &["canonicalize", "jobs", "batch_size", "stream_chunk"],
+        &["canonicalize", "jobs", "stream_chunk"],
     )?;
     set(&mut config.canonicalize, opt_bool(inner, "canonicalize")?);
     set(
         &mut config.jobs,
         opt_positive(inner, "jobs", "engine jobs")?.map(Some),
-    );
-    set(
-        &mut config.batch_size,
-        opt_positive(inner, "batch_size", "engine batch_size")?,
     );
     set(
         &mut config.stream_chunk,
@@ -737,6 +736,7 @@ mod tests {
             r#"{"query": "sweep", "tests": {"stream": {"shard": "banana"}}}"#,
             r#"{"query": "sweep", "engine": {"jobs": 0}}"#,
             r#"{"query": "sweep", "engine": {"jobs": "many"}}"#,
+            r#"{"query": "distinguish", "engine": {"prefilter": false}}"#,
             r#"{"query": "sweep", "checker": "oracle"}"#,
             r#"{"query": "sweep", "format": "yaml"}"#,
             r#"{"query": "compare", "left": "SC"}"#,
@@ -780,5 +780,28 @@ mod tests {
         let _ = refused.spec.run(Some(&cache)).unwrap();
         assert_eq!(cache.len(), len_before);
         assert_eq!(cache.hits(), hits_before);
+    }
+
+    #[test]
+    fn distinguish_rejects_a_lone_model_before_checking_anything() {
+        let cache = Arc::new(VerdictCache::new());
+        let request = WireRequest::parse(r#"{"query": "distinguish", "models": ["SC"]}"#).unwrap();
+        let err = request.spec.run(Some(&cache)).err().expect("one model");
+        assert!(err.is_usage(), "{err}");
+        assert!(cache.is_empty(), "no checker ran");
+
+        // A streamed source has no minimal set to read off.
+        let QuerySpec::Distinguish(mut query) = request.spec else {
+            panic!("expected distinguish");
+        };
+        query.models = ModelSpec::List(vec!["SC".into(), "TSO".into()]);
+        query.source = TestSource::Stream {
+            bounds: StreamBounds::default(),
+            limit: Some(1),
+            shard: None,
+        };
+        let err = query.distinguish_with(Some(&cache)).expect_err("a stream");
+        assert!(err.is_usage(), "{err}");
+        assert!(cache.is_empty(), "no checker ran");
     }
 }

@@ -116,11 +116,11 @@ fn distinguish_report_schema() {
             "TSO".into(),
             "PSO".into(),
         ]))
-        .with_deps(false)
+        .tests(TestSource::TemplateSuite { with_deps: false })
         .engine(one_job())
-        .run()
+        .run_distinguish()
         .unwrap();
-    report.elapsed = Duration::ZERO;
+    report.sweep.elapsed = Duration::ZERO;
     assert_golden("distinguish", &report);
 }
 

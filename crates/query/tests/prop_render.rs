@@ -85,9 +85,9 @@ proptest! {
                 MODEL_POOL[b].to_string(),
                 MODEL_POOL[c].to_string(),
             ]))
-            .with_deps(false)
+            .tests(TestSource::TemplateSuite { with_deps: false })
             .engine(EngineConfig { jobs: Some(1), ..EngineConfig::default() })
-            .run()
+            .run_distinguish()
             .unwrap();
         assert_json_roundtrips(&report)?;
     }

@@ -1,9 +1,13 @@
 //! The query layer is a front door, not a different engine:
 //!
 //! * `Query::sweep()` over the Figure-4 space gives the same
-//!   [`SweepStats`], verdicts, minimal-set size, equivalent pairs and
-//!   class count as `Exploration::run_engine` followed by
-//!   `paper::report_from`, the code path it replaced;
+//!   `SweepStats` and verdicts as `Exploration::run_engine`, and the
+//!   same lattice, equivalent pairs and minimal set as
+//!   `Lattice::build` and `distinguish::minimal_distinguishing_set`
+//!   called on that exploration;
+//! * `Query::distinguish()` is a view of the same sweep: its stats,
+//!   classes and minimal set are those of `Query::sweep()` over the same
+//!   space;
 //! * a streamed sweep with a verdict log (`--store`), re-run over the
 //!   same log the way a restarted process would, makes zero checker
 //!   calls, answers every lookup from the disk tier, appends nothing and
@@ -16,7 +20,7 @@ use std::path::{Path, PathBuf};
 
 use mcm_axiomatic::hb::required_edges;
 use mcm_axiomatic::{explain, BatchChecker, ExplicitChecker, Verdict};
-use mcm_explore::{paper, EngineConfig, Exploration, SweepStats};
+use mcm_explore::{distinguish, paper, EngineConfig, Exploration, Lattice};
 use mcm_gen::stream::StreamBounds;
 use mcm_models::{catalog, named};
 use mcm_query::{CheckerKind, ModelSpec, Query, SweepReport, TestSource};
@@ -29,20 +33,15 @@ fn one_job() -> EngineConfig {
     }
 }
 
-fn direct_sweep() -> (paper::SpaceReport, SweepStats) {
-    let (exploration, stats) = Exploration::run_engine(
+#[test]
+fn query_sweep_equals_run_engine_lattice_and_minimal_set() {
+    let (direct, direct_stats) = Exploration::run_engine(
         paper::digit_space_models(false),
         paper::comparison_tests(false),
         || CheckerKind::Explicit.build_batch(),
         &one_job(),
         None,
     );
-    (paper::report_from(exploration), stats)
-}
-
-#[test]
-fn query_sweep_equals_run_engine_and_report_from() {
-    let (direct, direct_stats) = direct_sweep();
     let report = Query::sweep()
         .models(ModelSpec::Figure4)
         .tests(TestSource::TemplateSuite { with_deps: false })
@@ -55,24 +54,57 @@ fn query_sweep_equals_run_engine_and_report_from() {
         report.stats, direct_stats,
         "Query must drive the engine with identical settings"
     );
-    let direct_expl = &direct.exploration;
-    assert_eq!(report.exploration.models.len(), direct_expl.models.len());
-    assert_eq!(report.exploration.tests.len(), direct_expl.tests.len());
-    let mut mismatches = 0usize;
-    for (m, direct_row) in direct_expl.verdicts.iter().enumerate() {
-        for t in 0..direct_expl.tests.len() {
-            if report.exploration.verdicts[m].allowed(t) != direct_row.allowed(t) {
-                mismatches += 1;
-            }
-        }
-    }
-    assert_eq!(mismatches, 0, "verdict lattices must be bit-identical");
+    assert_eq!(report.exploration.models.len(), direct.models.len());
+    assert_eq!(report.exploration.tests.len(), direct.tests.len());
     assert_eq!(
-        report.minimal_set.as_ref().map(|m| m.tests.len()),
-        Some(direct.minimal_set.tests.len()),
+        report.exploration.verdicts, direct.verdicts,
+        "verdict lattices must be bit-identical"
     );
-    assert_eq!(report.equivalent_pairs, direct.equivalent_pairs);
-    assert_eq!(report.lattice.classes.len(), direct.lattice.classes.len());
+    let lattice = Lattice::build(&direct);
+    let classes = |l: &Lattice| -> Vec<Vec<usize>> {
+        l.classes.iter().map(|c| c.members.clone()).collect()
+    };
+    assert_eq!(classes(&report.lattice), classes(&lattice));
+    assert_eq!(
+        report.lattice.edges.len(),
+        lattice.edges.len(),
+        "covering edges diverge"
+    );
+    assert_eq!(report.equivalent_pairs, direct.equivalent_pair_names());
+    let minimal = distinguish::minimal_distinguishing_set(&direct);
+    let report_minimal = report.minimal_set.as_ref().expect("a materialized sweep");
+    assert_eq!(report_minimal.tests, minimal.tests);
+    assert_eq!(report_minimal.proved_minimum, minimal.proved_minimum);
+}
+
+#[test]
+fn query_distinguish_is_a_view_of_query_sweep() {
+    let space = || ModelSpec::List(["SC", "TSO", "PSO", "RMO"].map(String::from).to_vec());
+    let sweep = Query::sweep()
+        .models(space())
+        .tests(TestSource::TemplateSuite { with_deps: true })
+        .engine(one_job())
+        .run()
+        .expect("four named models resolve");
+    let view = Query::distinguish()
+        .models(space())
+        .engine(one_job())
+        .run_distinguish()
+        .expect("four models are enough to distinguish");
+
+    assert_eq!(view.sweep.stats, sweep.stats);
+    assert_eq!(
+        view.sweep.exploration.equivalence_classes(),
+        sweep.exploration.equivalence_classes(),
+    );
+    let members = |r: &SweepReport| -> Vec<Vec<usize>> {
+        r.lattice.classes.iter().map(|c| c.members.clone()).collect()
+    };
+    assert_eq!(members(&view.sweep), members(&sweep));
+    assert_eq!(members(&sweep), sweep.exploration.equivalence_classes());
+    let minimal = sweep.minimal_set.as_ref().expect("a materialized sweep");
+    assert_eq!(view.minimal().tests, minimal.tests);
+    assert_eq!(view.minimal().proved_minimum, minimal.proved_minimum);
 }
 
 /// A scratch path namespaced by pid so parallel runs cannot collide.

@@ -406,7 +406,7 @@ fn execute(state: &ServeState, body: &[u8]) -> Response {
 /// response is still correct, just computed with fewer resources).
 fn clamp(spec: &mut QuerySpec, config: &ServerConfig) {
     match spec {
-        QuerySpec::Sweep(sweep) => {
+        QuerySpec::Sweep(sweep) | QuerySpec::Distinguish(sweep) => {
             clamp_engine(&mut sweep.engine, config);
             if let TestSource::Stream { limit, .. } = &mut sweep.source {
                 *limit = Some(
@@ -414,7 +414,6 @@ fn clamp(spec: &mut QuerySpec, config: &ServerConfig) {
                 );
             }
         }
-        QuerySpec::Distinguish(distinguish) => clamp_engine(&mut distinguish.engine, config),
         _ => {}
     }
 }

@@ -126,8 +126,11 @@ fn decode_payload(payload: &[u8]) -> Option<CheckpointFile> {
     let stream_chunk = r.u64()?;
     let tests_streamed = r.u64()?;
     let tests_kept = r.u64()?;
+    // Counts come from the file: every capacity is capped by the bytes
+    // left (each element is at least 8 bytes), so a crafted count cannot
+    // request an allocation the payload could never fill.
     let model_count = r.u32()? as usize;
-    let mut model_fps = Vec::with_capacity(model_count);
+    let mut model_fps = Vec::with_capacity(model_count.min(r.remaining() / 8));
     for _ in 0..model_count {
         model_fps.push(r.u64()?);
     }
@@ -135,14 +138,14 @@ fn decode_payload(payload: &[u8]) -> Option<CheckpointFile> {
     if row_count != model_count {
         return None;
     }
-    let mut row_verdicts = Vec::with_capacity(row_count);
+    let mut row_verdicts = Vec::with_capacity(row_count.min(r.remaining() / 8));
     for _ in 0..row_count {
         let len = usize::try_from(r.u64()?).ok()?;
         if len as u64 != tests_kept {
             return None;
         }
         let word_count = r.u32()? as usize;
-        let mut words = Vec::with_capacity(word_count);
+        let mut words = Vec::with_capacity(word_count.min(r.remaining() / 8));
         for _ in 0..word_count {
             words.push(r.u64()?);
         }

@@ -13,8 +13,6 @@
 //!   a crash are detected by checksum and cleanly ignored on open.
 //! * [`mod@compact`] — rewrites a log to its live record set (duplicates
 //!   dropped, last write wins) with an atomic rename-over.
-//! * [`mod@merge`] — combines the logs of N sharded sweep processes into
-//!   one corpus.
 //! * [`disk`] — [`DiskCache`]: a [`VerdictCache`](mcm_explore::VerdictCache)
 //!   hydrated from a log on open and writing fresh verdicts through to it
 //!   on every batch boundary, so a warm cache survives process restarts.
@@ -50,10 +48,8 @@ pub mod checkpoint;
 pub mod compact;
 pub mod disk;
 pub mod log;
-pub mod merge;
 
 pub use checkpoint::{CheckpointFile, SweepMeta};
 pub use compact::{compact, CompactStats};
 pub use disk::{DiskCache, StoreStats};
 pub use log::{read_log, LogContents, LogWriter, Record, TailError};
-pub use merge::{merge, MergeStats};

@@ -10,7 +10,10 @@
 //! * a log written one record per frame, in the cell-by-cell order of
 //!   earlier builds (duplicates and flipped verdicts included), opens into
 //!   exactly its live record set, and a warm sweep over such a log makes
-//!   no checker call.
+//!   no checker call;
+//! * a checkpoint whose checksum is right but whose counts promise more
+//!   elements than its bytes hold is rejected as `InvalidData`, without
+//!   trying to allocate for those counts.
 
 use mcm_store::log::{read_log, LogWriter, Record, HEADER_LEN};
 use mcm_store::{compact, CheckpointFile, DiskCache};
@@ -151,6 +154,48 @@ fn warm_sweep_over_a_record_by_record_log_makes_no_checker_call() {
     drop(store);
     std::fs::remove_file(&path).unwrap();
     std::fs::remove_file(&cold_path).unwrap();
+}
+
+/// 64-bit FNV-1a, the checksum `docs/STORE_FORMAT.md` pins for
+/// checkpoint payloads.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325u64, |hash, &b| {
+        (hash ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+#[test]
+fn checkpoint_with_an_impossible_model_count_is_invalid_data() {
+    // A well-formed sweep identity and cursor, then `model_count =
+    // u32::MAX` with only 20 bytes behind it: 106 bytes in all, with a
+    // correct checksum, so only the payload structure can reject it.
+    let mut payload = Vec::new();
+    payload.extend_from_slice(&3u64.to_le_bytes()); // max_accesses_per_thread
+    payload.extend_from_slice(&2u64.to_le_bytes()); // threads
+    payload.push(4); // max_locs
+    payload.extend_from_slice(&[0, 0]); // include_fences, include_deps
+    payload.push(0); // no limit
+    payload.extend_from_slice(&0u64.to_le_bytes());
+    payload.push(0); // no shard
+    payload.extend_from_slice(&0u32.to_le_bytes());
+    payload.extend_from_slice(&1u32.to_le_bytes());
+    payload.push(0); // canonicalize
+    payload.extend_from_slice(&4096u64.to_le_bytes()); // stream_chunk
+    payload.extend_from_slice(&0u64.to_le_bytes()); // tests_streamed
+    payload.extend_from_slice(&0u64.to_le_bytes()); // tests_kept
+    payload.extend_from_slice(&u32::MAX.to_le_bytes()); // model_count
+    payload.extend_from_slice(&[0; 20]);
+    let mut bytes = mcm_store::checkpoint::MAGIC.to_vec();
+    bytes.extend_from_slice(&mcm_store::checkpoint::VERSION.to_le_bytes());
+    bytes.extend_from_slice(&payload);
+    bytes.extend_from_slice(&fnv1a(&payload).to_le_bytes());
+    assert_eq!(bytes.len(), 106);
+
+    let path = temp_path("huge-count-ckpt");
+    std::fs::write(&path, &bytes).unwrap();
+    let err = CheckpointFile::load(&path).expect_err("the counts overrun the payload");
+    assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{err}");
+    std::fs::remove_file(&path).unwrap();
 }
 
 proptest! {

@@ -8,17 +8,17 @@ use std::time::Instant;
 use litmus_mcm::axiomatic::{BatchRfSatChecker, ExplicitChecker};
 use litmus_mcm::explore::{paper, Exploration};
 use litmus_mcm::gen::count;
-use litmus_mcm::gen::naive::{count_tests, count_tests_raw, NaiveBounds};
+use litmus_mcm::gen::stream::{count_leaders, count_raw, StreamBounds};
 
 fn main() {
-    let bounds = NaiveBounds::default();
-    let with_fences = NaiveBounds {
+    let bounds = StreamBounds::default();
+    let with_fences = StreamBounds {
         include_fences: true,
-        ..NaiveBounds::default()
+        ..StreamBounds::default()
     };
-    println!("naive raw (no fences): {}", count_tests_raw(&bounds));
-    println!("naive canonical (no fences): {}", count_tests(&bounds));
-    println!("naive raw (with fences): {}", count_tests_raw(&with_fences));
+    println!("naive raw (no fences): {}", count_raw(&bounds));
+    println!("naive canonical (no fences): {}", count_leaders(&bounds));
+    println!("naive raw (with fences): {}", count_raw(&with_fences));
     println!("per-case bounds with deps: {:?}", count::per_case_bounds(true));
     println!("per-case bounds no deps: {:?}", count::per_case_bounds(false));
     println!(

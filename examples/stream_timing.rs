@@ -17,7 +17,6 @@ use std::time::Instant;
 use mcm_axiomatic::BatchExplicitChecker;
 use mcm_explore::{paper, report, EngineConfig, Exploration, Relation, StreamControl};
 use mcm_gen::stream::{self, StreamBounds};
-use mcm_gen::naive;
 
 fn sweep(bounds: &StreamBounds, limit: usize) -> (Exploration, mcm_explore::SweepStats) {
     Exploration::run_engine_streaming_with(
@@ -32,12 +31,12 @@ fn sweep(bounds: &StreamBounds, limit: usize) -> (Exploration, mcm_explore::Swee
 }
 
 fn main() {
-    let defaults = naive::NaiveBounds::default();
+    let defaults = StreamBounds::default();
     let start = Instant::now();
-    let leaders = naive::count_tests(&defaults);
+    let leaders = stream::count_leaders(&defaults);
     println!(
         "Theorem 1 box (3 accesses, 4 locations): {} raw tests -> {} orbit leaders, counted in {:.2?}",
-        naive::count_tests_raw(&defaults),
+        stream::count_raw(&defaults),
         leaders,
         start.elapsed(),
     );

@@ -32,8 +32,8 @@
 //!   (`mcm serve`).
 //! * [`store`] — disk persistence: the append-only verdict log under the
 //!   RAM cache (`--store`, `mcm serve --store-dir`), checkpoint/resume
-//!   for streaming sweeps (`--checkpoint` / `--resume`), and shard-log
-//!   merging (extension).
+//!   for streaming sweeps (`--checkpoint` / `--resume`); the shards of
+//!   a sweep append to one shared log (extension).
 //! * [`operational`] — interleaving-SC and store-buffer-TSO reference
 //!   machines that cross-validate the axiomatic semantics (extension).
 //! * [`obs`] — zero-dependency observability: the global metrics

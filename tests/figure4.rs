@@ -1,12 +1,17 @@
 //! Pins the structure of Figure 4: the dependency-free model space, its
 //! merged nodes, the position of the named models, and the edge labels.
 
-use litmus_mcm::explore::paper;
 use litmus_mcm::explore::dot::{render_dot, DotOptions};
+use litmus_mcm::query::{Query, SweepReport};
+
+/// The Figure 4 sweep, exactly as `mcm figures fig4` runs it.
+fn figure4() -> SweepReport {
+    Query::sweep().run().expect("the Figure 4 sweep runs")
+}
 
 #[test]
 fn thirty_six_models_collapse_to_thirty_nodes() {
-    let report = paper::explore_digit_space(false);
+    let report = figure4();
     assert_eq!(report.exploration.models.len(), 36);
     assert_eq!(report.lattice.classes.len(), 30, "Figure 4 node count");
     assert_eq!(report.equivalent_pairs.len(), 6);
@@ -33,7 +38,7 @@ fn thirty_six_models_collapse_to_thirty_nodes() {
 
 #[test]
 fn named_models_sit_where_figure4_puts_them() {
-    let report = paper::explore_digit_space(false);
+    let report = figure4();
     let lattice = &report.lattice;
     let expl = &report.exploration;
     let class_of = |name: &str| {
@@ -84,7 +89,7 @@ fn named_models_sit_where_figure4_puts_them() {
 
 #[test]
 fn every_covering_edge_is_labelled_by_one_of_the_nine_tests() {
-    let report = paper::explore_digit_space(false);
+    let report = figure4();
     for edge in &report.lattice.edges {
         let has_l_label = edge
             .distinguishing
@@ -103,7 +108,7 @@ fn figure4_edges_never_use_dependency_tests() {
     // Figure 4 omits L4 and L6 (their dependency idioms are inert without
     // the DataDep predicate): no covering edge in the dependency-free
     // space should *need* them, i.e. each edge has a non-dep label.
-    let report = paper::explore_digit_space(false);
+    let report = figure4();
     let dep_tests: Vec<usize> = ["L4", "L6"]
         .iter()
         .filter_map(|n| report.exploration.tests.iter().position(|t| t.name() == *n))
@@ -124,7 +129,7 @@ fn figure4_edges_never_use_dependency_tests() {
 
 #[test]
 fn dot_rendering_contains_the_named_nodes() {
-    let report = paper::explore_digit_space(false);
+    let report = figure4();
     let dot = render_dot(
         &report.exploration,
         &report.lattice,

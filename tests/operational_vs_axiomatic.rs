@@ -12,7 +12,7 @@
 
 use litmus_mcm::axiomatic::{BatchChecker, ExplicitChecker};
 use litmus_mcm::core::LitmusTest;
-use litmus_mcm::gen::naive::{enumerate_tests, NaiveBounds};
+use litmus_mcm::gen::stream::{leaders, StreamBounds};
 use litmus_mcm::models::{catalog, named};
 use litmus_mcm::operational::{sc_allows, tso_allows};
 
@@ -55,13 +55,14 @@ fn template_suite_agrees() {
 
 #[test]
 fn naive_universe_agrees() {
-    let bounds = NaiveBounds {
+    let bounds = StreamBounds {
         max_accesses_per_thread: 2,
         threads: 2,
         max_locs: 2,
         include_fences: true,
+        include_deps: false,
     };
-    let tests = enumerate_tests(&bounds, usize::MAX);
+    let tests = leaders(&bounds).collect::<Vec<_>>();
     assert!(tests.len() > 500);
     check_corpus(&tests, "naive");
 }
@@ -96,13 +97,14 @@ fn ibm370_and_pso_machines_agree_on_the_naive_universe() {
     let checker = ExplicitChecker::new();
     let ibm = named::ibm370();
     let pso = named::pso();
-    let bounds = NaiveBounds {
+    let bounds = StreamBounds {
         max_accesses_per_thread: 2,
         threads: 2,
         max_locs: 2,
         include_fences: true,
+        include_deps: false,
     };
-    for test in enumerate_tests(&bounds, usize::MAX) {
+    for test in leaders(&bounds) {
         assert_eq!(
             checker.is_allowed(&ibm, &test),
             ibm370_allows(&test),

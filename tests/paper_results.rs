@@ -4,6 +4,17 @@
 use litmus_mcm::explore::{distinguish, paper};
 use litmus_mcm::gen::count;
 use litmus_mcm::models::DigitModel;
+use litmus_mcm::query::{ModelSpec, Query, SweepReport, TestSource};
+
+/// The full §4.2 sweep: the 90-model space over the with-dependencies
+/// comparison suite.
+fn ninety_model_sweep() -> SweepReport {
+    Query::sweep()
+        .models(ModelSpec::Full90)
+        .tests(TestSource::TemplateSuite { with_deps: true })
+        .run()
+        .expect("the 90-model sweep runs")
+}
 
 /// §4.2: "there are two available choices for write-write, three choices
 /// for write-read and read-write and all five choices are available for
@@ -27,7 +38,7 @@ fn corollary1_bounds() {
 /// reads to the same address."
 #[test]
 fn eight_equivalent_pairs_differing_only_in_wr_same_addr() {
-    let report = paper::explore_digit_space(true);
+    let report = ninety_model_sweep();
     assert_eq!(report.equivalent_pairs.len(), 8, "expected 8 equivalent pairs");
 
     for (a, b) in &report.equivalent_pairs {
@@ -77,18 +88,16 @@ fn eight_equivalent_pairs_differing_only_in_wr_same_addr() {
 /// paper, nine is *minimum* (SAT certificate).
 #[test]
 fn nine_tests_suffice_and_are_minimum() {
-    let report = paper::explore_digit_space(true);
-    assert!(
+    let report = ninety_model_sweep();
+    assert_eq!(
         report.nine_tests_sufficient,
+        Some(true),
         "L1–L9 must distinguish all non-equivalent models"
     );
     assert_eq!(report.nine_test_indices.len(), 9);
-    assert_eq!(
-        report.minimal_set.tests.len(),
-        9,
-        "minimum distinguishing set size"
-    );
-    assert!(report.minimal_set.proved_minimum);
+    let minimal = report.minimal_set.as_ref().expect("a materialized sweep");
+    assert_eq!(minimal.tests.len(), 9, "minimum distinguishing set size");
+    assert!(minimal.proved_minimum);
     // Cross-check the certificate boundary directly.
     assert!(!distinguish::cover_of_size_exists(&report.exploration, 8));
     assert!(distinguish::cover_of_size_exists(&report.exploration, 9));

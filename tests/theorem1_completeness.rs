@@ -11,18 +11,19 @@
 use litmus_mcm::axiomatic::ExplicitChecker;
 use litmus_mcm::explore::paper::comparison_tests;
 use litmus_mcm::explore::Exploration;
-use litmus_mcm::gen::naive::{enumerate_tests, NaiveBounds};
+use litmus_mcm::gen::stream::{leaders, StreamBounds};
 use litmus_mcm::models::DigitModel;
 
 #[test]
 fn naive_distinctions_are_covered_by_the_template_suite() {
-    let bounds = NaiveBounds {
+    let bounds = StreamBounds {
         max_accesses_per_thread: 2,
         threads: 2,
         max_locs: 2,
         include_fences: true,
+        include_deps: false,
     };
-    let naive_tests = enumerate_tests(&bounds, usize::MAX);
+    let naive_tests = leaders(&bounds).collect::<Vec<_>>();
     assert!(
         naive_tests.len() > 500,
         "universe too small to be meaningful: {}",
@@ -65,13 +66,14 @@ fn naive_distinctions_are_covered_by_the_template_suite() {
 fn template_distinctions_on_equivalent_pairs_never_happen() {
     // Dual direction on the paper's equivalent pairs: the naive universe
     // must not distinguish models the template suite says are equivalent.
-    let bounds = NaiveBounds {
+    let bounds = StreamBounds {
         max_accesses_per_thread: 2,
         threads: 2,
         max_locs: 2,
         include_fences: true,
+        include_deps: false,
     };
-    let naive_tests = enumerate_tests(&bounds, usize::MAX);
+    let naive_tests = leaders(&bounds).collect::<Vec<_>>();
     let pairs = [("M1010", "M1110"), ("M4040", "M4140"), ("M4031", "M4131")];
     let checker = ExplicitChecker::new();
     for (a, b) in pairs {
