@@ -21,8 +21,9 @@
 //!   `Write(x) ∧ Read(y)` ordering is unobservable and can be elided.
 //!   This is exactly what merges the paper's 8 equivalent pairs in the
 //!   90-model space without executing a single test;
-//! * [`strength`] — the static strength preorder/lattice over any model
-//!   set, built from the normalized tables;
+//! * [`strength`] — the behavioural equivalence classes of any model set
+//!   ([`ModelClasses`], the cheap tables-only step) and its static
+//!   strength preorder/lattice, built from the normalized tables;
 //! * [`prefilter`] — the sweep prefilter: per test, the set of valuations
 //!   its program-order pairs realize (the *relaxation signature*); models
 //!   whose tables agree on that restriction provably share the test's
@@ -47,7 +48,7 @@ pub use dnf::minimized_dnf;
 pub use elide::{elidable, guarded_fragment, normalize};
 pub use lint::{lint_formula, lint_models, lint_test, Finding};
 pub use prefilter::SweepPrefilter;
-pub use strength::{ModelAnalysis, StrengthAnalysis};
+pub use strength::{ModelAnalysis, ModelClasses, StrengthAnalysis};
 pub use table::{SemanticKey, TruthTable};
 pub use universe::{AtomUniverse, Kind, Valuation};
 

@@ -54,39 +54,91 @@ pub struct StrengthAnalysis {
     pub edges: Vec<(usize, usize)>,
 }
 
-impl StrengthAnalysis {
-    /// Analyzes `models` — statically, with zero tests executed.
+/// The cheap half of the strength analysis: every model's truth table
+/// and Theorem-A-normalised table over the set's shared universe, and the
+/// behavioural equivalence classes the normalised tables induce. No
+/// minimised DNF, no lattice, no test executed.
+#[derive(Clone, Debug)]
+pub struct ModelClasses {
+    /// The shared atom universe of the set.
+    pub universe: AtomUniverse,
+    /// Per-model pointwise truth tables, in input order.
+    pub tables: Vec<TruthTable>,
+    /// Per-model behavioural normal forms ([`normalize`]), in input order.
+    pub normalized: Vec<TruthTable>,
+    /// Behavioural equivalence classes (indices into the input), ordered
+    /// by first member; members are ascending.
+    pub classes: Vec<Vec<usize>>,
+}
+
+impl ModelClasses {
+    /// Tabulates and classifies `models` — statically, with zero tests
+    /// executed.
     #[must_use]
     pub fn build(models: &[MemoryModel]) -> Self {
         let universe = AtomUniverse::for_formulas(models.iter().map(MemoryModel::formula));
-        let analyses: Vec<ModelAnalysis> = models
+        let tables: Vec<TruthTable> = models
             .iter()
-            .map(|model| {
-                let table = TruthTable::build(model.formula(), &universe);
-                let normalized = normalize(&table, &universe);
-                ModelAnalysis {
-                    name: model.name().to_string(),
-                    formula: model.formula().clone(),
-                    key: SemanticKey::of(model.formula()),
-                    minimized: minimized_dnf_of_table(&table, &universe),
-                    elided: normalized != table,
-                    table,
-                    normalized,
-                }
-            })
+            .map(|model| TruthTable::build(model.formula(), &universe))
             .collect();
-
-        // Equivalence classes by normalized table.
+        let normalized: Vec<TruthTable> =
+            tables.iter().map(|table| normalize(table, &universe)).collect();
         let mut classes: Vec<Vec<usize>> = Vec::new();
-        for (i, analysis) in analyses.iter().enumerate() {
-            match classes
-                .iter_mut()
-                .find(|c| analyses[c[0]].normalized == analysis.normalized)
-            {
+        for (i, table) in normalized.iter().enumerate() {
+            match classes.iter_mut().find(|c| normalized[c[0]] == *table) {
                 Some(class) => class.push(i),
                 None => classes.push(vec![i]),
             }
         }
+        ModelClasses {
+            universe,
+            tables,
+            normalized,
+            classes,
+        }
+    }
+
+    /// How models `i` and `j` of one class are proven equivalent:
+    /// `"pointwise"` (equal tables) or `"theorem-a"` (equal only after
+    /// elision).
+    #[must_use]
+    pub fn how_equivalent(&self, i: usize, j: usize) -> &'static str {
+        equivalence_kind(&self.tables[i], &self.tables[j])
+    }
+}
+
+/// How two tables with equal normal forms are equivalent.
+fn equivalence_kind(a: &TruthTable, b: &TruthTable) -> &'static str {
+    if a == b {
+        "pointwise"
+    } else {
+        "theorem-a"
+    }
+}
+
+impl StrengthAnalysis {
+    /// Analyzes `models` — statically, with zero tests executed.
+    #[must_use]
+    pub fn build(models: &[MemoryModel]) -> Self {
+        let ModelClasses {
+            universe,
+            tables,
+            normalized,
+            classes,
+        } = ModelClasses::build(models);
+        let analyses: Vec<ModelAnalysis> = models
+            .iter()
+            .zip(tables.into_iter().zip(normalized))
+            .map(|(model, (table, normalized))| ModelAnalysis {
+                name: model.name().to_string(),
+                formula: model.formula().clone(),
+                key: SemanticKey::of(model.formula()),
+                minimized: minimized_dnf_of_table(&table, &universe),
+                elided: normalized != table,
+                table,
+                normalized,
+            })
+            .collect();
 
         // Hasse diagram of strict pointwise implication between classes.
         let n = classes.len();
@@ -137,11 +189,7 @@ impl StrengthAnalysis {
         for class in &self.classes {
             for (a, &i) in class.iter().enumerate() {
                 for &j in &class[a + 1..] {
-                    let how = if self.models[i].table == self.models[j].table {
-                        "pointwise"
-                    } else {
-                        "theorem-a"
-                    };
+                    let how = equivalence_kind(&self.models[i].table, &self.models[j].table);
                     pairs.push((i, j, how));
                 }
             }
@@ -206,6 +254,25 @@ mod tests {
         let sc = &analysis.models[0].normalized;
         for m in &analysis.models {
             assert!(m.normalized.implies(sc), "{} must imply SC", m.name);
+        }
+    }
+
+    #[test]
+    fn model_classes_are_the_strength_classes_on_the_90_model_space() {
+        use mcm_models::DigitModel;
+        let models: Vec<MemoryModel> = DigitModel::all().iter().map(DigitModel::to_model).collect();
+        let classes = ModelClasses::build(&models);
+        let analysis = StrengthAnalysis::build(&models);
+        assert_eq!(classes.classes, analysis.classes);
+        assert_eq!(classes.classes.len(), 82, "the paper's 82 classes");
+        for (m, analysis) in analysis.models.iter().enumerate() {
+            assert_eq!(classes.tables[m], analysis.table);
+            assert_eq!(classes.normalized[m], analysis.normalized);
+        }
+        let pairs: Vec<_> = analysis.equivalent_pairs();
+        assert_eq!(pairs.len(), 8);
+        for (i, j, how) in pairs {
+            assert_eq!(classes.how_equivalent(i, j), how);
         }
     }
 

@@ -65,10 +65,11 @@ COMMANDS:
                               [--max-size N] [--max-accesses 1..4]
                               [--max-locs N] [--fences] [--deps]
                               [--verbose (solver stats)]
-    synth --matrix [MODEL...] SAT-certified pairwise minimal-length
-                              matrix (Figure 4's 36 dependency-free
-                              models; --deps switches to all 90;
-                              [--models SPEC] picks any named set)
+    synth --matrix [MODEL...] SAT-certified or statically proven
+                              pairwise minimal-length matrix (Figure
+                              4's 36 dependency-free models; --deps
+                              switches to all 90; [--models SPEC]
+                              picks any named set)
     suite                     generate the Theorem 1 template suite
                               [--no-deps] [--print]
     catalog                   print Test A, L1–L9 and the classic tests

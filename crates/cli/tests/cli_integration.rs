@@ -175,12 +175,25 @@ fn synth_finds_store_buffering_for_sc_vs_tso() {
 
 #[test]
 fn synth_certifies_equivalence_within_bounds() {
+    // M1041 and M1044 (PSO) differ only on longer tests, and no theorem
+    // relates them: the search exhausts every shape.
     let (ok, stdout, _) = mcm(&[
-        "synth", "TSO", "x86", "--max-accesses", "2", "--max-locs", "2",
+        "synth", "M1041", "M1044", "--max-accesses", "2", "--max-locs", "2",
     ]);
     assert!(ok);
     assert!(stdout.contains("indistinguishable"), "{stdout}");
     assert!(stdout.contains("UNSAT-certified"), "{stdout}");
+}
+
+#[test]
+fn synth_proves_equivalence_statically() {
+    let (ok, stdout, _) = mcm(&[
+        "synth", "TSO", "x86", "--max-accesses", "2", "--max-locs", "2",
+    ]);
+    assert!(ok);
+    assert!(stdout.contains("indistinguishable by any test"), "{stdout}");
+    assert!(stdout.contains("statically proven: pointwise"), "{stdout}");
+    assert!(stdout.contains("cegis: 0 SAT queries"), "{stdout}");
 }
 
 #[test]
@@ -192,6 +205,7 @@ fn synth_matrix_reports_lengths_and_legend() {
     assert!(stdout.contains("pairwise minimal distinguishing length"), "{stdout}");
     assert!(stdout.contains("0 = SC"), "{stdout}");
     assert!(stdout.contains("pairs at length 4"), "{stdout}");
+    assert!(stdout.contains("pair sources: 3 cegis"), "{stdout}");
     assert!(stdout.contains("cegis:"), "{stdout}");
 }
 

@@ -749,6 +749,7 @@ impl SynthQuery {
                     witness: pair.witness,
                     allowed_by: pair.allowed_by,
                     forbidden_by: pair.forbidden_by,
+                    source: pair.source,
                 };
                 (Some(pair), None)
             }
@@ -757,6 +758,7 @@ impl SynthQuery {
                 let matrix = SynthMatrix {
                     names: matrix.names,
                     lengths: matrix.lengths,
+                    sources: matrix.sources,
                 };
                 (None, Some(matrix))
             }

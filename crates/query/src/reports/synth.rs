@@ -19,7 +19,8 @@ pub struct SynthPair {
     /// Name of the right model.
     pub right: String,
     /// Minimal distinguishing length (total accesses), `None` when the
-    /// pair is UNSAT-certified indistinguishable within the bounds.
+    /// pair is UNSAT-certified or statically proven indistinguishable
+    /// within the bounds.
     pub length: Option<usize>,
     /// A synthesized witness of that length.
     pub witness: Option<LitmusTest>,
@@ -27,6 +28,10 @@ pub struct SynthPair {
     pub allowed_by: Option<String>,
     /// Name of the model forbidding the witness.
     pub forbidden_by: Option<String>,
+    /// Where the answer came from: `"cegis"`, or `"pointwise"` /
+    /// `"theorem-a"` for a statically proven equivalence
+    /// ([`mcm_synth::PairSynthesis::source`]).
+    pub source: &'static str,
 }
 
 /// The pairwise minimal-length matrix over a model list.
@@ -37,6 +42,9 @@ pub struct SynthMatrix {
     /// `lengths[i][j]`: minimal distinguishing length for models `i`,
     /// `j` (`None` on the diagonal and for indistinguishable pairs).
     pub lengths: Vec<Vec<Option<usize>>>,
+    /// `sources[i][j]`: where that cell came from (`None` on the
+    /// diagonal).
+    pub sources: Vec<Vec<Option<&'static str>>>,
 }
 
 impl SynthMatrix {
@@ -56,6 +64,18 @@ impl SynthMatrix {
             }
         }
         (per_length, unseparated)
+    }
+
+    /// Pairs per source (`"cegis"`, `"pointwise"`, `"theorem-a"`).
+    #[must_use]
+    pub fn sources(&self) -> BTreeMap<&'static str, usize> {
+        let mut per_source = BTreeMap::new();
+        for (i, row) in self.sources.iter().enumerate() {
+            for source in row[i + 1..].iter().flatten() {
+                *per_source.entry(*source).or_insert(0) += 1;
+            }
+        }
+        per_source
     }
 }
 
@@ -138,6 +158,17 @@ impl SynthReport {
                 );
                 let _ = write!(out, "{witness}");
             }
+            _ if pair.source != "cegis" => {
+                let _ = writeln!(
+                    out,
+                    "{} and {} are indistinguishable by any test \
+                     (statically proven: {} equivalence, {})",
+                    pair.left,
+                    pair.right,
+                    pair.source,
+                    duration_text(self.elapsed),
+                );
+            }
             _ => {
                 let _ = writeln!(
                     out,
@@ -179,6 +210,12 @@ impl SynthReport {
             histogram.join(", "),
             unseparated,
         );
+        let sources: Vec<String> = matrix
+            .sources()
+            .iter()
+            .map(|(source, count)| format!("{count} {source}"))
+            .collect();
+        let _ = writeln!(out, "pair sources: {}", sources.join(", "));
     }
 }
 
@@ -225,6 +262,7 @@ impl Render for SynthReport {
                 ),
                 ("allowed_by", Json::from(pair.allowed_by.as_deref())),
                 ("forbidden_by", Json::from(pair.forbidden_by.as_deref())),
+                ("source", Json::from(pair.source)),
             ]),
         };
         let matrix = match &self.matrix {
@@ -240,6 +278,12 @@ impl Render for SynthReport {
                         "lengths",
                         Json::array_of(&matrix.lengths, |row| {
                             Json::array_of(row, |cell| Json::from(cell.map(|l| l as u64)))
+                        }),
+                    ),
+                    (
+                        "sources",
+                        Json::array_of(&matrix.sources, |row| {
+                            Json::array_of(row, |cell| Json::from(*cell))
                         }),
                     ),
                     (

@@ -15,9 +15,21 @@
 //! (no SAT at all). This is what makes the full 36-model pairwise matrix
 //! tractable on one core: across the whole matrix each `(allower, shape)`
 //! sub-space is enumerated at most once.
+//!
+//! The engine is **static-first**: before any SAT query, the pair is
+//! looked up in the model set's behavioural quotient
+//! ([`mcm_analyze::ModelClasses`], built on the first pair). Models of
+//! one class — pointwise-equal tables, or equal after Theorem A's
+//! elision — judge every test alike, so a same-class pair is proven
+//! indistinguishable without a search, and any other pair is searched
+//! once per unordered class pair, on the class representatives. Within a
+//! search, a direction "`A` allows it, `B` forbids it" is skipped when
+//! `B`'s normalised table implies `A`'s: `A` is then statically at least
+//! as strong as `B`, so nothing `A` allows is forbidden by `B`.
 
 use std::collections::HashMap;
 
+use mcm_analyze::ModelClasses;
 use mcm_axiomatic::{BatchChecker, BatchExplicitChecker};
 use mcm_core::{LitmusTest, MemoryModel, SlotRf, TestSkeleton};
 use mcm_explore::VerdictCache;
@@ -58,12 +70,33 @@ struct AllowerState {
     shapes: HashMap<Vec<usize>, ShapeEnum>,
 }
 
+/// A distinguishing test found by the search.
+#[derive(Clone)]
+pub(crate) struct Found {
+    /// Its total access count: the minimal length searched for.
+    total: usize,
+    test: LitmusTest,
+    /// The model that allows it (the other side forbids it).
+    allower: usize,
+}
+
+/// The static quotient of the model set, built on the first pair.
+struct Statics {
+    classes: ModelClasses,
+    /// Model index → class index.
+    class_of: Vec<usize>,
+    /// `(class_a, class_b, max_total)`, `class_a < class_b` → the search
+    /// on the class representatives, its witness canonical.
+    solved: HashMap<(usize, usize, usize), Option<Found>>,
+}
+
 /// The answer for one model pair.
 #[derive(Clone, Debug)]
 pub struct PairSynthesis {
     /// Minimal distinguishing length (total accesses), `None` when the
-    /// pair is indistinguishable within the bounds (every shape exhausted
-    /// — the SAT-certified equivalence-at-bound verdict).
+    /// pair is indistinguishable within the bounds: every shape exhausted
+    /// (the SAT-certified equivalence-at-bound verdict) or the models
+    /// statically proven equivalent (see [`PairSynthesis::source`]).
     pub length: Option<usize>,
     /// A synthesized witness of that length: the canonical leader of its
     /// symmetry orbit, confirmed by the oracle on both sides.
@@ -72,6 +105,23 @@ pub struct PairSynthesis {
     pub allowed_by: Option<String>,
     /// Name of the model that forbids the witness.
     pub forbidden_by: Option<String>,
+    /// Where the answer came from: `"cegis"` (the search), or
+    /// `"pointwise"` / `"theorem-a"` for a pair statically proven
+    /// equivalent by equal truth tables / equal Theorem-A normal forms.
+    pub source: &'static str,
+}
+
+impl PairSynthesis {
+    /// A pair no test separates within the bounds.
+    fn unseparated(source: &'static str) -> Self {
+        PairSynthesis {
+            length: None,
+            witness: None,
+            allowed_by: None,
+            forbidden_by: None,
+            source,
+        }
+    }
 }
 
 /// The full pairwise answer over a model list.
@@ -83,6 +133,9 @@ pub struct MatrixSynthesis {
     /// (symmetric; `None` on the diagonal and for pairs indistinguishable
     /// within bounds).
     pub lengths: Vec<Vec<Option<usize>>>,
+    /// `sources[i][j]`: where the cell's answer came from
+    /// ([`PairSynthesis::source`]; symmetric, `None` on the diagonal).
+    pub sources: Vec<Vec<Option<&'static str>>>,
     /// One example witness per distinguishable pair, keyed `(i, j)` with
     /// `i < j`.
     pub witnesses: HashMap<(usize, usize), LitmusTest>,
@@ -104,6 +157,9 @@ pub struct Synthesizer {
     /// enumeration. Independent of the symbolic encoding by construction.
     oracle: BatchExplicitChecker,
     counters: SynthStats,
+    /// Built by the first [`Synthesizer::pair`], so set-up stays
+    /// table-free.
+    statics: Option<Statics>,
 }
 
 impl Synthesizer {
@@ -172,6 +228,7 @@ impl Synthesizer {
             cache: VerdictCache::new(),
             oracle: BatchExplicitChecker::new(),
             counters: SynthStats::default(),
+            statics: None,
         })
     }
 
@@ -204,16 +261,16 @@ impl Synthesizer {
     /// directly; a bisection over the same predicate would merely
     /// re-probe sizes whose certificates are already memoized.
     ///
+    /// Static first: a pair of one behavioural class is answered `None`
+    /// with no SAT query, and any other pair is searched once per
+    /// unordered class pair on the class representatives; members judge
+    /// every test alike, so the representatives' witness and length are
+    /// exact for the asked pair.
+    ///
     /// `max_total` caps the search (clamped to the bounds' own maximum).
     pub fn pair(&mut self, i: usize, j: usize, max_total: usize) -> PairSynthesis {
-        let none = PairSynthesis {
-            length: None,
-            witness: None,
-            allowed_by: None,
-            forbidden_by: None,
-        };
         if i == j {
-            return none;
+            return PairSynthesis::unseparated("pointwise");
         }
         let _span = mcm_obs::trace::span_with(
             "cegis.pair",
@@ -223,17 +280,42 @@ impl Synthesizer {
             ],
         );
         let max_total = max_total.min(self.bounds.max_total());
-        let Some((best_total, best)) = self.search_up_to(i, j, max_total) else {
-            return none; // every shape ≤ max_total exhausted: equivalent at bound
+        let statics = self.statics();
+        let (ci, cj) = (statics.class_of[i], statics.class_of[j]);
+        if ci == cj {
+            return PairSynthesis::unseparated(statics.classes.how_equivalent(i, j));
+        }
+        let key = (ci.min(cj), ci.max(cj), max_total);
+        let solved = match statics.solved.get(&key) {
+            Some(solved) => solved.clone(),
+            None => {
+                let (ri, rj) = (statics.classes.classes[ci][0], statics.classes.classes[cj][0]);
+                // Candidates are near-canonical; normalise the reported
+                // witness to the canonical leader of its orbit
+                // (verdict-preserving).
+                let solved = self.search_up_to(ri, rj, max_total).map(|found| Found {
+                    test: canon::canonicalize(&found.test),
+                    ..found
+                });
+                self.statics().solved.insert(key, solved.clone());
+                solved
+            }
         };
-        let (witness, allower, forbidder) = best;
-        // Candidates are near-canonical; normalise the reported witness to
-        // the canonical leader of its orbit (verdict-preserving).
+        // Every shape ≤ max_total exhausted: equivalent at bound.
+        let Some(found) = solved else {
+            return PairSynthesis::unseparated("cegis");
+        };
+        let (allower, forbidder) = if self.statics().class_of[found.allower] == ci {
+            (i, j)
+        } else {
+            (j, i)
+        };
         PairSynthesis {
-            length: Some(best_total),
-            witness: Some(canon::canonicalize(&witness)),
+            length: Some(found.total),
+            witness: Some(found.test),
             allowed_by: Some(self.models[allower].name().to_string()),
             forbidden_by: Some(self.models[forbidder].name().to_string()),
+            source: "cegis",
         }
     }
 
@@ -243,6 +325,7 @@ impl Synthesizer {
         let _span = mcm_obs::trace::span("cegis.matrix");
         let n = self.models.len();
         let mut lengths = vec![vec![None; n]; n];
+        let mut sources = vec![vec![None; n]; n];
         let mut witnesses = HashMap::new();
         #[allow(clippy::needless_range_loop)] // symmetric (i, j) / (j, i) fill
         for i in 0..n {
@@ -250,6 +333,8 @@ impl Synthesizer {
                 let pair = self.pair(i, j, max_total);
                 lengths[i][j] = pair.length;
                 lengths[j][i] = pair.length;
+                sources[i][j] = Some(pair.source);
+                sources[j][i] = Some(pair.source);
                 if let Some(witness) = pair.witness {
                     witnesses.insert((i, j), witness);
                 }
@@ -258,27 +343,69 @@ impl Synthesizer {
         MatrixSynthesis {
             names: self.models.iter().map(|m| m.name().to_string()).collect(),
             lengths,
+            sources,
             witnesses,
         }
     }
 
-    /// Scans shapes in ascending total order up to `max_total`; the first
-    /// witness found is minimal among totals ≤ `max_total` because every
-    /// smaller sub-space was exhausted on the way. Returns the witness's
-    /// total and `(test, allower, forbidder)`.
-    #[allow(clippy::type_complexity)]
-    fn search_up_to(
+    /// The static quotient, built on first use.
+    fn statics(&mut self) -> &mut Statics {
+        let models = &self.models;
+        self.statics.get_or_insert_with(|| {
+            let classes = ModelClasses::build(models);
+            let mut class_of = vec![0; models.len()];
+            for (c, class) in classes.classes.iter().enumerate() {
+                for &m in class {
+                    class_of[m] = c;
+                }
+            }
+            Statics {
+                classes,
+                class_of,
+                solved: HashMap::new(),
+            }
+        })
+    }
+
+    /// Whether no test is allowed by `allower` and forbidden by
+    /// `forbidder`, statically: `forbidder`'s normalised table implies
+    /// `allower`'s, so `allower` forces every happens-before edge
+    /// `forbidder` forces.
+    fn statically_empty(&mut self, allower: usize, forbidder: usize) -> bool {
+        let normalized = &self.statics().classes.normalized;
+        normalized[forbidder].implies(&normalized[allower])
+    }
+
+    /// The search for pair `(i, j)` over the directions the static order
+    /// leaves open.
+    fn search_up_to(&mut self, i: usize, j: usize, max_total: usize) -> Option<Found> {
+        let directions: Vec<(usize, usize)> = [(i, j), (j, i)]
+            .into_iter()
+            .filter(|&(a, b)| !self.statically_empty(a, b))
+            .collect();
+        self.search_directions(&directions, max_total)
+    }
+
+    /// Scans shapes in ascending total order up to `max_total`, each shape
+    /// in every listed `(allower, forbidder)` direction, with no static
+    /// shortcut; the first witness found is minimal among totals ≤
+    /// `max_total` because every smaller sub-space was exhausted on the
+    /// way.
+    pub(crate) fn search_directions(
         &mut self,
-        i: usize,
-        j: usize,
+        directions: &[(usize, usize)],
         max_total: usize,
-    ) -> Option<(usize, (LitmusTest, usize, usize))> {
+    ) -> Option<Found> {
         for total in self.bounds.min_total()..=max_total {
             for shape in shapes(total, self.bounds.threads, self.bounds.max_accesses_per_thread)
             {
-                for (a, b) in [(i, j), (j, i)] {
+                for &(a, b) in directions {
                     if let Some(test) = self.search_shape(a, b, &shape) {
-                        return Some((total, (test, a, b)));
+                        return Some(Found {
+                            total,
+                            test,
+                            allower: a,
+                        });
                     }
                 }
             }
@@ -588,7 +715,7 @@ fn shapes(total: usize, threads: usize, max_per_thread: usize) -> Vec<Vec<usize>
 mod tests {
     use super::*;
     use mcm_axiomatic::{BatchChecker, ExplicitChecker};
-    use mcm_models::named;
+    use mcm_models::{named, DigitModel};
 
     fn tiny_bounds() -> SynthBounds {
         SynthBounds {
@@ -651,19 +778,138 @@ mod tests {
         );
     }
 
+    fn digit(name: &str) -> MemoryModel {
+        name.parse::<DigitModel>().expect("a digit model name").to_model()
+    }
+
+    /// M1041 and M1044 (PSO) differ, but not within `tiny_bounds()`: no
+    /// theorem relates them, so the search must exhaust every shape.
     #[test]
     fn equivalent_models_are_certified_unsat() {
         let mut synth = Synthesizer::new(
-            vec![named::tso(), named::x86()],
+            vec![digit("M1041"), digit("M1044")],
             tiny_bounds(),
         )
         .unwrap();
         let pair = synth.pair(0, 1, 4);
         assert_eq!(pair.length, None);
         assert!(pair.witness.is_none());
+        assert_eq!(pair.source, "cegis");
         let stats = synth.stats();
         assert!(stats.shapes_exhausted > 0, "UNSAT certificates were produced");
         assert_eq!(stats.witnesses, 0);
+    }
+
+    #[test]
+    fn statically_equivalent_models_need_no_sat_query() {
+        for (left, right, source) in [
+            (named::tso(), named::x86(), "pointwise"),
+            (digit("M1010"), digit("M1110"), "theorem-a"),
+        ] {
+            let mut synth = Synthesizer::new(vec![left, right], SynthBounds::default()).unwrap();
+            let pair = synth.pair(0, 1, 6);
+            assert_eq!(pair.length, None);
+            assert!(pair.witness.is_none());
+            assert_eq!(pair.source, source);
+            assert_eq!(synth.stats(), SynthStats::default(), "no SAT query, no oracle call");
+        }
+    }
+
+    #[test]
+    fn class_members_share_the_representatives_answer() {
+        // M1110 is M1010's Theorem-A twin: its pairs are answered from
+        // M1010's, renamed, with no further search.
+        let models = vec![named::sc(), digit("M1010"), digit("M1110")];
+        let mut synth = Synthesizer::new(models, tiny_bounds()).unwrap();
+        let first = synth.pair(0, 1, 4);
+        let before = synth.stats();
+        let second = synth.pair(2, 0, 4);
+        assert_eq!(synth.stats(), before, "the memoised class pair answers");
+        assert_eq!(first.length, second.length);
+        assert_eq!(first.witness.unwrap().to_string(), second.witness.unwrap().to_string());
+        assert_eq!(first.allowed_by.as_deref(), Some("M1010"));
+        assert_eq!(second.allowed_by.as_deref(), Some("M1110"));
+        assert_eq!(second.forbidden_by.as_deref(), Some("SC"));
+        assert_eq!(second.source, "cegis");
+    }
+
+    /// The Figure-4 models and their Theorem-A pairs — the six
+    /// equivalences `mcm analyze --models figure4` proves.
+    fn figure4_theorem_a_pairs() -> (Vec<MemoryModel>, Vec<(usize, usize)>) {
+        let models = mcm_explore::paper::digit_space_models(false);
+        let classes = ModelClasses::build(&models);
+        let mut pairs = Vec::new();
+        for class in &classes.classes {
+            for (a, &i) in class.iter().enumerate() {
+                for &j in &class[a + 1..] {
+                    assert_eq!(classes.how_equivalent(i, j), "theorem-a");
+                    pairs.push((i, j));
+                }
+            }
+        }
+        // Digits only: catalog aliases follow the digits ("M1010 (RMO …)").
+        let digits = |m: usize| models[m].name().split(' ').next().expect("a name");
+        let names: Vec<(&str, &str)> = pairs.iter().map(|&(i, j)| (digits(i), digits(j))).collect();
+        assert_eq!(
+            names,
+            [
+                ("M1010", "M1110"),
+                ("M1011", "M1111"),
+                ("M4010", "M4110"),
+                ("M4011", "M4111"),
+                ("M4040", "M4140"),
+                ("M4041", "M4141"),
+            ]
+        );
+        (models, pairs)
+    }
+
+    /// The shortcuts audited by the unpruned search at `tiny_bounds()`:
+    /// no witness separates a Theorem-A pair, and none exists in any
+    /// direction the static order prunes.
+    #[test]
+    fn static_shortcuts_hide_no_witness_at_tiny_bounds() {
+        let (models, pairs) = figure4_theorem_a_pairs();
+        let mut synth = Synthesizer::new(models, tiny_bounds()).unwrap();
+        for (i, j) in pairs {
+            assert!(synth.search_directions(&[(i, j), (j, i)], 4).is_none());
+        }
+        let n = synth.models().len();
+        let mut pruned = 0;
+        for a in 0..n {
+            for b in 0..n {
+                if a != b && synth.statically_empty(a, b) {
+                    pruned += 1;
+                    assert!(
+                        synth.search_directions(&[(a, b)], 4).is_none(),
+                        "{} allows a test {} forbids",
+                        synth.models()[a].name(),
+                        synth.models()[b].name()
+                    );
+                }
+            }
+        }
+        assert!(pruned > 0);
+        assert_eq!(synth.stats().witnesses, 0);
+    }
+
+    /// The Theorem-A pairs audited at the default bounds: a full
+    /// exhaustion of both directions per pair, about 16 s in a release
+    /// build, so CI runs it with
+    /// `cargo test --release -p mcm-synth --lib -- --ignored`.
+    #[test]
+    #[ignore = "slow in debug builds; run in release with --ignored"]
+    fn theorem_a_pairs_are_unseparated_at_default_bounds() {
+        let (models, pairs) = figure4_theorem_a_pairs();
+        let mut synth = Synthesizer::new(models, SynthBounds::default()).unwrap();
+        for (i, j) in pairs {
+            assert!(
+                synth.search_directions(&[(i, j), (j, i)], 6).is_none(),
+                "{} vs {}",
+                synth.models()[i].name(),
+                synth.models()[j].name()
+            );
+        }
     }
 
     #[test]

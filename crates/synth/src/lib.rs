@@ -28,10 +28,19 @@
 //! with `solve_with_assumptions` over size-indexed activation variables,
 //! so one incremental solver serves every shape of a bounded search, and a
 //! bottom-up search on test length — each size UNSAT-certified before the
-//! next is tried — yields a per-pair **SAT-certified minimal
-//! distinguishing length**, re-deriving the paper's Theorem 1 bounds by
-//! synthesis. The results are cross-validated against the exhaustive
-//! streaming sweep (`mcm_explore::distinguish`) on enumerable sizes.
+//! next is tried — yields a per-pair **SAT-certified or statically
+//! proven minimal distinguishing length**, re-deriving the paper's
+//! Theorem 1 bounds by synthesis. The results are cross-validated against
+//! the exhaustive streaming sweep (`mcm_explore::distinguish`) on
+//! enumerable sizes.
+//!
+//! The search is static-first. What the models' constraint forms decide
+//! is not searched for ([`mcm_analyze::ModelClasses`]): a pair of models
+//! with equal truth tables, or equal after Theorem A's elision, is
+//! indistinguishable by any test (its [`PairSynthesis::source`] says
+//! which proof); other pairs are searched once per pair of behavioural
+//! classes; and a direction in which the allowing model is statically
+//! at least as strong as the forbidding one is never searched.
 //!
 //! ## Example
 //!
