@@ -53,12 +53,6 @@ impl DenseGraph {
         self.succ[from] >> to & 1 == 1
     }
 
-    /// Successor mask of `from`.
-    #[must_use]
-    pub fn successors(&self, from: usize) -> u64 {
-        self.succ[from]
-    }
-
     /// All edges, in `(from, to)` lexicographic order.
     #[must_use]
     pub fn edges(&self) -> Vec<(usize, usize)> {

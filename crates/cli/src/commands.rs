@@ -119,6 +119,7 @@ fn output_format(args: &[String]) -> Result<Format, CliError> {
 /// by default, the `--out` file when given.
 fn emit(report: &dyn Render, args: &[String]) -> Result<(), CliError> {
     let rendered = report.render(output_format(args)?)?;
+    let _span = mcm_obs::trace::span_with("cli.write", &[("bytes", &rendered.len().to_string())]);
     match option_value(args, "--out") {
         Some(path) => fs::write(path, &rendered)
             .map_err(|e| CliError::Run(format!("cannot write {path}: {e}"))),

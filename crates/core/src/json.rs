@@ -145,7 +145,7 @@ impl Json {
     #[must_use]
     pub fn compact(&self) -> String {
         let mut out = String::new();
-        self.write(&mut out, None, 0);
+        Writer::compact(&mut out).value(self, 0);
         out
     }
 
@@ -154,42 +154,9 @@ impl Json {
     #[must_use]
     pub fn pretty(&self) -> String {
         let mut out = String::new();
-        self.write(&mut out, Some(2), 0);
+        Writer::pretty(&mut out).value(self, 0);
         out.push('\n');
         out
-    }
-
-    fn write(&self, out: &mut String, indent: Option<usize>, depth: usize) {
-        match self {
-            Json::Null => out.push_str("null"),
-            Json::Bool(true) => out.push_str("true"),
-            Json::Bool(false) => out.push_str("false"),
-            Json::Int(n) => {
-                let _ = fmt::Write::write_fmt(out, format_args!("{n}"));
-            }
-            Json::Float(x) if x.is_finite() => {
-                // `{:?}` for f64 is Rust's shortest round-tripping form
-                // and always contains `.` or `e`, so it re-parses as Float.
-                let _ = fmt::Write::write_fmt(out, format_args!("{x:?}"));
-            }
-            Json::Float(_) => out.push_str("null"),
-            Json::Str(s) => write_string(out, s),
-            Json::Array(items) => {
-                write_seq(out, indent, depth, '[', ']', items.len(), |out, i| {
-                    items[i].write(out, indent, depth + 1);
-                });
-            }
-            Json::Object(pairs) => {
-                write_seq(out, indent, depth, '{', '}', pairs.len(), |out, i| {
-                    write_string(out, &pairs[i].0);
-                    out.push(':');
-                    if indent.is_some() {
-                        out.push(' ');
-                    }
-                    pairs[i].1.write(out, indent, depth + 1);
-                });
-            }
-        }
     }
 
     /// Removes every object field named in `keys`, at any nesting depth.
@@ -236,39 +203,137 @@ impl Json {
     }
 }
 
-fn write_seq(
-    out: &mut String,
+/// The emitter's one layout implementation. [`Json::compact`] and
+/// [`Json::pretty`] write through it, and so does a caller that emits a
+/// value too large to build as a tree first (a sweep report's verdict
+/// matrix): nesting `array`/`object` calls with scalar values lays out
+/// exactly the bytes that writing the equivalent [`Json`] would.
+///
+/// ```
+/// use mcm_core::json::{Json, Writer};
+///
+/// let rows = [[true, false], [false, false]];
+/// let mut out = String::new();
+/// let mut writer = Writer::pretty(&mut out);
+/// writer.object(0, 1, |w, _| {
+///     w.key("rows");
+///     w.array(1, rows.len(), |w, r| {
+///         w.array(2, rows[r].len(), |w, c| w.value(&Json::Bool(rows[r][c]), 3));
+///     });
+/// });
+/// let tree = Json::object([(
+///     "rows",
+///     Json::array_of(&rows, |row| Json::array_of(row, |&b| Json::Bool(b))),
+/// )]);
+/// assert_eq!(out + "\n", tree.pretty());
+/// ```
+pub struct Writer<'a> {
+    out: &'a mut String,
+    /// Spaces per nesting level; `None` is the compact layout.
     indent: Option<usize>,
-    depth: usize,
-    open: char,
-    close: char,
-    len: usize,
-    mut item: impl FnMut(&mut String, usize),
-) {
-    out.push(open);
-    if len == 0 {
-        out.push(close);
-        return;
-    }
-    for i in 0..len {
-        if i > 0 {
-            out.push(',');
+}
+
+impl<'a> Writer<'a> {
+    /// The pretty layout of [`Json::pretty`], without its trailing newline.
+    pub fn pretty(out: &'a mut String) -> Self {
+        Writer {
+            out,
+            indent: Some(2),
         }
-        if let Some(step) = indent {
-            out.push('\n');
-            for _ in 0..step * (depth + 1) {
-                out.push(' ');
+    }
+
+    /// The single-line layout of [`Json::compact`].
+    pub fn compact(out: &'a mut String) -> Self {
+        Writer { out, indent: None }
+    }
+
+    /// Writes `value`, whose opening bracket sits at nesting `depth`.
+    pub fn value(&mut self, value: &Json, depth: usize) {
+        match value {
+            Json::Null => self.out.push_str("null"),
+            Json::Bool(true) => self.out.push_str("true"),
+            Json::Bool(false) => self.out.push_str("false"),
+            Json::Int(n) => {
+                let _ = fmt::Write::write_fmt(self.out, format_args!("{n}"));
+            }
+            Json::Float(x) if x.is_finite() => {
+                // `{:?}` for f64 is Rust's shortest round-tripping form
+                // and always contains `.` or `e`, so it re-parses as Float.
+                let _ = fmt::Write::write_fmt(self.out, format_args!("{x:?}"));
+            }
+            Json::Float(_) => self.out.push_str("null"),
+            Json::Str(s) => write_string(self.out, s),
+            Json::Array(items) => {
+                self.array(depth, items.len(), |w, i| w.value(&items[i], depth + 1));
+            }
+            Json::Object(pairs) => {
+                self.object(depth, pairs.len(), |w, i| {
+                    w.key(&pairs[i].0);
+                    w.value(&pairs[i].1, depth + 1);
+                });
             }
         }
-        item(out, i);
     }
-    if let Some(step) = indent {
-        out.push('\n');
-        for _ in 0..step * depth {
-            out.push(' ');
+
+    /// Writes an array of `len` elements at nesting `depth`; `item(w, i)`
+    /// writes element `i` at depth `depth + 1`.
+    pub fn array(&mut self, depth: usize, len: usize, item: impl FnMut(&mut Self, usize)) {
+        self.seq(depth, '[', ']', len, item);
+    }
+
+    /// Writes an object of `len` fields at nesting `depth`; `field(w, i)`
+    /// writes field `i`: its [`Writer::key`], then its value at depth
+    /// `depth + 1`.
+    pub fn object(&mut self, depth: usize, len: usize, field: impl FnMut(&mut Self, usize)) {
+        self.seq(depth, '{', '}', len, field);
+    }
+
+    /// Writes an object key and its separator.
+    pub fn key(&mut self, key: &str) {
+        write_string(self.out, key);
+        self.out.push(':');
+        if self.indent.is_some() {
+            self.out.push(' ');
         }
     }
-    out.push(close);
+
+    fn seq(
+        &mut self,
+        depth: usize,
+        open: char,
+        close: char,
+        len: usize,
+        mut item: impl FnMut(&mut Self, usize),
+    ) {
+        self.out.push(open);
+        if len == 0 {
+            self.out.push(close);
+            return;
+        }
+        for i in 0..len {
+            if i > 0 {
+                self.out.push(',');
+            }
+            self.line(depth + 1);
+            item(self, i);
+        }
+        self.line(depth);
+        self.out.push(close);
+    }
+
+    /// Starts a new line indented to `depth` (nothing in compact layout).
+    fn line(&mut self, depth: usize) {
+        const SPACES: &str = "                                ";
+        if let Some(step) = self.indent {
+            self.out.push('\n');
+            let mut width = step * depth;
+            while width > 0 {
+                let run = width.min(SPACES.len());
+                self.out.push_str(&SPACES[..run]);
+                width -= run;
+            }
+        }
+    }
 }
 
 fn write_string(out: &mut String, s: &str) {

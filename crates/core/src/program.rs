@@ -225,15 +225,6 @@ impl ProgramBuilder {
         })
     }
 
-    /// `write [addr_reg] = expr` (register-indirect store).
-    #[must_use]
-    pub fn write_indirect(self, addr_reg: Reg, val: RegExpr) -> Self {
-        self.instr(Instruction::Write {
-            addr: AddrExpr::Reg(addr_reg),
-            val,
-        })
-    }
-
     /// A full fence.
     #[must_use]
     pub fn fence(self) -> Self {

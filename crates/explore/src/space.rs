@@ -11,9 +11,11 @@
 //!   without materialising the raw space) in fixed-size chunks, runs each
 //!   chunk through formula dedup, optional canonicalization, the
 //!   [`VerdictCache`], the sweep prefilter and a work-stealing test-major
-//!   grid, and grows the verdict vectors incrementally. Peak memory is one
-//!   chunk of tests plus the verdict bits; a [`StreamControl`] adds
-//!   per-chunk checkpoints and resume.
+//!   grid, and grows the verdict vectors incrementally. On two or more
+//!   jobs the calling thread pulls and deduplicates the next chunk while
+//!   the grid checks the current one, so up to two chunks of pulled tests
+//!   are alive at once, besides the kept tests and their verdict bits; a
+//!   [`StreamControl`] adds per-chunk checkpoints and resume.
 //!
 //! [`Exploration::run_engine`] is that core over a `Vec`: it collapses
 //! the suite to orbit representatives when asked, streams them through
@@ -25,7 +27,7 @@ use std::sync::atomic::{AtomicU8, AtomicUsize, Ordering};
 
 use mcm_analyze::SweepPrefilter;
 use mcm_axiomatic::{BatchChecker, BatchStats};
-use mcm_core::{Execution, LitmusTest, MemoryModel};
+use mcm_core::{LitmusTest, MemoryModel};
 use mcm_gen::canon;
 use mcm_sat::SolverStats;
 
@@ -43,11 +45,14 @@ pub struct EngineConfig {
     /// makes this a no-op.
     pub canonicalize: bool,
     /// Worker threads; `None` uses all available cores, `Some(1)` runs
-    /// the whole sweep on the calling thread.
+    /// the whole sweep on the calling thread. On two or more, the calling
+    /// thread is one of the grid's workers: a streamed sweep has it pull
+    /// and deduplicate the next chunk first, then join the grid.
     pub jobs: Option<usize>,
-    /// Tests materialized per chunk by the streaming engine — the memory
-    /// high-water mark of a streamed sweep. [`Exploration::run_engine`]
-    /// ignores it: a materialized suite is a single chunk.
+    /// Tests pulled per chunk by the streaming engine. On two or more
+    /// jobs the next chunk is pulled while the current one is checked, so
+    /// up to two chunks are in memory. [`Exploration::run_engine`] ignores
+    /// it: a materialized suite is a single chunk.
     pub stream_chunk: usize,
 }
 
@@ -103,8 +108,10 @@ mcm_obs::counter_table! {
         /// Tests pulled from the input suite or stream (equals the input
         /// length for materialized sweeps).
         tests_streamed: u64 = counter,
-        /// Largest number of input tests materialized at once: one chunk for
-        /// the streaming engine, the whole deduplicated suite otherwise.
+        /// Largest number of input tests in one chunk: the chunk size for
+        /// the streaming engine (which on two or more jobs holds the next
+        /// chunk as well while it checks one), the whole deduplicated suite
+        /// otherwise.
         peak_batch: usize = max,
         /// Models merged into a shared verdict row *beyond* syntactic formula
         /// equality — semantically identical formulas spelled differently,
@@ -274,6 +281,15 @@ struct ModelSide<'a> {
     prefilter: Option<&'a SweepPrefilter>,
 }
 
+/// One chunk pulled from a streamed sweep's input and deduplicated.
+struct Pulled {
+    /// Tests taken from the input iterator.
+    pulled: usize,
+    /// The tests that will be checked, with their cache fingerprints.
+    tests: Vec<LitmusTest>,
+    fps: Vec<u64>,
+}
+
 /// The shared sweep core, test-major: the unit of parallel work is a
 /// **test row** — one execution checked against every distinct-formula
 /// model at once through a [`BatchChecker`] — scheduled work-stealing
@@ -284,20 +300,28 @@ struct ModelSide<'a> {
 /// row reach the checker; with a [`SweepPrefilter`] those are further
 /// grouped into provably-agreeing sets, so the checker sees one
 /// representative per group and the verdict fans out (and is cached once
-/// per member). Warm rows cost no checker work and cold rows amortize
-/// candidate enumeration / encoding across the whole model space.
+/// per member). The worker that claims a row builds its
+/// [`mcm_core::Execution`], and only when some model's verdict is missing
+/// from the cache: warm rows cost neither an execution nor checker work,
+/// and cold rows amortize candidate enumeration / encoding across the
+/// whole model space.
 ///
-/// Returns the row-major allowed bits (`bits[row * execs.len() + rep]`)
-/// and adds the layer counters into `stats`.
+/// On two or more jobs, `meanwhile` runs on the calling thread while the
+/// spawned workers check, and the calling thread then joins the grid as
+/// one more worker (the streaming engine pulls its next chunk there).
+/// With one job nothing is spawned and `meanwhile` is not called.
+///
+/// Returns the row-major allowed bits (`bits[row * tests.len() + rep]`)
+/// and the grid's layer counters.
 fn sweep_grid<F>(
     side: &ModelSide<'_>,
-    execs: &[Execution],
+    tests: &[LitmusTest],
     fps: &[u64],
     make_checker: &F,
     config: &EngineConfig,
     cache: Option<&VerdictCache>,
-    stats: &mut SweepStats,
-) -> Vec<bool>
+    meanwhile: &mut dyn FnMut(),
+) -> (Vec<bool>, SweepStats)
 where
     F: Fn() -> Box<dyn BatchChecker> + Sync,
 {
@@ -309,12 +333,12 @@ where
     let _span = mcm_obs::trace::span_with(
         "engine.grid",
         &[
-            ("tests", &execs.len().to_string()),
+            ("tests", &tests.len().to_string()),
             ("rows", &rows.row_models.len().to_string()),
         ],
     );
     let jobs = resolve_jobs(config);
-    let reps = execs.len();
+    let reps = tests.len();
     let row_count = rows.row_models.len();
     let workers = jobs.min(reps.div_ceil(ROW_BATCH)).max(1);
 
@@ -370,10 +394,11 @@ where
                 if missing_rows.is_empty() {
                     continue;
                 }
+                let exec = tests[rep].execution();
                 // Layer 3: group rows whose formulas provably agree on
                 // this test; only group representatives reach the checker.
                 let groups: Vec<Vec<usize>> = match prefilter {
-                    Some(pf) if missing_rows.len() > 1 => pf.group_rows(&execs[rep], &missing_rows),
+                    Some(pf) if missing_rows.len() > 1 => pf.group_rows(&exec, &missing_rows),
                     _ => missing_rows.iter().map(|&r| vec![r]).collect(),
                 };
                 if prefilter.is_some() {
@@ -382,7 +407,7 @@ where
                 }
                 counts.checker_calls += groups.len() as u64;
                 let verdicts = if groups.len() == row_count {
-                    checker.check_all_executions(&execs[rep], &row_models)
+                    checker.check_all_executions(&exec, &row_models)
                 } else {
                     // Partial coverage — the common case once the
                     // prefilter groups rows: batch only the group
@@ -390,7 +415,7 @@ where
                     // name and formula, so this costs O(1) per group.
                     missing_models.clear();
                     missing_models.extend(groups.iter().map(|g| row_models[g[0]].clone()));
-                    checker.check_all_executions(&execs[rep], &missing_models)
+                    checker.check_all_executions(&exec, &missing_models)
                 };
                 for (group, verdict) in groups.iter().zip(&verdicts) {
                     for &row in group {
@@ -412,11 +437,11 @@ where
         counts.batch = checker.batch_stats().unwrap_or_default();
         (local_batch, counts)
     };
-    let outcomes = if workers <= 1 {
+    let outcomes = if jobs <= 1 {
         vec![work()]
     } else {
         std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..workers)
+            let handles: Vec<_> = (1..workers)
                 .map(|_| {
                     scope.spawn(|| {
                         // Outermost span of this worker thread: its drop
@@ -428,22 +453,33 @@ where
                     })
                 })
                 .collect();
-            handles
+            meanwhile();
+            // Join the grid unless the spawned workers already claimed
+            // every row (a checker built for no row is wasted work).
+            let mut outcomes: Vec<_> = (cursor.load(Ordering::Relaxed) < reps)
+                .then(&work)
                 .into_iter()
-                .map(|handle| handle.join().expect("sweep workers do not panic"))
-                .collect()
+                .collect();
+            outcomes.extend(
+                handles
+                    .into_iter()
+                    .map(|handle| handle.join().expect("sweep workers do not panic")),
+            );
+            outcomes
         })
     };
+    let mut stats = SweepStats::default();
     for (local, counts) in outcomes {
         if let (Some((cache, _)), Some(local)) = (&cached, local) {
             cache.merge_rows(&local);
         }
         stats.absorb(counts);
     }
-    results
+    let bits = results
         .into_iter()
         .map(|slot| slot.into_inner() == 2)
-        .collect()
+        .collect();
+    (bits, stats)
 }
 
 impl Exploration {
@@ -550,7 +586,10 @@ impl Exploration {
     /// formula-dedup + [`VerdictCache`] + prefilter + work-stealing grid,
     /// and grows per-model [`VerdictVector`]s incrementally. The raw space
     /// behind the iterator is never materialized; peak memory is one
-    /// chunk plus the kept tests and their verdict bits.
+    /// chunk (two on two or more jobs, which pull the next chunk while
+    /// checking this one) plus the kept tests and their verdict bits.
+    /// The iterator and the checkpoint hook are only ever used on the
+    /// calling thread, so neither needs to be `Send`.
     ///
     /// With [`EngineConfig::canonicalize`], each chunk is additionally
     /// collapsed to orbit representatives and representatives already seen
@@ -679,39 +718,54 @@ impl Exploration {
             stats = state.stats;
         }
 
-        loop {
-            // The leader phase: pulling the next chunk out of the
-            // (lazily enumerated) test stream.
+        // The leader phase plus dedup: pulls the next chunk out of the
+        // (lazily enumerated) test stream and collapses it; `None` once
+        // the stream is exhausted. Always on the calling thread: the
+        // iterator need not be `Send`.
+        let pull = |iter: &mut I::IntoIter, seen: &mut HashSet<u64>| -> Option<Pulled> {
             let chunk: Vec<LitmusTest> = {
                 let _lead_span = mcm_obs::trace::span("engine.lead");
                 iter.by_ref().take(chunk_size).collect()
             };
             if chunk.is_empty() {
-                break;
+                return None;
             }
+            let pulled = chunk.len();
+            let (tests, fps) = dedup(chunk, seen);
+            Some(Pulled { pulled, tests, fps })
+        };
+        // With two or more jobs the calling thread pulls chunk k+1 while
+        // the grid checks chunk k. Chunk k+1's grid starts only after
+        // chunk k is merged and its checkpoint hook returned, so results,
+        // counters, cache contents and checkpoints do not depend on the
+        // overlap; an early stop only drops the prefetched chunk.
+        let mut next = pull(&mut iter, &mut seen);
+        while let Some(Pulled { pulled, tests: batch, fps }) = next {
             let _chunk_span =
-                mcm_obs::trace::span_with("engine.chunk", &[("tests", &chunk.len().to_string())]);
-            stats.tests_streamed += chunk.len() as u64;
-            stats.peak_batch = stats.peak_batch.max(chunk.len());
-            let (batch, fps) = dedup(chunk, &mut seen);
+                mcm_obs::trace::span_with("engine.chunk", &[("tests", &pulled.to_string())]);
+            stats.tests_streamed += pulled as u64;
+            stats.peak_batch = stats.peak_batch.max(pulled);
+            // `Some` once the grid has pulled the next chunk (or found the
+            // stream exhausted) on the calling thread.
+            let mut prefetched: Option<Option<Pulled>> = None;
             if !batch.is_empty() {
-                let execs: Vec<Execution> = batch.iter().map(LitmusTest::execution).collect();
-                let bits = sweep_grid(
+                let (bits, grid_stats) = sweep_grid(
                     &ModelSide {
                         models: &models,
                         rows: &rows,
                         prefilter: prefilter.as_ref(),
                     },
-                    &execs,
+                    &batch,
                     &fps,
                     &make_checker,
                     config,
                     cache,
-                    &mut stats,
+                    &mut || prefetched = Some(pull(&mut iter, &mut seen)),
                 );
+                stats.absorb(grid_stats);
                 for (r, vector) in row_verdicts.iter_mut().enumerate() {
-                    for t in 0..batch.len() {
-                        vector.push(bits[r * batch.len() + t]);
+                    for &allowed in &bits[r * batch.len()..(r + 1) * batch.len()] {
+                        vector.push(allowed);
                     }
                 }
                 kept.extend(batch);
@@ -731,6 +785,10 @@ impl Exploration {
                     break;
                 }
             }
+            next = match prefetched {
+                Some(chunk) => chunk,
+                None => pull(&mut iter, &mut seen),
+            };
         }
         let verdicts: Vec<VerdictVector> = rows
             .row_of

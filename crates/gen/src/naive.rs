@@ -227,16 +227,36 @@ mod tests {
     #[test]
     fn enumeration_matches_count_on_small_bounds() {
         // The raw enumeration materialises exactly the space the stream
-        // counts by shape.
-        for fences in [false, true] {
-            let bounds = small_bounds(fences);
-            let tests = enumerate_tests_raw(&bounds, usize::MAX);
-            assert_eq!(tests.len() as u64, stream::count_raw(&bounds));
-            // Every materialised test is well-formed (constructor validated).
-            for test in &tests {
-                assert!(test.program().access_count() <= 4);
+        // counts by per-location histogram, over thread counts, access
+        // bounds, location bounds and fences.
+        let mut checked = 0;
+        for threads in 1..=3 {
+            for max_accesses_per_thread in 1..=3 {
+                for max_locs in 1..=3 {
+                    for include_fences in [false, true] {
+                        let bounds = StreamBounds {
+                            max_accesses_per_thread,
+                            threads,
+                            max_locs,
+                            include_fences,
+                            include_deps: false,
+                        };
+                        // Keep the materialised oracle small.
+                        if stream::count_raw(&bounds) > 5_000 {
+                            continue;
+                        }
+                        let tests = enumerate_tests_raw(&bounds, usize::MAX);
+                        assert_eq!(tests.len() as u64, stream::count_raw(&bounds), "{bounds:?}");
+                        // Every materialised test is well-formed (constructor validated).
+                        for test in &tests {
+                            assert!(test.program().access_count() <= bounds.max_total());
+                        }
+                        checked += 1;
+                    }
+                }
             }
         }
+        assert!(checked >= 20, "only {checked} bounds were small enough");
     }
 
     #[test]

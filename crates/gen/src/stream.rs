@@ -39,6 +39,8 @@
 //! * only shapes with a permutation tie (symmetric programs) fall back to
 //!   a per-candidate [`canon::is_leader`] check.
 
+use std::collections::HashMap;
+
 use mcm_core::{LitmusTest, Loc, Outcome, Program, Reg, RegExpr, ThreadId, Value};
 
 use crate::canon;
@@ -661,9 +663,16 @@ pub fn count_raw(bounds: &StreamBounds) -> u64 {
 }
 
 /// [`count_raw`] that bails out with `None` when the number of shape
-/// combinations exceeds `combo_cap` — past Theorem 1 with fences and
-/// dependencies even *counting* the raw space by walking its shapes is
-/// infeasible, which is rather the point of streaming it.
+/// combinations exceeds `combo_cap`. Callers keep the cap they set when
+/// counting walked every combination, so spaces past Theorem 1 with
+/// fences and dependencies still report no raw size.
+///
+/// A combination's outcome count depends only on how many reads and
+/// writes each location gets over all threads (each read expects the
+/// initial value or one of its location's writes), so the count sums over
+/// per-location `(reads, writes)` histograms instead of walking every
+/// combination: thread shapes are grouped by histogram, and the groups
+/// are convolved thread by thread.
 #[must_use]
 pub fn try_count_raw(bounds: &StreamBounds, combo_cap: u64) -> Option<u64> {
     let shapes = thread_shapes(bounds);
@@ -673,15 +682,42 @@ pub fn try_count_raw(bounds: &StreamBounds, combo_cap: u64) -> Option<u64> {
     if (shapes.len() as u64).checked_pow(u32::try_from(bounds.threads).ok()?)? > combo_cap {
         return None;
     }
-    let mut total = 0u64;
-    let mut combo = vec![0usize; bounds.threads];
-    loop {
-        let shape: Vec<&ThreadShape> = combo.iter().map(|&i| &shapes[i]).collect();
-        total += outcome_product(&shape);
-        if !advance_odometer(&mut combo, shapes.len()) {
-            return Some(total);
+    // Histogram slot `2 * loc` counts reads of `loc`, `2 * loc + 1` writes.
+    let histogram = |shape: &ThreadShape| {
+        let mut counts = vec![0u32; 2 * usize::from(bounds.max_locs)];
+        for access in shape {
+            counts[2 * usize::from(access.loc) + usize::from(access.is_write)] += 1;
         }
+        counts
+    };
+    let mut per_thread: HashMap<Vec<u32>, u64> = HashMap::new();
+    for shape in &shapes {
+        *per_thread.entry(histogram(shape)).or_default() += 1;
     }
+    let mut combined: HashMap<Vec<u32>, u64> =
+        HashMap::from([(vec![0u32; 2 * usize::from(bounds.max_locs)], 1)]);
+    for _ in 0..bounds.threads {
+        let mut next: HashMap<Vec<u32>, u64> = HashMap::new();
+        for (sum, ways) in &combined {
+            for (thread, alike) in &per_thread {
+                let key = sum.iter().zip(thread).map(|(a, b)| a + b).collect();
+                *next.entry(key).or_default() += ways * alike;
+            }
+        }
+        combined = next;
+    }
+    Some(
+        combined
+            .iter()
+            .map(|(counts, ways)| {
+                let outcomes: u64 = counts
+                    .chunks(2)
+                    .map(|rw| (u64::from(rw[1]) + 1).pow(rw[0]))
+                    .product();
+                ways * outcomes
+            })
+            .sum(),
+    )
 }
 
 /// Drives `f` over every shape that can contain a leader.
@@ -794,6 +830,38 @@ mod tests {
         assert_eq!(stream.leaders_emitted(), kept);
         assert_eq!(stream.raw_visited(), count_raw(&bounds));
         assert!(kept < stream.raw_visited());
+    }
+
+    #[test]
+    fn histogram_count_matches_the_stream_walk_with_fences_and_deps() {
+        // The stream walks every shape combination and adds up its
+        // outcomes; the histogram count must agree, dependencies included
+        // (the naive oracle has none).
+        for (threads, max_accesses_per_thread) in [(1, 3), (2, 2), (3, 1)] {
+            for max_locs in 1..=2 {
+                for (include_fences, include_deps) in [(false, true), (true, true), (true, false)] {
+                    let bounds = StreamBounds {
+                        max_accesses_per_thread,
+                        threads,
+                        max_locs,
+                        include_fences,
+                        include_deps,
+                    };
+                    let mut stream = leaders(&bounds);
+                    while stream.next().is_some() {}
+                    assert_eq!(stream.raw_visited(), count_raw(&bounds), "{bounds:?}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn raw_count_keeps_the_combination_cap() {
+        let size4 = StreamBounds::size4(4);
+        assert_eq!(try_count_raw(&size4, 20_000_000), None);
+        let default = StreamBounds::default();
+        assert_eq!(try_count_raw(&default, 20_000_000), Some(count_raw(&default)));
+        assert_eq!(try_count_raw(&default, 1), None);
     }
 
     #[test]

@@ -198,11 +198,6 @@ impl HistogramSnapshot {
         }
         bucket_upper_bound(BUCKETS - 1)
     }
-
-    /// Mean observed value in µs (0 when empty).
-    pub fn mean_us(&self) -> u64 {
-        self.sum.checked_div(self.count).unwrap_or(0)
-    }
 }
 
 /// Inclusive upper bound (µs) of histogram bucket `i`: 0, 1, 3, 7, …

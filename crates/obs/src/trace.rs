@@ -131,17 +131,6 @@ thread_local! {
     static LOCAL: RefCell<ThreadBuf> = RefCell::new(ThreadBuf::new());
 }
 
-/// Drain the calling thread's buffered events into the sink.
-///
-/// Called automatically when a thread's outermost span closes and
-/// when the thread exits — but `std::thread::scope` returns as soon
-/// as closures finish, *before* thread-local destructors run, so a
-/// scoped worker that ends with an open buffer should call this (or
-/// close its outermost span) before returning.
-pub fn flush_thread() {
-    LOCAL.with(|l| l.borrow_mut().flush());
-}
-
 /// Is a trace sink currently armed? One relaxed atomic load.
 #[inline]
 pub fn is_active() -> bool {

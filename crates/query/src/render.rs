@@ -1,6 +1,6 @@
 //! The [`Render`] trait: one report, four output formats.
 
-use mcm_core::json::Json;
+use mcm_core::json::{Json, Writer};
 
 use crate::error::QueryError;
 
@@ -75,12 +75,17 @@ pub trait Render {
 
     /// The complete schema-versioned JSON document.
     fn json(&self) -> Json {
-        let mut fields = vec![
-            ("schema_version".to_string(), Json::from(SCHEMA_VERSION)),
-            ("kind".to_string(), Json::from(self.kind())),
-        ];
+        let mut fields = envelope(self.kind());
         fields.extend(self.json_fields());
         Json::Object(fields)
+    }
+
+    /// Writes the complete document through `writer`. The default lays
+    /// out [`Render::json`]; a report with a field too large to build as
+    /// a tree overrides it to write that field straight from its data,
+    /// byte for byte what laying out the tree would give.
+    fn write_json(&self, writer: &mut Writer<'_>) {
+        writer.value(&self.json(), 0);
     }
 
     /// CSV view, when the report has one.
@@ -100,17 +105,32 @@ pub trait Render {
     /// [`QueryError::Unsupported`] when the report has no view in the
     /// requested format.
     fn render(&self, format: Format) -> Result<String, QueryError> {
+        let _span = mcm_obs::trace::span_with("query.render", &[("format", format.name())]);
         let unsupported = || QueryError::Unsupported {
             report: self.kind(),
             format: format.name(),
         };
         match format {
             Format::Text => Ok(self.text()),
-            Format::Json => Ok(self.json().pretty()),
+            Format::Json => {
+                let mut out = String::new();
+                self.write_json(&mut Writer::pretty(&mut out));
+                out.push('\n');
+                Ok(out)
+            }
             Format::Csv => self.csv().ok_or_else(unsupported),
             Format::Dot => self.dot().ok_or_else(unsupported),
         }
     }
+}
+
+/// The envelope every JSON document starts with: `schema_version`, then
+/// `kind`.
+pub(crate) fn envelope(kind: &'static str) -> Vec<(String, Json)> {
+    vec![
+        ("schema_version".to_string(), Json::from(SCHEMA_VERSION)),
+        ("kind".to_string(), Json::from(kind)),
+    ]
 }
 
 /// Formats a wall-clock duration the way the CLI always has (`{:.2?}`).

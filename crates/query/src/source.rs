@@ -4,7 +4,7 @@ use std::path::PathBuf;
 
 use mcm_core::parse::parse_litmus_file;
 use mcm_core::LitmusTest;
-use mcm_gen::{template_suite, Shard, StreamBounds};
+use mcm_gen::{Shard, StreamBounds};
 use mcm_models::catalog;
 
 use crate::error::QueryError;
@@ -77,13 +77,6 @@ impl TestSource {
             TestSource::Inline(text) => parse_named(text, "<inline>"),
             TestSource::Tests(tests) => Ok(tests.clone()),
         }
-    }
-
-    /// The bare template suite (without the catalog extension) — used by
-    /// the `suite` report, which reproduces Theorem 1's construction.
-    #[must_use]
-    pub fn bare_template_suite(with_deps: bool) -> mcm_gen::suite::TestSuite {
-        template_suite(with_deps)
     }
 }
 

@@ -1,10 +1,13 @@
 //! Property: `Render::json` output always re-parses through the in-tree
 //! JSON parser, to an equal document, for every report type — over
-//! randomly sampled model pairs, checker backends and test sources.
+//! randomly sampled model pairs, checker backends and test sources. A
+//! sweep's JSON, whose verdict matrix is written straight from the
+//! verdict bits, is byte-identical to laying out the whole document as a
+//! tree.
 
 use mcm_core::json::Json;
 use mcm_query::{
-    CheckerKind, EngineConfig, Format, ModelSpec, Query, Render, TestSource,
+    CheckerKind, EngineConfig, Format, ModelSpec, Query, Render, SweepReport, TestSource,
 };
 use proptest::prelude::*;
 
@@ -38,8 +41,62 @@ fn assert_json_roundtrips(report: &dyn Render) -> Result<(), TestCaseError> {
     Ok(())
 }
 
+/// The oracle: the sweep document built whole as a tree — one
+/// `Json::Bool` per verdict cell — and laid out by `Json::pretty`.
+fn tree_render(report: &SweepReport) -> String {
+    let mut doc = report.json();
+    let Json::Object(fields) = &mut doc else {
+        unreachable!("a report document is an object")
+    };
+    let (_, verdicts) = fields
+        .iter_mut()
+        .find(|(key, _)| key == "verdicts")
+        .expect("a sweep document has a verdict matrix");
+    *verdicts = Json::Array(
+        report
+            .exploration
+            .verdicts
+            .iter()
+            .map(|row| Json::Array((0..row.len()).map(|t| Json::Bool(row.allowed(t))).collect()))
+            .collect(),
+    );
+    doc.pretty()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
+
+    #[test]
+    fn sweep_json_is_byte_identical_to_the_tree_render(
+        picks in proptest::collection::vec(0usize..8, 1..5),
+        streamed in proptest::bool::ANY,
+        limit in 0usize..80,
+        jobs in 1usize..3,
+    ) {
+        let source = if streamed {
+            TestSource::Stream {
+                bounds: mcm_query::StreamBounds {
+                    max_accesses_per_thread: 2,
+                    threads: 2,
+                    max_locs: 2,
+                    include_fences: false,
+                    include_deps: false,
+                },
+                limit: Some(limit),
+                shard: None,
+            }
+        } else {
+            TestSource::Catalog
+        };
+        let report = Query::sweep()
+            .models(ModelSpec::List(picks.iter().map(|&m| MODEL_POOL[m].to_string()).collect()))
+            .tests(source)
+            .engine(EngineConfig { jobs: Some(jobs), ..EngineConfig::default() })
+            .run()
+            .unwrap();
+        let rendered = report.render(Format::Json).expect("json is total");
+        prop_assert_eq!(rendered, tree_render(&report));
+    }
 
     #[test]
     fn compare_reports_roundtrip(left in 0usize..8, right in 0usize..8) {

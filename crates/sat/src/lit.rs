@@ -80,12 +80,6 @@ impl fmt::Display for Var {
 pub struct Lit(pub(crate) u32);
 
 impl Lit {
-    /// Rebuilds a literal from [`Lit::code`].
-    #[must_use]
-    pub fn from_code(code: usize) -> Self {
-        Lit(u32::try_from(code).expect("literal code out of range"))
-    }
-
     /// A dense code usable as an array index: `2 * var + negated`.
     #[must_use]
     pub fn code(self) -> usize {

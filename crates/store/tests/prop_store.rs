@@ -156,6 +156,59 @@ fn warm_sweep_over_a_record_by_record_log_makes_no_checker_call() {
     std::fs::remove_file(&cold_path).unwrap();
 }
 
+#[test]
+fn an_early_stopped_stream_appends_the_same_verdicts_on_any_job_count() {
+    use mcm_axiomatic::CheckerKind;
+    use mcm_explore::{EngineConfig, Exploration, StreamControl};
+    use mcm_gen::stream::{leaders, StreamBounds};
+    use mcm_models::named;
+
+    // A streamed sweep on several jobs pulls the chunk after the one it
+    // checks; a hook that stops the sweep must still leave the log with
+    // exactly the verdicts of the chunks it saw.
+    let bounds = StreamBounds {
+        max_accesses_per_thread: 2,
+        max_locs: 2,
+        ..StreamBounds::default()
+    };
+    let stopped = |jobs: usize| {
+        let path = temp_path(&format!("stop-{jobs}"));
+        let _ = std::fs::remove_file(&path);
+        let store = DiskCache::open(&path).unwrap();
+        let mut chunks = 0;
+        let (exploration, _) = Exploration::run_engine_streaming_with(
+            vec![named::sc(), named::tso(), named::pso(), named::rmo()],
+            leaders(&bounds),
+            || CheckerKind::Explicit.build_batch(),
+            &EngineConfig {
+                jobs: Some(jobs),
+                stream_chunk: 16,
+                ..EngineConfig::default()
+            },
+            Some(store.cache()),
+            StreamControl {
+                on_checkpoint: Some(Box::new(|_: &mcm_explore::StreamCheckpoint| {
+                    chunks += 1;
+                    chunks < 3
+                })),
+                resume: None,
+            },
+        )
+        .unwrap();
+        assert_eq!(exploration.tests.len(), 48, "three chunks of 16 leaders");
+        let appended = store.stats().appended;
+        drop(store);
+        let live = live_map(&read_log(&path).unwrap().records);
+        std::fs::remove_file(&path).unwrap();
+        (appended, live)
+    };
+    let single = stopped(1);
+    assert!(single.0 > 0);
+    for jobs in [2, 3] {
+        assert_eq!(stopped(jobs), single, "jobs {jobs}");
+    }
+}
+
 /// 64-bit FNV-1a, the checksum `docs/STORE_FORMAT.md` pins for
 /// checkpoint payloads.
 fn fnv1a(bytes: &[u8]) -> u64 {

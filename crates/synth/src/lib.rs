@@ -120,7 +120,10 @@ mcm_obs::counter_table! {
         structures: u64 = counter,
         /// Candidate tests decoded (structures × their outcome variants).
         candidates: u64 = counter,
-        /// Distinguishing witnesses found.
+        /// Distinguishing witnesses found by a fresh SAT search of a
+        /// shape. Witnesses read back from a memoised, already searched
+        /// sub-space, and pairs answered from the class-pair memo or
+        /// statically, are not counted.
         witnesses: u64 = counter,
         /// `(shape, allower)` sub-spaces proven exhausted (the UNSAT halves of
         /// the minimality certificates).
