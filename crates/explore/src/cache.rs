@@ -21,8 +21,8 @@
 //! model fingerprint, in first-seen order. A whole-row lookup is one
 //! shard lock, one hash probe and one bit test per model
 //! ([`VerdictCache::lookup_row`]); a worker's fresh verdicts merge back
-//! as rows ([`RowBatch`], [`VerdictCache::merge_rows`]) with word-wide
-//! bit operations. The single-cell [`VerdictCache::get`] and
+//! as rows ([`VerdictRowsBuf`], [`VerdictCache::merge_rows`]) with
+//! word-wide bit operations. The single-cell [`VerdictCache::get`] and
 //! [`VerdictCache::insert`] of the CEGIS oracle take the same path for
 //! one bit and never allocate, apart from the first row of a new test in
 //! a cache holding more than 128 models.
@@ -38,9 +38,11 @@
 //! The RAM shards can sit in front of a durable tier (`mcm-store`'s
 //! `DiskCache`): entries hydrated from disk carry the `durable` bit, so
 //! hit counters distinguish `hits_ram` (computed this process) from
-//! `hits_disk` (recovered from an earlier process), and a [`DurableSink`]
-//! installed with [`VerdictCache::set_sink`] receives every freshly
-//! computed verdict for write-through persistence.
+//! `hits_disk` (recovered from an earlier process). Both directions move
+//! whole rows ([`VerdictRows`]): [`VerdictCache::hydrate_rows`] loads
+//! them, and a [`DurableSink`] installed with [`VerdictCache::set_sink`]
+//! receives the fresh part of every merged row for write-through
+//! persistence.
 //!
 //! Keys are 128 bits of hash; a collision would silently reuse a verdict.
 //! With 64-bit fingerprints on each side the collision probability across
@@ -189,12 +191,18 @@ impl Row {
 #[derive(Debug, Default)]
 struct ModelIndex {
     ids: FoldMap<u32>,
+    /// The interned fingerprints, by id.
+    fps: Vec<u64>,
 }
 
 impl ModelIndex {
     fn intern(&mut self, model_fp: u64) -> u32 {
-        let next = u32::try_from(self.ids.len()).expect("fewer than 2^32 models");
-        *self.ids.entry(model_fp).or_insert(next)
+        let next = u32::try_from(self.fps.len()).expect("fewer than 2^32 models");
+        let id = *self.ids.entry(model_fp).or_insert(next);
+        if id == next {
+            self.fps.push(model_fp);
+        }
+        id
     }
 }
 
@@ -203,75 +211,256 @@ impl ModelIndex {
 /// cache that made it.
 #[derive(Clone, Debug)]
 pub struct ModelIds {
-    fps: Vec<u64>,
     ids: Vec<u32>,
-    /// 64-model groups spanned by the largest id.
-    groups: usize,
+    /// The cache's model fingerprints by id, up to the largest id in
+    /// `ids`: the model table of the rows a sweep merges back, so that
+    /// [`VerdictCache::merge_rows`] takes its word-wide path.
+    table: Vec<u64>,
 }
 
-/// Fresh verdicts of whole test rows, collected by one sweep worker and
-/// merged into the cache with [`VerdictCache::merge_rows`]. A row holds
-/// at most one verdict per model of its [`ModelIds`]; setting a model
-/// twice keeps the last verdict.
-#[derive(Clone, Debug)]
-pub struct RowBatch<'a> {
-    ids: &'a ModelIds,
+impl ModelIds {
+    /// An empty row buffer for a sweep's fresh verdicts, over the cache's
+    /// own model table; the verdict of the sweep's model `i` goes to
+    /// table position [`ModelIds::position`]`(i)`.
+    #[must_use]
+    pub fn rows_buf(&self) -> VerdictRowsBuf {
+        VerdictRowsBuf::new(self.table.clone())
+    }
+
+    /// The table position, in [`ModelIds::rows_buf`], of the sweep's
+    /// model `i`.
+    #[must_use]
+    pub fn position(&self, i: usize) -> usize {
+        self.ids[i] as usize
+    }
+}
+
+/// Set bit positions of `word`, lowest first.
+fn bits(word: u64) -> impl Iterator<Item = usize> {
+    std::iter::successors(Some(word), |&w| Some(w & w.wrapping_sub(1)))
+        .take_while(|&w| w != 0)
+        .map(|w| w.trailing_zeros() as usize)
+}
+
+/// Verdicts of whole test rows over one model table: what a sweep worker
+/// hands [`VerdictCache::merge_rows`], what the durable tier receives
+/// ([`DurableSink::persist`]) and loads back
+/// ([`VerdictCache::hydrate_rows`]), and the payload of one `mcm-store`
+/// log frame. Row `r` answers test `test_fps[r]`; the model at position
+/// `p` of the table is bit `p % 64` of word `p / 64` of the row's `known`
+/// mask (a verdict is present) and of its `allowed` mask (the verdict).
+/// Each mask spans [`VerdictRows::words`] words.
+#[derive(Clone, Copy, Debug)]
+pub struct VerdictRows<'a> {
+    model_fps: &'a [u64],
+    test_fps: &'a [u64],
+    /// Per row, the `known` words, then as many `allowed` words.
+    masks: &'a [u64],
+}
+
+impl<'a> VerdictRows<'a> {
+    /// Rows over `model_fps`: `masks` holds, per test of `test_fps`, the
+    /// row's `known` words followed by its `allowed` words. `None` when
+    /// the masks do not fit the table: not `2 × words` words per row, a
+    /// bit past the table's last model, or an `allowed` bit whose `known`
+    /// bit is clear.
+    #[must_use]
+    pub fn new(model_fps: &'a [u64], test_fps: &'a [u64], masks: &'a [u64]) -> Option<Self> {
+        let w = Self::words(model_fps.len());
+        if masks.len() != test_fps.len().checked_mul(2 * w)? {
+            return None;
+        }
+        // Bits of the last word that lie past the table's end.
+        let spare = match model_fps.len() % 64 {
+            0 => 0,
+            used => !0u64 << used,
+        };
+        let fits = masks.chunks_exact(2 * w.max(1)).all(|row| {
+            let (known, allowed) = row.split_at(w);
+            known.last().is_none_or(|&k| k & spare == 0)
+                && known.iter().zip(allowed).all(|(&k, &a)| a & !k == 0)
+        });
+        fits.then_some(VerdictRows {
+            model_fps,
+            test_fps,
+            masks,
+        })
+    }
+
+    /// Words of one mask over `model_count` models: `⌈model_count / 64⌉`.
+    #[must_use]
+    pub fn words(model_count: usize) -> usize {
+        model_count.div_ceil(64)
+    }
+
+    /// The model table.
+    #[must_use]
+    pub fn model_fps(&self) -> &'a [u64] {
+        self.model_fps
+    }
+
+    /// The rows' test fingerprints, in row order.
+    #[must_use]
+    pub fn test_fps(&self) -> &'a [u64] {
+        self.test_fps
+    }
+
+    /// Every row's `known` then `allowed` words, in row order.
+    #[must_use]
+    pub fn masks(&self) -> &'a [u64] {
+        self.masks
+    }
+
+    /// Number of rows.
+    #[must_use]
+    pub fn len(&self) -> usize {
+        self.test_fps.len()
+    }
+
+    /// Whether there are no rows.
+    #[must_use]
+    pub fn is_empty(&self) -> bool {
+        self.test_fps.is_empty()
+    }
+
+    /// The rows in order, as `(test_fp, known, allowed)`.
+    pub fn rows(&self) -> impl Iterator<Item = (u64, &'a [u64], &'a [u64])> + 'a {
+        let (test_fps, masks) = (self.test_fps, self.masks);
+        let w = Self::words(self.model_fps.len());
+        (0..test_fps.len()).map(move |r| {
+            let (known, allowed) = masks[2 * w * r..2 * w * (r + 1)].split_at(w);
+            (test_fps[r], known, allowed)
+        })
+    }
+
+    /// Verdicts held: the set `known` bits of every row.
+    #[must_use]
+    pub fn cell_count(&self) -> u64 {
+        self.rows()
+            .flat_map(|(_, known, _)| known)
+            .map(|k| u64::from(k.count_ones()))
+            .sum()
+    }
+
+    /// Every verdict as a `(key, allowed)` cell: row by row, each row's
+    /// models in table order.
+    pub fn cells(&self) -> impl Iterator<Item = (Key, bool)> + 'a {
+        let model_fps = self.model_fps;
+        self.rows().flat_map(move |(test_fp, known, allowed)| {
+            known.iter().enumerate().flat_map(move |(g, &k)| {
+                bits(k).map(move |b| {
+                    let cell = (model_fps[64 * g + b], test_fp);
+                    (cell, (allowed[g] >> b) & 1 != 0)
+                })
+            })
+        })
+    }
+}
+
+/// An owned [`VerdictRows`], built a row at a time: each sweep worker
+/// collects its fresh verdicts in one and merges it with
+/// [`VerdictCache::merge_rows`].
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub struct VerdictRowsBuf {
+    model_fps: Vec<u64>,
     test_fps: Vec<u64>,
-    /// Per row, `ids.groups` `known` words, then as many `allowed` words.
     masks: Vec<u64>,
 }
 
-impl<'a> RowBatch<'a> {
-    /// An empty batch over the models of `ids`.
+impl VerdictRowsBuf {
+    /// No rows yet, over the model table `model_fps`.
     #[must_use]
-    pub fn new(ids: &'a ModelIds) -> Self {
-        RowBatch {
-            ids,
+    pub fn new(model_fps: Vec<u64>) -> Self {
+        VerdictRowsBuf {
+            model_fps,
             test_fps: Vec::new(),
             masks: Vec::new(),
         }
     }
 
-    /// Starts the row of `test_fp`; later [`RowBatch::set`] calls fill it.
-    pub fn push_row(&mut self, test_fp: u64) {
-        self.test_fps.push(test_fp);
-        self.masks.resize(self.masks.len() + 2 * self.ids.groups, 0);
+    /// Packs `cells` into rows without reordering them: the table lists
+    /// the models in first-seen order, and a row runs on while the test
+    /// stays the same and each model sits later in the table than the
+    /// one before. So [`VerdictRows::cells`] gives back exactly `cells`,
+    /// duplicates included, and cells written row by row in one model
+    /// order take one row per test.
+    #[must_use]
+    pub fn from_cells<I>(cells: I) -> Self
+    where
+        I: IntoIterator<Item = (Key, bool)>,
+        I::IntoIter: Clone,
+    {
+        let cells = cells.into_iter();
+        let mut position: FoldMap<usize> = FoldMap::default();
+        let mut model_fps = Vec::new();
+        for ((model_fp, _), _) in cells.clone() {
+            position.entry(model_fp).or_insert_with(|| {
+                model_fps.push(model_fp);
+                model_fps.len() - 1
+            });
+        }
+        let mut buf = VerdictRowsBuf::new(model_fps);
+        let mut last: Option<(u64, usize)> = None;
+        for ((model_fp, test_fp), allowed) in cells {
+            let p = position[&model_fp];
+            if last.is_none_or(|(t, q)| t != test_fp || q >= p) {
+                buf.push_row(test_fp);
+            }
+            buf.set(p, allowed);
+            last = Some((test_fp, p));
+        }
+        buf
     }
 
-    /// Records the verdict of the model at position `model` of the
-    /// batch's [`ModelIds`] in the current row.
+    /// Starts the row of `test_fp`; later [`VerdictRowsBuf::set`] calls
+    /// fill it.
+    pub fn push_row(&mut self, test_fp: u64) {
+        self.test_fps.push(test_fp);
+        let w = VerdictRows::words(self.model_fps.len());
+        self.masks.resize(self.masks.len() + 2 * w, 0);
+    }
+
+    /// Records the verdict of the model at `position` of the table in
+    /// the current row; setting a position twice keeps the last verdict.
     ///
     /// # Panics
     ///
-    /// Panics when no row was started.
-    pub fn set(&mut self, model: usize, allowed: bool) {
-        let groups = self.ids.groups;
+    /// Panics when no row was started or `position` is outside the table.
+    pub fn set(&mut self, position: usize, allowed: bool) {
+        assert!(position < self.model_fps.len(), "model outside the table");
+        let w = VerdictRows::words(self.model_fps.len());
         let start = self
             .masks
             .len()
-            .checked_sub(2 * groups)
+            .checked_sub(2 * w)
             .expect("push_row before set");
-        let id = self.ids.ids[model] as usize;
-        let bit = 1u64 << (id % 64);
+        let (g, bit) = (position / 64, 1u64 << (position % 64));
         let row = &mut self.masks[start..];
-        row[id / 64] |= bit;
+        row[g] |= bit;
         if allowed {
-            row[groups + id / 64] |= bit;
+            row[w + g] |= bit;
         } else {
-            row[groups + id / 64] &= !bit;
+            row[w + g] &= !bit;
         }
+    }
+
+    /// The rows built so far.
+    #[must_use]
+    pub fn as_rows(&self) -> VerdictRows<'_> {
+        VerdictRows::new(&self.model_fps, &self.test_fps, &self.masks)
+            .expect("set keeps every bit inside the table")
     }
 }
 
 /// A durable write-through target for freshly computed verdicts: the
-/// sweep engine merges worker batches into the RAM shards, and any sink
-/// installed with [`VerdictCache::set_sink`] sees the same batches so a
-/// disk tier can persist them on batch boundaries.
+/// sweep engine merges worker rows into the RAM shards, and any sink
+/// installed with [`VerdictCache::set_sink`] sees the fresh part of the
+/// same rows so a disk tier can persist them on batch boundaries.
 pub trait DurableSink: Send + Sync {
-    /// Persists a batch of fresh `(key, allowed)` verdicts. Called after
-    /// the RAM shards were updated; entries already present with the same
-    /// verdict are filtered out before this is called.
-    fn persist(&self, batch: &[(Key, bool)]);
+    /// Persists a batch of fresh verdicts, as whole rows. Called after
+    /// the RAM shards were updated, never with an empty batch; verdicts
+    /// already present with the same value are left out of the rows.
+    fn persist(&self, rows: VerdictRows<'_>);
 }
 
 /// Result of a tier-aware row lookup ([`VerdictCache::get_row_tiered`],
@@ -406,19 +595,15 @@ impl VerdictCache {
 
     /// Resolves a sweep's model fingerprints to this cache's model ids,
     /// handing out ids to the ones it has not seen. Resolve once per
-    /// sweep, then look rows up with [`VerdictCache::lookup_row`] and
-    /// merge them with [`RowBatch`].
+    /// sweep, then look rows up with [`VerdictCache::lookup_row`].
     #[must_use]
     pub fn model_ids(&self, model_fps: &[u64]) -> ModelIds {
-        let ids: Vec<u32> = {
-            let mut index = self.models.write().expect("model index poisoned");
-            model_fps.iter().map(|&fp| index.intern(fp)).collect()
-        };
-        let groups = ids.iter().max().map_or(0, |&id| id as usize / 64 + 1);
+        let mut index = self.models.write().expect("model index poisoned");
+        let ids: Vec<u32> = model_fps.iter().map(|&fp| index.intern(fp)).collect();
+        let end = ids.iter().max().map_or(0, |&id| id as usize + 1);
         ModelIds {
-            fps: model_fps.to_vec(),
             ids,
-            groups,
+            table: index.fps[..end].to_vec(),
         }
     }
 
@@ -436,55 +621,13 @@ impl VerdictCache {
         self.sink.set(sink).is_ok()
     }
 
-    /// Hands a batch of fresh verdicts to the durable tier, if one is
-    /// installed.
-    fn persist(&self, fresh: &[(Key, bool)]) {
-        if fresh.is_empty() {
-            return;
-        }
-        if let Some(sink) = self.sink.get() {
-            sink.persist(fresh);
-        }
-    }
-
     /// Pre-loads verdicts recovered from a durable store, tagging them as
-    /// disk-tier so later lookups count as `hits_disk`. Later records
-    /// overwrite earlier ones for the same key. Does not notify the sink
-    /// (the records are already durable) and does not touch the hit/miss
-    /// statistics.
-    pub fn hydrate(&self, records: impl IntoIterator<Item = (Key, bool)>) {
-        let mut by_shard: [Vec<(u64, u32, bool)>; SHARDS] = Default::default();
-        {
-            let mut index = self.models.write().expect("model index poisoned");
-            for ((model_fp, test_fp), allowed) in records {
-                by_shard[Self::shard(test_fp)].push((test_fp, index.intern(model_fp), allowed));
-            }
-        }
-        for cells in &by_shard {
-            let Some(&(first_fp, _, _)) = cells.first() else {
-                continue;
-            };
-            let mut shard = self.lock_shard(first_fp);
-            let mut known = 0u64;
-            // Logs written row by row repeat one test across a run of
-            // records: probe the map once per run.
-            let mut run: Option<(u64, &mut Row)> = None;
-            for &(test_fp, id, allowed) in cells {
-                let row = match run {
-                    Some((fp, row)) if fp == test_fp => row,
-                    _ => shard.entry(test_fp).or_default(),
-                };
-                let durable = Slot {
-                    allowed,
-                    durable: true,
-                };
-                known += u64::from(row.set(id, durable).0);
-                run = Some((test_fp, row));
-            }
-            // Counted under the shard lock, so `clear` never subtracts
-            // bits whose addition is still pending.
-            self.entries.fetch_add(known, Ordering::Relaxed);
-        }
+    /// disk-tier so later lookups count as `hits_disk`. Rows apply in
+    /// order, so a later verdict for the same cell overwrites an earlier
+    /// one. Does not notify the sink (the verdicts are already durable)
+    /// and does not touch the hit/miss statistics.
+    pub fn hydrate_rows(&self, rows: VerdictRows<'_>) {
+        self.absorb_rows(rows, true, None);
     }
 
     /// Looks a verdict up, recording a hit or miss.
@@ -568,74 +711,130 @@ impl VerdictCache {
         fresh
     }
 
-    /// Records a verdict (RAM tier; written through to the sink when one
-    /// is installed and the verdict is new).
+    /// Records a verdict (RAM tier; written through to the sink as a
+    /// one-model row when one is installed and the verdict is new).
     pub fn insert(&self, key: Key, allowed: bool) {
-        if self.set(key, allowed) {
-            self.persist(&[(key, allowed)]);
-        }
-    }
-
-    /// Merges a batch of verdicts, in order (a later duplicate key wins).
-    /// Entries not already present (or present with a different verdict)
-    /// are written through to the durable sink as one batch.
-    pub fn merge(&self, batch: impl IntoIterator<Item = (Key, bool)>) {
-        let fresh: Vec<(Key, bool)> = batch
-            .into_iter()
-            .filter(|&(key, allowed)| self.set(key, allowed))
-            .collect();
-        self.persist(&fresh);
-    }
-
-    /// Merges one worker's rows, one shard lock per row and word-wide bit
-    /// operations per 64 models; the RAM-tier twin of calling
-    /// [`VerdictCache::merge`] with every cell of every row. Fresh cells
-    /// go to the durable sink as one batch, row by row in the order of
-    /// the batch's [`ModelIds`].
-    pub fn merge_rows(&self, batch: &RowBatch<'_>) {
-        let groups = batch.ids.groups;
-        if groups == 0 {
+        if !self.set(key, allowed) {
             return;
         }
-        let sink = self.sink.get();
-        let mut fresh_bits = vec![0u64; groups];
-        let mut fresh: Vec<(Key, bool)> = Vec::new();
-        for (&test_fp, masks) in batch.test_fps.iter().zip(batch.masks.chunks(2 * groups)) {
-            let (known_masks, allowed_masks) = masks.split_at(groups);
+        if let Some(sink) = self.sink.get() {
+            let (model_fp, test_fp) = key;
+            let masks = [1, u64::from(allowed)];
+            let row = VerdictRows::new(
+                std::slice::from_ref(&model_fp),
+                std::slice::from_ref(&test_fp),
+                &masks,
+            );
+            sink.persist(row.expect("one model, one row"));
+        }
+    }
+
+    /// Merges a batch of verdicts, in order (a later duplicate key wins):
+    /// [`VerdictCache::merge_rows`] over the cells packed into rows by
+    /// [`VerdictRowsBuf::from_cells`].
+    pub fn merge(&self, batch: impl IntoIterator<Item = (Key, bool)>) {
+        let cells: Vec<(Key, bool)> = batch.into_iter().collect();
+        self.merge_rows(VerdictRowsBuf::from_cells(cells.iter().copied()).as_rows());
+    }
+
+    /// Merges whole rows of RAM-tier verdicts, in order, with one shard
+    /// lock per row. The verdicts that are fresh — unknown before, or
+    /// known with the opposite value — go to the durable sink as one
+    /// batch of rows over the same model table.
+    pub fn merge_rows(&self, rows: VerdictRows<'_>) {
+        let Some(sink) = self.sink.get() else {
+            self.absorb_rows(rows, false, None);
+            return;
+        };
+        let mut fresh = VerdictRowsBuf::new(rows.model_fps().to_vec());
+        self.absorb_rows(rows, false, Some(&mut fresh));
+        if !fresh.test_fps.is_empty() {
+            sink.persist(fresh.as_rows());
+        }
+    }
+
+    /// Interns a row table's models: their ids, and whether those are
+    /// `0, 1, 2, …` in order (the table is a prefix of the cache's own).
+    fn intern_table(&self, model_fps: &[u64]) -> (Vec<u32>, bool) {
+        let mut index = self.models.write().expect("model index poisoned");
+        let ids: Vec<u32> = model_fps.iter().map(|&fp| index.intern(fp)).collect();
+        let aligned = ids.iter().enumerate().all(|(p, &id)| id as usize == p);
+        (ids, aligned)
+    }
+
+    /// Writes `rows` into the shards on the RAM or the disk tier, and
+    /// collects into `fresh` the rows' fresh verdicts. The table's models
+    /// are interned once; when they hold model ids `0, 1, 2, …` in order
+    /// each row merges a 64-model word at a time, and otherwise a verdict
+    /// at a time, in table order. Sweeps build their rows over the
+    /// cache's own table ([`ModelIds::rows_buf`]), and so do the frames
+    /// they persist, so only frames written by another cache (another
+    /// process's ids, a version-1 log) and the cell-level
+    /// [`VerdictCache::merge`] can take the per-verdict path.
+    fn absorb_rows(
+        &self,
+        rows: VerdictRows<'_>,
+        durable: bool,
+        mut fresh: Option<&mut VerdictRowsBuf>,
+    ) {
+        if rows.is_empty() {
+            return;
+        }
+        let (ids, aligned) = self.intern_table(rows.model_fps());
+        let w = VerdictRows::words(ids.len());
+        let mut fresh_row = vec![0u64; 2 * w];
+        for (test_fp, known, allowed) in rows.rows() {
+            fresh_row.fill(0);
+            let (fresh_known, fresh_allowed) = fresh_row.split_at_mut(w);
             {
                 let mut shard = self.lock_shard(test_fp);
                 let row = shard.entry(test_fp).or_default();
-                let mut known = 0u64;
-                for g in 0..groups {
-                    let (k, a) = (known_masks[g], allowed_masks[g]);
+                let mut newly_known = 0u64;
+                for (g, &k) in known.iter().enumerate() {
                     if k == 0 {
-                        fresh_bits[g] = 0;
                         continue;
                     }
-                    let group = row.group_mut(g);
-                    let newly = k & !group[KNOWN];
-                    fresh_bits[g] = newly | (k & (group[ALLOWED] ^ a));
-                    known += u64::from(newly.count_ones());
-                    group[KNOWN] |= k;
-                    group[ALLOWED] = (group[ALLOWED] & !k) | a;
-                    group[DURABLE] &= !k;
+                    let a = allowed[g] & k;
+                    if aligned {
+                        let group = row.group_mut(g);
+                        let newly = k & !group[KNOWN];
+                        fresh_known[g] = newly | (k & (group[ALLOWED] ^ a));
+                        fresh_allowed[g] = fresh_known[g] & a;
+                        newly_known += u64::from(newly.count_ones());
+                        group[KNOWN] |= k;
+                        group[ALLOWED] = (group[ALLOWED] & !k) | a;
+                        if durable {
+                            group[DURABLE] |= k;
+                        } else {
+                            group[DURABLE] &= !k;
+                        }
+                        continue;
+                    }
+                    for b in bits(k) {
+                        let bit = 1u64 << b;
+                        let slot = Slot {
+                            allowed: a & bit != 0,
+                            durable,
+                        };
+                        let (newly, changed) = row.set(ids[64 * g + b], slot);
+                        newly_known += u64::from(newly);
+                        if changed {
+                            fresh_known[g] |= bit;
+                            fresh_allowed[g] |= a & bit;
+                        }
+                    }
                 }
-                self.entries.fetch_add(known, Ordering::Relaxed);
+                // Counted under the shard lock, so `clear` never subtracts
+                // bits whose addition is still pending.
+                self.entries.fetch_add(newly_known, Ordering::Relaxed);
             }
-            if sink.is_none() {
-                continue;
-            }
-            for (&model_fp, &id) in batch.ids.fps.iter().zip(&batch.ids.ids) {
-                let (g, bit) = (id as usize / 64, 1u64 << (id % 64));
-                if fresh_bits[g] & bit != 0 {
-                    // Clear the bit so a fingerprint listed twice in the
-                    // batch's ids is persisted once.
-                    fresh_bits[g] &= !bit;
-                    fresh.push(((model_fp, test_fp), allowed_masks[g] & bit != 0));
+            if let Some(out) = fresh.as_deref_mut() {
+                if fresh_known.iter().any(|&k| k != 0) {
+                    out.test_fps.push(test_fp);
+                    out.masks.extend_from_slice(&fresh_row);
                 }
             }
         }
-        self.persist(&fresh);
     }
 
     /// Number of memoized pairs.
@@ -786,10 +985,40 @@ mod tests {
         assert_eq!(cache.get((5, 35)), Some(false));
     }
 
+    fn hydrate(cache: &VerdictCache, cells: &[(Key, bool)]) {
+        cache.hydrate_rows(VerdictRowsBuf::from_cells(cells.iter().copied()).as_rows());
+    }
+
+    #[test]
+    fn sweep_rows_merge_word_wide_after_a_sweep_over_other_models() {
+        let cache = VerdictCache::new();
+        let all: Vec<u64> = (1..=100).collect();
+        let _ = cache.model_ids(&all);
+        // A later sweep over a reordered subset, plus one new model.
+        let subset = [70, 3, 41, 500];
+        let ids = cache.model_ids(&subset);
+        let mut rows = ids.rows_buf();
+        let table = rows.as_rows().model_fps().to_vec();
+        assert_eq!(table.len(), 101);
+        assert_eq!((&table[..100], table[100]), (&all[..], 500));
+        let (_, aligned) = cache.intern_table(&table);
+        assert!(aligned, "the table is the cache's id order");
+        rows.push_row(9);
+        for (i, allowed) in [true, false, true, false].into_iter().enumerate() {
+            rows.set(ids.position(i), allowed);
+        }
+        cache.merge_rows(rows.as_rows());
+        let row = cache.get_row(&subset, 9);
+        assert_eq!(row, vec![Some(true), Some(false), Some(true), Some(false)]);
+        assert_eq!(cache.get_row(&[1, 2], 9), vec![None, None]);
+        // A table in another order is not aligned.
+        assert!(!cache.intern_table(&[3, 70]).1);
+    }
+
     #[test]
     fn hydrated_entries_count_as_disk_hits() {
         let cache = VerdictCache::new();
-        cache.hydrate([((1, 2), true), ((3, 4), false)]);
+        hydrate(&cache, &[((1, 2), true), ((3, 4), false)]);
         cache.insert((5, 6), true);
         assert_eq!(cache.get((1, 2)), Some(true));
         assert_eq!(cache.get((3, 4)), Some(false));
@@ -798,7 +1027,7 @@ mod tests {
         assert_eq!(cache.hits_ram(), 1);
         let row = {
             let cache = VerdictCache::new();
-            cache.hydrate([((1, 7), true)]);
+            hydrate(&cache, &[((1, 7), true)]);
             cache.insert((2, 7), false);
             cache.get_row_tiered(&[1, 2, 3], 7)
         };
@@ -811,15 +1040,15 @@ mod tests {
     fn sink_sees_fresh_verdicts_once() {
         struct Recorder(Mutex<Vec<(Key, bool)>>);
         impl DurableSink for Recorder {
-            fn persist(&self, batch: &[(Key, bool)]) {
-                self.0.lock().unwrap().extend_from_slice(batch);
+            fn persist(&self, rows: VerdictRows<'_>) {
+                self.0.lock().unwrap().extend(rows.cells());
             }
         }
         let cache = VerdictCache::new();
         let sink = Arc::new(Recorder(Mutex::new(Vec::new())));
         assert!(cache.set_sink(sink.clone()));
         assert!(!cache.set_sink(sink.clone()), "second sink must be refused");
-        cache.hydrate([((9, 9), true)]);
+        hydrate(&cache, &[((9, 9), true)]);
         cache.insert((1, 2), true);
         cache.insert((1, 2), true); // unchanged: not re-persisted
         cache.merge([((1, 2), true), ((3, 4), false)]);

@@ -45,7 +45,9 @@ pub mod report;
 pub mod space;
 pub mod verdict;
 
-pub use cache::{CacheStats, DurableSink, ModelIds, RowBatch, RowLookup, VerdictCache};
+pub use cache::{
+    CacheStats, DurableSink, ModelIds, RowLookup, VerdictCache, VerdictRows, VerdictRowsBuf,
+};
 pub use lattice::{Lattice, LatticeEdge, ModelClass};
 pub use space::{
     EngineConfig, Exploration, ResumeError, StreamCheckpoint, StreamControl, SweepStats,

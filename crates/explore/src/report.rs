@@ -60,12 +60,13 @@ pub fn sweep_stats_text(stats: &SweepStats) -> String {
 }
 
 /// One-line summary of a streaming sweep: how much was pulled from the
-/// stream, how many orbit leaders were kept, and the memory high-water
-/// mark (the largest chunk ever materialized at once).
+/// stream, how many orbit leaders were kept, and the size of the largest
+/// chunk pulled at once ([`SweepStats::peak_batch`]). The kept tests stay
+/// in memory besides, so the chunk size bounds the input side only.
 #[must_use]
 pub fn streaming_summary(stats: &SweepStats) -> String {
     let mut line = format!(
-        "streamed {} tests -> {} kept ({} distinct models, peak {} tests in memory), \
+        "streamed {} tests -> {} kept ({} distinct models, chunks of ≤{} tests), \
          {} cache hits, {} checker calls ({:.1}x reduction)",
         stats.tests_streamed,
         stats.canonical_tests,
@@ -196,7 +197,7 @@ mod tests {
         let line = streaming_summary(&stats);
         assert!(line.contains("streamed 100 tests"));
         assert!(line.contains("50 kept"));
-        assert!(line.contains("peak 8 tests in memory"));
+        assert!(line.contains("chunks of ≤8 tests"));
         assert!(line.contains("60 checker calls"));
         assert!(line.contains("1 models merged semantically"));
         assert!(line.contains("prefilter saved 10 calls"));

@@ -31,7 +31,7 @@ use mcm_core::{LitmusTest, MemoryModel};
 use mcm_gen::canon;
 use mcm_sat::SolverStats;
 
-use crate::cache::{RowBatch, RowLookup, VerdictCache};
+use crate::cache::{RowLookup, VerdictCache};
 use crate::verdict::{Relation, VerdictVector};
 
 /// Tuning knobs for [`Exploration::run_engine`] and
@@ -285,9 +285,10 @@ struct ModelSide<'a> {
 struct Pulled {
     /// Tests taken from the input iterator.
     pulled: usize,
-    /// The tests that will be checked, with their cache fingerprints.
+    /// The tests that will be checked, with their cache fingerprints when
+    /// the dedup layer computed them (canonicalizing sweeps only).
     tests: Vec<LitmusTest>,
-    fps: Vec<u64>,
+    fps: Option<Vec<u64>>,
 }
 
 /// The shared sweep core, test-major: the unit of parallel work is a
@@ -296,15 +297,17 @@ struct Pulled {
 /// across workers. Cache lookups are row-keyed (the rows' model ids are
 /// resolved once, then [`VerdictCache::lookup_row`] takes one shard lock
 /// and one probe per test row), each worker merges its fresh verdicts
-/// back as rows ([`RowBatch`]), and only the missing models of a
+/// back as rows over the cache's own model table
+/// ([`crate::ModelIds::rows_buf`]), and only the missing models of a
 /// row reach the checker; with a [`SweepPrefilter`] those are further
 /// grouped into provably-agreeing sets, so the checker sees one
 /// representative per group and the verdict fans out (and is cached once
-/// per member). The worker that claims a row builds its
-/// [`mcm_core::Execution`], and only when some model's verdict is missing
-/// from the cache: warm rows cost neither an execution nor checker work,
-/// and cold rows amortize candidate enumeration / encoding across the
-/// whole model space.
+/// per member). The worker that claims a row computes its cache
+/// fingerprint when `fps` does not carry it (only canonicalizing sweeps
+/// know it up front), and builds its [`mcm_core::Execution`] only when
+/// some model's verdict is missing from the cache: warm rows cost neither
+/// an execution nor checker work, and cold rows amortize candidate
+/// enumeration / encoding across the whole model space.
 ///
 /// On two or more jobs, `meanwhile` runs on the calling thread while the
 /// spawned workers check, and the calling thread then joins the grid as
@@ -316,7 +319,7 @@ struct Pulled {
 fn sweep_grid<F>(
     side: &ModelSide<'_>,
     tests: &[LitmusTest],
-    fps: &[u64],
+    fps: Option<&[u64]>,
     make_checker: &F,
     config: &EngineConfig,
     cache: Option<&VerdictCache>,
@@ -361,7 +364,7 @@ where
 
     let work = || {
         let checker = make_checker();
-        let mut local_batch = cached.as_ref().map(|(_, ids)| RowBatch::new(ids));
+        let mut local_batch = cached.as_ref().map(|(_, ids)| ids.rows_buf());
         let mut counts = SweepStats::default();
         let mut missing_rows: Vec<usize> = Vec::new();
         let mut missing_models: Vec<MemoryModel> = Vec::new();
@@ -374,9 +377,14 @@ where
             let end = (start + ROW_BATCH).min(reps);
             for rep in start..end {
                 missing_rows.clear();
+                let fp = match (&cached, fps) {
+                    (None, _) => 0,
+                    (Some(_), Some(fps)) => fps[rep],
+                    (Some(_), None) => canon::fingerprint(&tests[rep]),
+                };
                 match &cached {
                     Some((cache, ids)) => {
-                        cache.lookup_row(ids, fps[rep], &mut lookup);
+                        cache.lookup_row(ids, fp, &mut lookup);
                         counts.cache_hits += lookup.hits_ram + lookup.hits_disk;
                         counts.cache_hits_disk += lookup.hits_disk;
                         for (row, &memoized) in lookup.verdicts.iter().enumerate() {
@@ -423,11 +431,11 @@ where
                             .store(if verdict.allowed { 2 } else { 1 }, Ordering::Relaxed);
                     }
                 }
-                if let Some(local) = local_batch.as_mut() {
-                    local.push_row(fps[rep]);
+                if let (Some(local), Some((_, ids))) = (local_batch.as_mut(), &cached) {
+                    local.push_row(fp);
                     for (group, verdict) in groups.iter().zip(&verdicts) {
                         for &row in group {
-                            local.set(row, verdict.allowed);
+                            local.set(ids.position(row), verdict.allowed);
                         }
                     }
                 }
@@ -471,7 +479,7 @@ where
     let mut stats = SweepStats::default();
     for (local, counts) in outcomes {
         if let (Some((cache, _)), Some(local)) = (&cached, local) {
-            cache.merge_rows(&local);
+            cache.merge_rows(local.as_rows());
         }
         stats.absorb(counts);
     }
@@ -649,12 +657,14 @@ impl Exploration {
         };
 
         // The shared dedup layer: collapses a pulled chunk to the tests
-        // that will actually be checked, plus their cache fingerprints.
+        // that will actually be checked. Canonicalizing sweeps get the
+        // kept tests' fingerprints for free; otherwise the grid worker
+        // that claims a test fingerprints it, off the calling thread.
         // Used identically by the live loop and the resume replay, so a
         // replayed prefix keeps exactly the tests the original run kept.
         let dedup = |chunk: Vec<LitmusTest>,
                      seen: &mut HashSet<u64>|
-         -> (Vec<LitmusTest>, Vec<u64>) {
+         -> (Vec<LitmusTest>, Option<Vec<u64>>) {
             if config.canonicalize {
                 let _canon_span = mcm_obs::trace::span("engine.canon");
                 let canonical = canon::dedup_parallel(&chunk, jobs);
@@ -666,13 +676,9 @@ impl Exploration {
                         fps.push(fp);
                     }
                 }
-                (batch, fps)
-            } else if cache.is_some() {
-                let fps = chunk.iter().map(canon::fingerprint).collect();
-                (chunk, fps)
+                (batch, Some(fps))
             } else {
-                let fps = vec![0u64; chunk.len()];
-                (chunk, fps)
+                (chunk, None)
             }
         };
 
@@ -756,7 +762,7 @@ impl Exploration {
                         prefilter: prefilter.as_ref(),
                     },
                     &batch,
-                    &fps,
+                    fps.as_deref(),
                     &make_checker,
                     config,
                     cache,

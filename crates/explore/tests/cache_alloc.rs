@@ -1,15 +1,19 @@
 //! The single-cell path of the verdict cache — `get` and `insert`, which
 //! the CEGIS oracle calls once per (model, candidate test) — allocates
 //! nothing once the test's row exists, and a new row over at most 128
-//! models costs no allocation beyond the shard map's own growth.
+//! models costs no allocation beyond the shard map's own growth. That
+//! includes handing each fresh verdict to a durable sink as a one-model
+//! row.
 //!
 //! A counting global allocator tallies this thread's allocations; this
 //! file holds one test so no other test thread shares the tally.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
-use mcm_explore::VerdictCache;
+use mcm_explore::{DurableSink, VerdictCache, VerdictRows};
 
 thread_local! {
     static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
@@ -39,9 +43,21 @@ fn allocations() -> u64 {
     ALLOCATIONS.with(Cell::get)
 }
 
+/// Counts the verdicts it is handed, without allocating.
+#[derive(Default)]
+struct CountingSink(AtomicU64);
+
+impl DurableSink for CountingSink {
+    fn persist(&self, rows: VerdictRows<'_>) {
+        self.0.fetch_add(rows.cell_count(), Ordering::Relaxed);
+    }
+}
+
 #[test]
 fn get_and_insert_do_not_allocate() {
     let cache = VerdictCache::new();
+    let sink = Arc::new(CountingSink::default());
+    assert!(cache.set_sink(sink.clone()));
     let models: Vec<u64> = (1..=90u64)
         .map(|m| m.wrapping_mul(0x9e37_79b9_7f4a_7c15))
         .collect();
@@ -72,4 +88,5 @@ fn get_and_insert_do_not_allocate() {
     }
     assert_eq!(allocations() - before, 0, "the single-cell path allocated");
     assert_eq!(cache.len(), models.len() * tests.len());
+    assert!(sink.0.load(Ordering::Relaxed) >= cache.len() as u64);
 }

@@ -1,21 +1,25 @@
 //! The row-keyed [`VerdictCache`] against a reference map.
 //!
-//! Random interleavings of `insert`, `merge`, `merge_rows`, `hydrate`,
-//! `get`, `get_row_tiered` and `clear` run against both the cache and a
+//! Random interleavings of `insert`, `merge`, `merge_rows`,
+//! `hydrate_rows`, `get`, `get_row_tiered` and `clear` run against both
+//! the cache and a
 //! `BTreeMap<(model_fp, test_fp), (allowed, tier)>` that applies the
 //! documented per-cell semantics one cell at a time. After every
 //! operation the two must agree on every returned verdict, on the hit,
 //! miss and tier counters, on `len`, and on the exact batches handed to
-//! the durable sink. Every case first hydrates 150 distinct models, so
-//! the rows span three 64-model words, and the random operations draw
-//! from 300 model and 12 test fingerprints, so batches repeat keys and
-//! RAM writes land on disk-tier entries.
+//! the durable sink (its rows flattened to cells). Every case first
+//! hydrates 150 distinct models, so the rows span three 64-model words,
+//! and the random operations draw from 300 model and 12 test
+//! fingerprints, so batches repeat keys and RAM writes land on disk-tier
+//! entries. Rows whose model table is the 150 hydrated models in order
+//! merge a word at a time; every other table merges a verdict at a time,
+//! and both paths are drawn.
 
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
 
 use mcm_explore::cache::Key;
-use mcm_explore::{DurableSink, RowBatch, VerdictCache};
+use mcm_explore::{DurableSink, VerdictCache, VerdictRows, VerdictRowsBuf};
 use proptest::prelude::*;
 
 const MODELS: usize = 300;
@@ -41,9 +45,14 @@ enum Tier {
 struct Recorder(Mutex<Vec<Vec<(Key, bool)>>>);
 
 impl DurableSink for Recorder {
-    fn persist(&self, batch: &[(Key, bool)]) {
-        self.0.lock().unwrap().push(batch.to_vec());
+    fn persist(&self, rows: VerdictRows<'_>) {
+        self.0.lock().unwrap().push(rows.cells().collect());
     }
+}
+
+/// Loads `cells` as disk-tier verdicts, packed into rows in order.
+fn hydrate(cache: &VerdictCache, cells: &[(Key, bool)]) {
+    cache.hydrate_rows(VerdictRowsBuf::from_cells(cells.iter().copied()).as_rows());
 }
 
 /// The per-cell semantics the cache must reproduce.
@@ -92,8 +101,10 @@ enum Op {
     Insert(Key, bool),
     Merge(Vec<(Key, bool)>),
     /// Cells of one worker batch: a new row starts whenever the test
-    /// changes between consecutive cells.
-    MergeRows(Vec<(usize, usize, bool)>),
+    /// changes between consecutive cells. With the flag set, the table is
+    /// the first [`WIDE`] models in order (model indices taken modulo
+    /// `WIDE`), which the cache holds as ids `0..WIDE`.
+    MergeRows(Vec<(usize, usize, bool)>, bool),
     Hydrate(Vec<(Key, bool)>),
     Get(Key),
     GetRow(Vec<usize>, usize),
@@ -118,7 +129,11 @@ fn op() -> impl Strategy<Value = Op> {
         match kind {
             0..=2 => Op::Insert(key, allowed),
             3..=5 => Op::Merge(keyed(&cells)),
-            6..=8 => Op::MergeRows(cells),
+            6..=7 => Op::MergeRows(cells, false),
+            8 => Op::MergeRows(
+                cells.iter().map(|&(m, t, a)| (m % WIDE, t, a)).collect(),
+                true,
+            ),
             9..=10 => Op::Hydrate(keyed(&cells)),
             11..=13 => Op::Get(key),
             14..=18 => Op::GetRow(cells.iter().map(|c| c.0).collect(), t),
@@ -144,17 +159,19 @@ fn apply(cache: &VerdictCache, reference: &mut Reference, op: &Op) -> Result<(),
                 .collect();
             reference.sink(fresh);
         }
-        Op::MergeRows(cells) => {
+        Op::MergeRows(cells, aligned) => {
             // The batch's models, in first-seen order, each listed once.
             let mut models: Vec<usize> = Vec::new();
+            if *aligned {
+                models.extend(0..WIDE);
+            }
             for &(m, _, _) in cells {
                 if !models.contains(&m) {
                     models.push(m);
                 }
             }
             let fps: Vec<u64> = models.iter().map(|&m| model_fp(m)).collect();
-            let ids = cache.model_ids(&fps);
-            let mut batch = RowBatch::new(&ids);
+            let mut batch = VerdictRowsBuf::new(fps.clone());
             let mut rows: Vec<(usize, BTreeMap<usize, bool>)> = Vec::new();
             for &(m, t, allowed) in cells {
                 if rows.last().is_none_or(|(row_t, _)| *row_t != t) {
@@ -165,7 +182,7 @@ fn apply(cache: &VerdictCache, reference: &mut Reference, op: &Op) -> Result<(),
                 batch.set(position, allowed);
                 rows.last_mut().unwrap().1.insert(position, allowed);
             }
-            cache.merge_rows(&batch);
+            cache.merge_rows(batch.as_rows());
             let mut fresh = Vec::new();
             for (t, row) in rows {
                 for (position, allowed) in row {
@@ -178,7 +195,7 @@ fn apply(cache: &VerdictCache, reference: &mut Reference, op: &Op) -> Result<(),
             reference.sink(fresh);
         }
         Op::Hydrate(batch) => {
-            cache.hydrate(batch.iter().copied());
+            hydrate(cache, batch);
             for &(key, allowed) in batch {
                 reference.map.insert(key, (allowed, Tier::Disk));
             }
@@ -261,13 +278,13 @@ fn ram_write_over_a_hydrated_entry_flips_its_tier() {
     let sink = Arc::new(Recorder::default());
     assert!(cache.set_sink(sink.clone()));
     let wide: Vec<u64> = (0..WIDE).map(model_fp).collect();
-    cache.hydrate(wide.iter().map(|&m| ((m, 7), true)));
-    let ids = cache.model_ids(&wide);
-    let mut batch = RowBatch::new(&ids);
+    let cells: Vec<(Key, bool)> = wide.iter().map(|&m| ((m, 7), true)).collect();
+    hydrate(&cache, &cells);
+    let mut batch = VerdictRowsBuf::new(wide.clone());
     batch.push_row(7);
     batch.set(WIDE - 1, true); // same verdict: tier flips, nothing persisted
     batch.set(0, false); // opposite verdict: persisted
-    cache.merge_rows(&batch);
+    cache.merge_rows(batch.as_rows());
     let row = cache.get_row_tiered(&wide, 7);
     assert_eq!((row.hits_ram, row.hits_disk), (2, WIDE as u64 - 2));
     assert_eq!(row.verdicts[0], Some(false));

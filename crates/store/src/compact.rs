@@ -4,8 +4,10 @@
 //! accumulates duplicate keys (re-confirmed verdicts from later sweeps).
 //! Compaction replays the log with last-write-wins semantics and
 //! atomically replaces the file with one holding exactly the live set,
-//! in first-seen key order — a deterministic function of the input log,
-//! so compacting twice is a no-op.
+//! grouped by test so a test's verdicts usually share a row — a
+//! deterministic function of the input log, so compacting twice is a
+//! no-op. It also
+//! upgrades a log of an older format version to the current one.
 
 use std::collections::HashMap;
 use std::io;
@@ -16,9 +18,9 @@ use crate::log::{read_log, write_atomic, Record};
 /// What a [`compact`] run did.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct CompactStats {
-    /// Records read from the old log (including duplicates).
+    /// Verdicts read from the old log (including duplicates).
     pub records_in: u64,
-    /// Live records written to the new log.
+    /// Live verdicts written to the new log.
     pub records_out: u64,
     /// Log size before, in bytes (valid prefix only).
     pub bytes_before: u64,
@@ -29,23 +31,33 @@ pub struct CompactStats {
     pub dropped_tail: bool,
 }
 
-/// Collapses `records` to the live set: last write wins per key, emitted
-/// in first-seen key order.
+/// Collapses `records` to the live set: last write wins per key. The set
+/// comes out grouped by test, tests in first-seen order and each test's
+/// keys in first-seen order. A test packs into one row when its keys
+/// follow the order of its frame's model table and the frame holds the
+/// whole test; otherwise it takes a row per run of keys in table order
+/// ([`mcm_explore::VerdictRowsBuf::from_cells`]).
 pub(crate) fn live_set(records: &[Record]) -> Vec<Record> {
-    let mut index: HashMap<(u64, u64), usize> = HashMap::with_capacity(records.len());
-    let mut live: Vec<Record> = Vec::new();
+    let mut index: HashMap<(u64, u64), (usize, usize)> = HashMap::with_capacity(records.len());
+    let mut row_of: HashMap<u64, usize> = HashMap::new();
+    let mut rows: Vec<Vec<Record>> = Vec::new();
     for record in records {
         match index.entry(record.key()) {
             std::collections::hash_map::Entry::Occupied(slot) => {
-                live[*slot.get()].allowed = record.allowed;
+                let (row, i) = *slot.get();
+                rows[row][i].allowed = record.allowed;
             }
             std::collections::hash_map::Entry::Vacant(slot) => {
-                slot.insert(live.len());
-                live.push(*record);
+                let row = *row_of.entry(record.test_fp).or_insert_with(|| {
+                    rows.push(Vec::new());
+                    rows.len() - 1
+                });
+                slot.insert((row, rows[row].len()));
+                rows[row].push(*record);
             }
         }
     }
-    live
+    rows.concat()
 }
 
 /// Compacts the verdict log at `path` in place (via an atomic
@@ -74,6 +86,7 @@ pub fn compact(path: &Path) -> io::Result<CompactStats> {
 mod tests {
     use super::*;
     use crate::log::LogWriter;
+    use mcm_explore::VerdictRowsBuf;
     use std::path::PathBuf;
 
     fn temp_path(name: &str) -> PathBuf {
@@ -90,17 +103,18 @@ mod tests {
         }
     }
 
+    fn append(writer: &mut LogWriter, records: &[Record]) {
+        let rows = VerdictRowsBuf::from_cells(records.iter().map(Record::cell));
+        writer.append_rows(rows.as_rows()).unwrap();
+    }
+
     #[test]
     fn compaction_keeps_the_live_set_last_write_wins() {
         let path = temp_path("live-set");
         let _ = std::fs::remove_file(&path);
         let (_, mut writer) = LogWriter::append(&path).unwrap();
-        writer
-            .append_batch(&[rec(1, 10, true), rec(2, 20, false)])
-            .unwrap();
-        writer
-            .append_batch(&[rec(1, 10, false), rec(3, 30, true), rec(2, 20, false)])
-            .unwrap();
+        append(&mut writer, &[rec(1, 10, true), rec(2, 20, false)]);
+        append(&mut writer, &[rec(1, 10, false), rec(3, 30, true), rec(2, 20, false)]);
         drop(writer);
         let stats = compact(&path).unwrap();
         assert_eq!(stats.records_in, 5);
@@ -111,7 +125,7 @@ mod tests {
         assert_eq!(
             back.records,
             vec![rec(1, 10, false), rec(2, 20, false), rec(3, 30, true)],
-            "first-seen key order, last-written verdict"
+            "first-seen test order, last-written verdict"
         );
         // Idempotent: a second compaction changes nothing.
         let again = compact(&path).unwrap();
@@ -126,7 +140,7 @@ mod tests {
         let path = temp_path("torn");
         let _ = std::fs::remove_file(&path);
         let (_, mut writer) = LogWriter::append(&path).unwrap();
-        writer.append_batch(&[rec(7, 70, true)]).unwrap();
+        append(&mut writer, &[rec(7, 70, true)]);
         drop(writer);
         let mut bytes = std::fs::read(&path).unwrap();
         bytes.extend_from_slice(&[0xab; 7]);

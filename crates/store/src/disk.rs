@@ -1,10 +1,10 @@
 //! [`DiskCache`]: the verdict cache with a durable tier underneath.
 //!
 //! Opening a `DiskCache` replays the verdict log into a fresh
-//! [`VerdictCache`], one frame at a time straight into the cache's
-//! per-test verdict rows (those entries count as *disk-tier* hits when a
-//! sweep uses them), and installs a [`DurableSink`] so every batch of
-//! fresh verdicts the cache absorbs is appended to the log as one
+//! [`VerdictCache`], one frame of rows at a time straight into the
+//! cache's per-test verdict rows (those entries count as *disk-tier* hits
+//! when a sweep uses them), and installs a [`DurableSink`] so every batch
+//! of fresh verdict rows the cache absorbs is appended to the log as one
 //! checksummed frame. The write path is an optimization, never a
 //! correctness dependency: append errors are counted and the in-RAM
 //! cache keeps serving; torn tails from a crash are shed on the next
@@ -15,9 +15,9 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
-use mcm_explore::{DurableSink, VerdictCache};
+use mcm_explore::{DurableSink, VerdictCache, VerdictRows};
 
-use crate::log::{LogWriter, Record};
+use crate::log::LogWriter;
 
 mcm_obs::counter_table! {
     /// Counters describing a [`DiskCache`]'s life so far: the structured
@@ -25,11 +25,11 @@ mcm_obs::counter_table! {
     /// from.
     #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
     pub struct StoreStats {
-        /// Records replayed from the log when the cache opened.
+        /// Verdicts replayed from the log when the cache opened.
         hydrated: u64 = gauge,
-        /// Fresh records appended to the log since opening.
+        /// Fresh verdicts appended to the log since opening.
         appended: u64 = counter,
-        /// Frames flushed (one per batch of fresh verdicts).
+        /// Frames flushed (one per batch of fresh verdict rows).
         flushes: u64 = counter,
         /// Append failures (counted, not propagated — the RAM tier keeps
         /// serving).
@@ -59,24 +59,13 @@ impl SinkInner {
 }
 
 impl DurableSink for SinkInner {
-    fn persist(&self, batch: &[((u64, u64), bool)]) {
-        if batch.is_empty() {
-            return;
-        }
+    fn persist(&self, rows: VerdictRows<'_>) {
         let timer = mcm_obs::Stopwatch::start();
-        let records: Vec<Record> = batch
-            .iter()
-            .map(|&((model_fp, test_fp), allowed)| Record {
-                model_fp,
-                test_fp,
-                allowed,
-            })
-            .collect();
         let mut writer = self.writer.lock().expect("store writer lock poisoned");
-        match writer.append_batch(&records) {
+        match writer.append_rows(rows) {
             Ok(()) => {
                 self.appended
-                    .fetch_add(records.len() as u64, Ordering::Relaxed);
+                    .fetch_add(rows.cell_count(), Ordering::Relaxed);
                 self.flushes.fetch_add(1, Ordering::Relaxed);
                 if mcm_obs::enabled() {
                     timer.record(&mcm_obs::metrics::histogram("mcm_store_flush_us", &[]));
@@ -114,8 +103,10 @@ pub struct DiskCache {
 
 impl DiskCache {
     /// Opens (or creates) the verdict log at `path` and builds a cache
-    /// hydrated with its live records. The log's intact prefix always
-    /// loads; a torn tail is shed and noted in [`StoreStats`].
+    /// hydrated with its live verdicts. The log's intact prefix always
+    /// loads; a torn tail is shed and noted in [`StoreStats`]. A log of
+    /// an older format version is rewritten at the current one before
+    /// anything is appended.
     pub fn open(path: &Path) -> io::Result<DiskCache> {
         if let Some(dir) = path.parent() {
             if !dir.as_os_str().is_empty() {
@@ -123,12 +114,10 @@ impl DiskCache {
             }
         }
         let cache = Arc::new(VerdictCache::new());
-        // Each frame loads into the cache's rows as it is read. Log order
-        // means later (fresher) duplicates overwrite earlier ones during
-        // hydration, matching last-write-wins compaction.
-        let (scan, writer) = LogWriter::append_with(path, |frame| {
-            cache.hydrate(frame.iter().map(|r| (r.key(), r.allowed)));
-        })?;
+        // Each frame's rows load into the cache as the frame is read. Log
+        // order means later (fresher) duplicates overwrite earlier ones
+        // during hydration, matching last-write-wins compaction.
+        let (scan, writer) = LogWriter::append_with(path, |rows| cache.hydrate_rows(rows))?;
         let sink = Arc::new(SinkInner {
             writer: Mutex::new(writer),
             appended: AtomicU64::new(0),

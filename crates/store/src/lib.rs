@@ -8,9 +8,11 @@
 //! pinned in `docs/STORE_FORMAT.md`.
 //!
 //! * [`log`] — the append-only, fingerprint-keyed verdict log:
-//!   length-prefixed frames of `(model_fp, test_fp) → verdict` records,
-//!   each frame checksummed, behind a versioned header. Torn tails from
-//!   a crash are detected by checksum and cleanly ignored on open.
+//!   length-prefixed frames of whole test rows (`known`/`allowed` bits
+//!   over the frame's own model table), each frame checksummed, behind a
+//!   versioned header. Torn tails from a crash are detected by checksum
+//!   and cleanly ignored on open; version-1 logs of one record per
+//!   verdict still read and are upgraded on their first append-open.
 //! * [`mod@compact`] — rewrites a log to its live record set (duplicates
 //!   dropped, last write wins) with an atomic rename-over.
 //! * [`disk`] — [`DiskCache`]: a [`VerdictCache`](mcm_explore::VerdictCache)
@@ -24,15 +26,16 @@
 //! ## Example
 //!
 //! ```
-//! use mcm_store::log::{LogWriter, Record};
+//! use mcm_explore::VerdictRowsBuf;
+//! use mcm_store::log::LogWriter;
 //!
 //! let path = std::env::temp_dir().join("mcm-store-doc-example.log");
 //! let _ = std::fs::remove_file(&path);
 //! let (contents, mut writer) = LogWriter::append(&path).unwrap();
 //! assert!(contents.records.is_empty());
-//! writer
-//!     .append_batch(&[Record { model_fp: 1, test_fp: 2, allowed: true }])
-//!     .unwrap();
+//! // One row: test 2's verdict for model 1 is "allowed".
+//! let rows = VerdictRowsBuf::from_cells([((1, 2), true)]);
+//! writer.append_rows(rows.as_rows()).unwrap();
 //! drop(writer);
 //! let reopened = mcm_store::log::read_log(&path).unwrap();
 //! assert_eq!(reopened.records.len(), 1);

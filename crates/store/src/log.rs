@@ -1,20 +1,28 @@
 //! The append-only verdict log: the durable tier of the verdict cache.
 //!
 //! A log is a versioned header followed by zero or more *frames*, each a
-//! length-prefixed, checksummed batch of fixed-width records (the exact
-//! byte layout is pinned in `docs/STORE_FORMAT.md`):
+//! length-prefixed, checksummed batch of whole test rows over the
+//! frame's own model table (the exact byte layout is pinned in
+//! `docs/STORE_FORMAT.md`):
 //!
 //! ```text
 //! header:  "MCMVLOG\0" (8 bytes) · version u32-le         = 12 bytes
 //! frame:   payload_len u32-le · payload · fnv1a(payload) u64-le
-//! payload: record_count u32-le · record_count × record
-//! record:  model_fp u64-le · test_fp u64-le · allowed u8   = 17 bytes
+//! payload: model_count u32-le · model_count × model_fp u64-le
+//!          · row_count u32-le · row_count × row
+//! row:     test_fp u64-le · w × known u64-le · w × allowed u64-le
+//!          (w = ⌈model_count / 64⌉; the model at table position p is
+//!          bit p % 64 of word p / 64)
 //! ```
+//!
+//! Version-1 logs, whose frames held one 17-byte `(model_fp, test_fp,
+//! allowed)` record per verdict, still read; compaction and the first
+//! append-open rewrite them at the current version.
 //!
 //! Appending is crash-tolerant by construction: a frame becomes visible
 //! only once its checksum lands, so a reader that hits a torn or
 //! truncated tail verifies nothing after the last complete frame and
-//! reports the tail as recoverable — every record before it is intact.
+//! reports the tail as recoverable — every verdict before it is intact.
 //! [`LogWriter::append`] then truncates the torn bytes so new frames butt
 //! against valid data. Duplicate keys are allowed (later frames win);
 //! [`mod@crate::compact`] rewrites the live set.
@@ -23,23 +31,26 @@ use std::fs::{File, OpenOptions};
 use std::io::{self, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 
-use crate::bytes::{fnv1a, put_u32, put_u64, put_u8, Reader};
+use mcm_explore::{VerdictRows, VerdictRowsBuf};
+
+use crate::bytes::{fnv1a, put_u32, put_u64, Reader};
 
 /// First 8 bytes of every verdict log.
 pub const MAGIC: [u8; 8] = *b"MCMVLOG\0";
-/// Current format version. Readers reject logs written by a *newer*
-/// version (forward compatibility is not promised); older versions are
-/// upgraded on compaction.
-pub const VERSION: u32 = 1;
+/// Current format version: frames of whole test rows. Readers reject
+/// logs written by a *newer* version (forward compatibility is not
+/// promised); version-1 logs are read and rewritten at this version.
+pub const VERSION: u32 = 2;
 /// Header length: magic plus version.
 pub const HEADER_LEN: u64 = 12;
-/// Encoded length of one record.
-pub const RECORD_LEN: usize = 17;
-/// Records per frame written by [`write_atomic`] — bounds frame size (and
-/// the blast radius of a torn tail) to ~1 MiB without making tiny frames.
+/// Encoded length of one version-1 record.
+const V1_RECORD_LEN: usize = 17;
+/// Verdicts per frame written by [`write_atomic`]: bounds frame size
+/// (and the blast radius of a torn tail) without making tiny frames.
 const ATOMIC_FRAME_RECORDS: usize = 65_536;
 
-/// One persisted verdict: the cache key plus the boolean outcome.
+/// One persisted verdict: the cache key plus the boolean outcome — the
+/// flattened, one-cell-at-a-time view of a log.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct Record {
     /// The model-formula fingerprint
@@ -57,10 +68,26 @@ impl Record {
     pub fn key(&self) -> (u64, u64) {
         (self.model_fp, self.test_fp)
     }
+
+    /// The record as a cache cell.
+    #[must_use]
+    pub fn cell(&self) -> ((u64, u64), bool) {
+        (self.key(), self.allowed)
+    }
+}
+
+impl From<((u64, u64), bool)> for Record {
+    fn from(((model_fp, test_fp), allowed): ((u64, u64), bool)) -> Self {
+        Record {
+            model_fp,
+            test_fp,
+            allowed,
+        }
+    }
 }
 
 /// Why the tail of a log was ignored. Both conditions are *recoverable*:
-/// every record before the reported offset is intact, and
+/// every verdict before the reported offset is intact, and
 /// [`LogWriter::append`] drops the bad tail so the log keeps working.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum TailError {
@@ -93,8 +120,10 @@ impl std::fmt::Display for TailError {
 /// Everything a read of a log recovered.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct LogContents {
-    /// The records of every intact frame, in file order (duplicates kept;
-    /// later records supersede earlier ones for the same key).
+    /// The verdicts of every intact frame, in file order (duplicates
+    /// kept; later records supersede earlier ones for the same key). A
+    /// frame's verdicts come row by row, each row's models in the order
+    /// of the frame's model table.
     pub records: Vec<Record>,
     /// Bytes of the file that parsed cleanly — the boundary a writer
     /// truncates to before appending.
@@ -104,62 +133,107 @@ pub struct LogContents {
     pub tail: Option<TailError>,
 }
 
-/// What [`scan_log`] found besides the records it handed its visitor.
+/// What [`scan_log`] found besides the rows it handed its visitor.
 #[derive(Clone, Copy, Debug)]
 pub(crate) struct LogScan {
-    /// Records in intact frames, duplicates included.
+    /// Verdicts in intact frames, duplicates included.
     pub(crate) records: u64,
     /// As [`LogContents::valid_bytes`].
     pub(crate) valid_bytes: u64,
     /// As [`LogContents::tail`].
     pub(crate) tail: Option<TailError>,
+    /// The header's format version; `None` when the file holds no
+    /// complete header.
+    pub(crate) version: Option<u32>,
 }
 
 fn invalid(msg: String) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, msg)
 }
 
-/// Encodes one frame for `records`.
-pub(crate) fn encode_frame(records: &[Record]) -> Vec<u8> {
-    let mut payload = Vec::with_capacity(4 + records.len() * RECORD_LEN);
-    put_u32(
-        &mut payload,
-        u32::try_from(records.len()).expect("a frame holds fewer than 2^32 records"),
-    );
-    for record in records {
-        put_u64(&mut payload, record.model_fp);
-        put_u64(&mut payload, record.test_fp);
-        put_u8(&mut payload, u8::from(record.allowed));
-    }
-    let mut frame = Vec::with_capacity(4 + payload.len() + 8);
+/// Encodes one frame holding `rows`.
+pub(crate) fn encode_frame(rows: VerdictRows<'_>) -> Vec<u8> {
+    let count = |n: usize| u32::try_from(n).expect("a frame holds fewer than 2^32 models and rows");
+    let (model_fps, masks) = (rows.model_fps(), rows.masks());
+    let payload_len = 4 + 8 * model_fps.len() + 4 + 8 * (rows.len() + masks.len());
+    let mut frame = Vec::with_capacity(4 + payload_len + 8);
     put_u32(
         &mut frame,
-        u32::try_from(payload.len()).expect("frame payloads stay far below 4 GiB"),
+        u32::try_from(payload_len).expect("frame payloads stay far below 4 GiB"),
     );
-    let checksum = fnv1a(&payload);
-    frame.extend_from_slice(&payload);
+    put_u32(&mut frame, count(model_fps.len()));
+    for &fp in model_fps {
+        put_u64(&mut frame, fp);
+    }
+    put_u32(&mut frame, count(rows.len()));
+    let w = VerdictRows::words(model_fps.len());
+    for (r, &test_fp) in rows.test_fps().iter().enumerate() {
+        put_u64(&mut frame, test_fp);
+        for &word in &masks[2 * w * r..2 * w * (r + 1)] {
+            put_u64(&mut frame, word);
+        }
+    }
+    let checksum = fnv1a(&frame[4..]);
     put_u64(&mut frame, checksum);
     frame
 }
 
-/// Parses a frame payload whose checksum already verified. `None` means
-/// the payload structure is inconsistent (declared count does not match
-/// the byte count, or a verdict byte is not 0/1).
-fn decode_payload(payload: &[u8], out: &mut Vec<Record>) -> Option<()> {
-    let mut r = Reader::new(payload);
-    let count = r.u32()? as usize;
-    if r.remaining() != count * RECORD_LEN {
-        return None;
+/// Decoding buffers reused across the frames of one scan.
+#[derive(Default)]
+struct FrameBuf {
+    model_fps: Vec<u64>,
+    test_fps: Vec<u64>,
+    masks: Vec<u64>,
+    v1: VerdictRowsBuf,
+}
+
+impl FrameBuf {
+    /// Parses a frame payload whose checksum already verified. `None`
+    /// means the payload structure is inconsistent: counts that do not
+    /// match the byte count, a bit outside the model table, an allowed
+    /// bit without its known bit, or a version-1 verdict byte other than
+    /// 0/1. Counts are checked against the bytes before anything is
+    /// allocated for them.
+    fn decode(&mut self, version: u32, payload: &[u8]) -> Option<VerdictRows<'_>> {
+        let mut r = Reader::new(payload);
+        if version == 1 {
+            let count = r.u32()? as usize;
+            if r.remaining() != count.checked_mul(V1_RECORD_LEN)? {
+                return None;
+            }
+            let mut cells = Vec::with_capacity(count);
+            for _ in 0..count {
+                cells.push(((r.u64()?, r.u64()?), r.bool()?));
+            }
+            self.v1 = VerdictRowsBuf::from_cells(cells.iter().copied());
+            return Some(self.v1.as_rows());
+        }
+        let model_count = r.u32()? as usize;
+        if r.remaining() < model_count.checked_mul(8)?.checked_add(4)? {
+            return None;
+        }
+        self.model_fps.clear();
+        self.model_fps.reserve(model_count);
+        for _ in 0..model_count {
+            self.model_fps.push(r.u64()?);
+        }
+        let row_count = r.u32()? as usize;
+        let w = VerdictRows::words(model_count);
+        if r.remaining() != row_count.checked_mul(8 + 16 * w)? {
+            return None;
+        }
+        self.test_fps.clear();
+        self.test_fps.reserve(row_count);
+        self.masks.clear();
+        self.masks.reserve(row_count * 2 * w);
+        for _ in 0..row_count {
+            self.test_fps.push(r.u64()?);
+            for _ in 0..2 * w {
+                self.masks.push(r.u64()?);
+            }
+        }
+        VerdictRows::new(&self.model_fps, &self.test_fps, &self.masks)
     }
-    out.reserve(count);
-    for _ in 0..count {
-        out.push(Record {
-            model_fp: r.u64()?,
-            test_fp: r.u64()?,
-            allowed: r.bool()?,
-        });
-    }
-    Some(())
 }
 
 /// Reads a verdict log, tolerating a torn or truncated tail.
@@ -172,7 +246,7 @@ fn decode_payload(payload: &[u8], out: &mut Vec<Record>) -> Option<()> {
 /// [`LogContents::tail`] and excluded from [`LogContents::valid_bytes`].
 pub fn read_log(path: &Path) -> io::Result<LogContents> {
     let mut records = Vec::new();
-    let scan = scan_log(path, |frame| records.extend_from_slice(frame))?;
+    let scan = scan_log(path, |rows| records.extend(rows.cells().map(Record::from)))?;
     Ok(LogContents {
         records,
         valid_bytes: scan.valid_bytes,
@@ -180,14 +254,16 @@ pub fn read_log(path: &Path) -> io::Result<LogContents> {
     })
 }
 
-/// [`read_log`] without collecting: hands the records of each intact
-/// frame to `visit` as the frame is read, in file order. A frame that
+/// [`read_log`] without flattening: hands the rows of each intact frame
+/// to `visit` as the frame is read, in file order (a version-1 frame
+/// packed into rows by [`VerdictRowsBuf::from_cells`]). A frame that
 /// fails its checksum or structure check is never visited.
-pub(crate) fn scan_log(path: &Path, mut visit: impl FnMut(&[Record])) -> io::Result<LogScan> {
+pub(crate) fn scan_log(path: &Path, mut visit: impl FnMut(VerdictRows<'_>)) -> io::Result<LogScan> {
     let mut scan = LogScan {
         records: 0,
         valid_bytes: 0,
         tail: None,
+        version: None,
     };
     let mut bytes = Vec::new();
     match File::open(path) {
@@ -219,7 +295,8 @@ pub(crate) fn scan_log(path: &Path, mut visit: impl FnMut(&[Record])) -> io::Res
             path.display()
         )));
     }
-    let mut frame = Vec::new();
+    scan.version = Some(version);
+    let mut frame = FrameBuf::default();
     let mut pos = HEADER_LEN as usize;
     while pos < bytes.len() {
         let frame_start = pos as u64;
@@ -244,13 +321,12 @@ pub(crate) fn scan_log(path: &Path, mut visit: impl FnMut(&[Record])) -> io::Res
             scan.tail = Some(TailError::Corrupt { offset: frame_start });
             break;
         }
-        frame.clear();
-        if decode_payload(payload, &mut frame).is_none() {
+        let Some(rows) = frame.decode(version, payload) else {
             scan.tail = Some(TailError::Corrupt { offset: frame_start });
             break;
-        }
-        visit(&frame);
-        scan.records += frame.len() as u64;
+        };
+        scan.records += rows.cell_count();
+        visit(rows);
         pos = frame_end;
     }
     scan.valid_bytes = pos as u64;
@@ -268,11 +344,14 @@ pub struct LogWriter {
 impl LogWriter {
     /// Opens (or creates) the log at `path` for appending, first reading
     /// everything it already holds. A torn tail reported by the read is
-    /// truncated away, so the next frame lands on the valid boundary.
+    /// truncated away, so the next frame lands on the valid boundary, and
+    /// a log of an older format version is first rewritten at the current
+    /// one ([`crate::compact()`]).
     pub fn append(path: &Path) -> io::Result<(LogContents, LogWriter)> {
         let mut records = Vec::new();
-        let (scan, writer) =
-            LogWriter::append_with(path, |frame| records.extend_from_slice(frame))?;
+        let (scan, writer) = LogWriter::append_with(path, |rows| {
+            records.extend(rows.cells().map(Record::from));
+        })?;
         let contents = LogContents {
             records,
             valid_bytes: scan.valid_bytes,
@@ -281,20 +360,25 @@ impl LogWriter {
         Ok((contents, writer))
     }
 
-    /// [`LogWriter::append`] that hands the existing records to `visit`
+    /// [`LogWriter::append`] that hands the existing rows to `visit`
     /// frame by frame ([`scan_log`]) instead of collecting them.
     pub(crate) fn append_with(
         path: &Path,
-        visit: impl FnMut(&[Record]),
+        visit: impl FnMut(VerdictRows<'_>),
     ) -> io::Result<(LogScan, LogWriter)> {
         let scan = scan_log(path, visit)?;
+        let mut bytes = scan.valid_bytes;
+        if scan.version.is_some_and(|version| version < VERSION) {
+            // Upgrade before the first append, so a frame of an older
+            // version is never written.
+            bytes = crate::compact::compact(path)?.bytes_after;
+        }
         let mut file = OpenOptions::new()
             .read(true)
             .write(true)
             .create(true)
             .truncate(false)
             .open(path)?;
-        let mut bytes = scan.valid_bytes;
         file.set_len(bytes)?;
         if bytes == 0 {
             let mut header = Vec::with_capacity(HEADER_LEN as usize);
@@ -315,15 +399,15 @@ impl LogWriter {
         ))
     }
 
-    /// Appends one frame holding `records` (no-op for an empty batch).
+    /// Appends one frame holding `rows` (no-op when there are none).
     /// The frame is handed to the OS in a single write, so a process
     /// crash leaves either the whole frame or a checksummed-detectable
     /// tear — never a silently half-applied batch.
-    pub fn append_batch(&mut self, records: &[Record]) -> io::Result<()> {
-        if records.is_empty() {
+    pub fn append_rows(&mut self, rows: VerdictRows<'_>) -> io::Result<()> {
+        if rows.is_empty() {
             return Ok(());
         }
-        let frame = encode_frame(records);
+        let frame = encode_frame(rows);
         self.file.write_all(&frame)?;
         self.bytes += frame.len() as u64;
         Ok(())
@@ -348,9 +432,10 @@ impl LogWriter {
 }
 
 /// Writes `records` to `path` atomically: a fresh log (current
-/// [`VERSION`], frames of at most 64 Ki records) is built in a `.tmp`
-/// sibling and renamed over the destination, so readers see either the
-/// old log or the complete new one. Returns the bytes written.
+/// [`VERSION`], frames of at most 64 Ki verdicts, packed into rows in
+/// order) is built in a `.tmp` sibling and renamed over the destination,
+/// so readers see either the old log or the complete new one. Returns
+/// the bytes written.
 pub fn write_atomic(path: &Path, records: &[Record]) -> io::Result<u64> {
     let mut file_name = path
         .file_name()
@@ -358,11 +443,12 @@ pub fn write_atomic(path: &Path, records: &[Record]) -> io::Result<u64> {
         .to_os_string();
     file_name.push(".tmp");
     let tmp = path.with_file_name(file_name);
-    let mut out = Vec::with_capacity(HEADER_LEN as usize + records.len() * (RECORD_LEN + 1));
+    let mut out = Vec::with_capacity(HEADER_LEN as usize + records.len() * 2);
     out.extend_from_slice(&MAGIC);
     put_u32(&mut out, VERSION);
     for chunk in records.chunks(ATOMIC_FRAME_RECORDS) {
-        out.extend_from_slice(&encode_frame(chunk));
+        let rows = VerdictRowsBuf::from_cells(chunk.iter().map(Record::cell));
+        out.extend_from_slice(&encode_frame(rows.as_rows()));
     }
     let bytes = out.len() as u64;
     {
@@ -384,6 +470,14 @@ mod tests {
         dir.join(format!("{name}-{}.log", std::process::id()))
     }
 
+    fn rows_of(records: &[Record]) -> VerdictRowsBuf {
+        VerdictRowsBuf::from_cells(records.iter().map(Record::cell))
+    }
+
+    fn frame_of(records: &[Record]) -> Vec<u8> {
+        encode_frame(rows_of(records).as_rows())
+    }
+
     fn sample(n: u64) -> Vec<Record> {
         (0..n)
             .map(|i| Record {
@@ -400,9 +494,9 @@ mod tests {
         let _ = std::fs::remove_file(&path);
         let (contents, mut writer) = LogWriter::append(&path).unwrap();
         assert!(contents.records.is_empty());
-        writer.append_batch(&sample(5)).unwrap();
-        writer.append_batch(&[]).unwrap();
-        writer.append_batch(&sample(3)).unwrap();
+        writer.append_rows(rows_of(&sample(5)).as_rows()).unwrap();
+        writer.append_rows(rows_of(&[]).as_rows()).unwrap();
+        writer.append_rows(rows_of(&sample(3)).as_rows()).unwrap();
         let bytes = writer.bytes();
         drop(writer);
         assert_eq!(std::fs::metadata(&path).unwrap().len(), bytes);
@@ -423,12 +517,12 @@ mod tests {
         let path = temp_path("torn");
         let _ = std::fs::remove_file(&path);
         let (_, mut writer) = LogWriter::append(&path).unwrap();
-        writer.append_batch(&sample(4)).unwrap();
+        writer.append_rows(rows_of(&sample(4)).as_rows()).unwrap();
         let valid = writer.bytes();
         drop(writer);
         // Simulate a crash mid-append: half a frame of garbage.
         let mut bytes = std::fs::read(&path).unwrap();
-        bytes.extend_from_slice(&encode_frame(&sample(2))[..10]);
+        bytes.extend_from_slice(&frame_of(&sample(2))[..10]);
         std::fs::write(&path, &bytes).unwrap();
         let back = read_log(&path).unwrap();
         assert_eq!(back.records, sample(4));
@@ -436,7 +530,7 @@ mod tests {
         assert_eq!(back.tail, Some(TailError::Truncated { offset: valid }));
         // Reopen-for-append drops the tail and keeps working.
         let (_, mut writer) = LogWriter::append(&path).unwrap();
-        writer.append_batch(&sample(1)).unwrap();
+        writer.append_rows(rows_of(&sample(1)).as_rows()).unwrap();
         drop(writer);
         let back = read_log(&path).unwrap();
         assert!(back.tail.is_none());
@@ -451,12 +545,12 @@ mod tests {
         let path = temp_path("corrupt");
         let _ = std::fs::remove_file(&path);
         let (_, mut writer) = LogWriter::append(&path).unwrap();
-        writer.append_batch(&sample(2)).unwrap();
-        writer.append_batch(&sample(6)).unwrap();
+        writer.append_rows(rows_of(&sample(2)).as_rows()).unwrap();
+        writer.append_rows(rows_of(&sample(6)).as_rows()).unwrap();
         drop(writer);
         let mut bytes = std::fs::read(&path).unwrap();
-        // Flip one verdict byte inside the second frame.
-        let second_frame = HEADER_LEN as usize + encode_frame(&sample(2)).len();
+        // Flip one payload byte inside the second frame.
+        let second_frame = HEADER_LEN as usize + frame_of(&sample(2)).len();
         bytes[second_frame + 4 + 4 + 16] ^= 1;
         std::fs::write(&path, &bytes).unwrap();
         let back = read_log(&path).unwrap();
@@ -467,6 +561,43 @@ mod tests {
                 offset: second_frame as u64
             })
         );
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn rows_with_bits_outside_the_table_are_corrupt() {
+        let path = temp_path("structure");
+        // One model, one row: (known, allowed) masks that pass the
+        // checksum but not the row invariants, then a sound row.
+        for (known, allowed, sound) in [(0b0, 0b1, false), (0b10, 0, false), (0b1, 0b1, true)] {
+            let mut payload = Vec::new();
+            put_u32(&mut payload, 1);
+            put_u64(&mut payload, 42);
+            put_u32(&mut payload, 1);
+            for word in [7, known, allowed] {
+                put_u64(&mut payload, word);
+            }
+            let mut bytes = MAGIC.to_vec();
+            put_u32(&mut bytes, VERSION);
+            put_u32(&mut bytes, payload.len() as u32);
+            bytes.extend_from_slice(&payload);
+            put_u64(&mut bytes, fnv1a(&payload));
+            std::fs::write(&path, &bytes).unwrap();
+            let back = read_log(&path).unwrap();
+            if sound {
+                let record = Record {
+                    model_fp: 42,
+                    test_fp: 7,
+                    allowed: true,
+                };
+                assert_eq!(back.records, vec![record]);
+                assert!(back.tail.is_none());
+            } else {
+                assert!(back.records.is_empty());
+                let tail = Some(TailError::Corrupt { offset: HEADER_LEN });
+                assert_eq!(back.tail, tail, "known {known:#b} allowed {allowed:#b}");
+            }
+        }
         std::fs::remove_file(&path).unwrap();
     }
 

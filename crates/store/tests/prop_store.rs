@@ -1,21 +1,28 @@
 //! Properties of the verdict-log format:
 //!
-//! * any sequence of appended batches reads back exactly, across a
+//! * any sequence of appended row frames (model tables of up to 70
+//!   models, so rows span one or two words) reads back exactly, across a
 //!   writer reopen;
 //! * a log truncated at *every* byte offset opens without panicking,
-//!   yielding a prefix of the written records — and whenever the cut
+//!   yielding a prefix of the written verdicts — and whenever the cut
 //!   lands mid-frame, a recoverable tail error, never a wrong verdict;
 //! * compaction preserves the live record set exactly (last write wins)
 //!   and is idempotent;
 //! * a log written one record per frame, in the cell-by-cell order of
 //!   earlier builds (duplicates and flipped verdicts included), opens into
-//!   exactly its live record set, and a warm sweep over such a log makes
-//!   no checker call;
+//!   exactly its live record set, both as current frames and in the
+//!   version-1 record layout, and a warm sweep over such a log makes no
+//!   checker call;
+//! * a version-1 log is rewritten at the current version by compaction
+//!   and by its first append-open, with the same live set;
+//! * a cold stored sweep writes one row per kept test, not one record
+//!   per verdict;
 //! * a checkpoint whose checksum is right but whose counts promise more
 //!   elements than its bytes hold is rejected as `InvalidData`, without
 //!   trying to allocate for those counts.
 
-use mcm_store::log::{read_log, LogWriter, Record, HEADER_LEN};
+use mcm_explore::VerdictRowsBuf;
+use mcm_store::log::{read_log, LogWriter, Record, HEADER_LEN, MAGIC, VERSION};
 use mcm_store::{compact, CheckpointFile, DiskCache};
 use proptest::prelude::*;
 use std::path::{Path, PathBuf};
@@ -41,19 +48,46 @@ fn record_strategy() -> impl Strategy<Value = Record> {
     })
 }
 
-fn batches_strategy() -> impl Strategy<Value = Vec<Vec<Record>>> {
-    proptest::collection::vec(
-        proptest::collection::vec(record_strategy(), 0..12),
-        0..6,
+/// One frame: a model table of 1–70 fingerprints (repeats allowed) and
+/// up to 5 rows, each setting random table positions.
+fn frame_strategy() -> impl Strategy<Value = VerdictRowsBuf> {
+    let cells = proptest::collection::vec((0usize..70, proptest::bool::ANY), 0..30);
+    (
+        proptest::collection::vec(0u64..90, 1..70),
+        proptest::collection::vec((0u64..50, cells), 0..5),
     )
+        .prop_map(|(table, rows)| {
+            let len = table.len();
+            let mut frame = VerdictRowsBuf::new(table);
+            for (test_fp, cells) in rows {
+                frame.push_row(test_fp);
+                for (position, allowed) in cells {
+                    frame.set(position % len, allowed);
+                }
+            }
+            frame
+        })
 }
 
-fn write_batches(path: &PathBuf, batches: &[Vec<Record>]) {
+fn batches_strategy() -> impl Strategy<Value = Vec<VerdictRowsBuf>> {
+    proptest::collection::vec(frame_strategy(), 0..4)
+}
+
+fn write_batches(path: &PathBuf, batches: &[VerdictRowsBuf]) {
     let _ = std::fs::remove_file(path);
     let (_, mut writer) = LogWriter::append(path).unwrap();
     for batch in batches {
-        writer.append_batch(batch).unwrap();
+        writer.append_rows(batch.as_rows()).unwrap();
     }
+}
+
+/// The verdicts of `batches` one cell at a time, as `read_log` flattens
+/// them.
+fn flatten(batches: &[VerdictRowsBuf]) -> Vec<Record> {
+    batches
+        .iter()
+        .flat_map(|batch| batch.as_rows().cells().map(Record::from).collect::<Vec<_>>())
+        .collect()
 }
 
 /// Last write wins per `(model_fp, test_fp)` key.
@@ -64,13 +98,45 @@ fn live_map(records: &[Record]) -> std::collections::BTreeMap<(u64, u64), bool> 
         .collect()
 }
 
+/// Appends `records` as one frame, packed into rows in order.
+fn append(writer: &mut LogWriter, records: &[Record]) {
+    let rows = VerdictRowsBuf::from_cells(records.iter().map(Record::cell));
+    writer.append_rows(rows.as_rows()).unwrap();
+}
+
 /// Writes `records` one frame each, as a cell-by-cell cache wrote them.
 fn write_record_by_record(path: &Path, records: &[Record]) {
     let _ = std::fs::remove_file(path);
     let (_, mut writer) = LogWriter::append(path).unwrap();
     for record in records {
-        writer.append_batch(std::slice::from_ref(record)).unwrap();
+        append(&mut writer, std::slice::from_ref(record));
     }
+}
+
+/// A version-1 log, byte for byte as earlier builds wrote it: the header
+/// at version 1, then one frame per batch of 17-byte
+/// `model_fp · test_fp · allowed` records (`docs/STORE_FORMAT.md`).
+fn v1_log(batches: &[&[Record]]) -> Vec<u8> {
+    let mut bytes = MAGIC.to_vec();
+    bytes.extend_from_slice(&1u32.to_le_bytes());
+    for batch in batches {
+        let mut payload = u32::try_from(batch.len()).unwrap().to_le_bytes().to_vec();
+        for record in *batch {
+            payload.extend_from_slice(&record.model_fp.to_le_bytes());
+            payload.extend_from_slice(&record.test_fp.to_le_bytes());
+            payload.push(u8::from(record.allowed));
+        }
+        bytes.extend_from_slice(&u32::try_from(payload.len()).unwrap().to_le_bytes());
+        bytes.extend_from_slice(&payload);
+        bytes.extend_from_slice(&fnv1a(&payload).to_le_bytes());
+    }
+    bytes
+}
+
+/// The format version in the header of the log at `path`.
+fn version_of(path: &Path) -> u32 {
+    let bytes = std::fs::read(path).unwrap();
+    u32::from_le_bytes(bytes[8..12].try_into().unwrap())
 }
 
 /// Opens `path` and checks that the cache holds exactly `live`, every
@@ -138,21 +204,36 @@ fn warm_sweep_over_a_record_by_record_log_makes_no_checker_call() {
             records.push(record);
         }
     }
-    let path = temp_path("legacy");
-    write_record_by_record(&path, &records);
     let live = live_map(&records);
     assert_eq!(live, live_map(&cells));
-    drop(assert_opens_to(&path, &live, records.len() as u64));
+    // As current frames, then in the version-1 record layout, which the
+    // first open rewrites at the current version.
+    for v1 in [false, true] {
+        let path = temp_path("legacy");
+        if v1 {
+            let frames: Vec<&[Record]> = records.iter().map(std::slice::from_ref).collect();
+            std::fs::write(&path, v1_log(&frames)).unwrap();
+        } else {
+            write_record_by_record(&path, &records);
+        }
+        drop(assert_opens_to(&path, &live, records.len() as u64));
+        assert_eq!(version_of(&path), VERSION);
 
-    let store = DiskCache::open(&path).unwrap();
-    let (warm, stats) =
-        Exploration::run_engine(models, tests, factory, &config, Some(store.cache()));
-    assert_eq!(stats.checker_calls, 0, "the warm sweep reached the checker");
-    assert_eq!(stats.cache_hits, stats.cache_hits_disk);
-    assert_eq!(warm.verdicts, cold.verdicts);
-    assert_eq!(store.stats().appended, 0, "a warm sweep appends nothing");
-    drop(store);
-    std::fs::remove_file(&path).unwrap();
+        let store = DiskCache::open(&path).unwrap();
+        let (warm, stats) = Exploration::run_engine(
+            models.clone(),
+            tests.clone(),
+            factory,
+            &config,
+            Some(store.cache()),
+        );
+        assert_eq!(stats.checker_calls, 0, "the warm sweep reached the checker (v1: {v1})");
+        assert_eq!(stats.cache_hits, stats.cache_hits_disk);
+        assert_eq!(warm.verdicts, cold.verdicts);
+        assert_eq!(store.stats().appended, 0, "a warm sweep appends nothing");
+        drop(store);
+        std::fs::remove_file(&path).unwrap();
+    }
     std::fs::remove_file(&cold_path).unwrap();
 }
 
@@ -209,6 +290,129 @@ fn an_early_stopped_stream_appends_the_same_verdicts_on_any_job_count() {
     }
 }
 
+#[test]
+fn a_v1_log_is_upgraded_by_compaction_and_by_its_first_append_open() {
+    // Two version-1 frames: the second flips one verdict of the first
+    // and repeats another, so the live set is smaller than the log.
+    let first: Vec<Record> = (0..40u64)
+        .map(|i| Record {
+            model_fp: 100 + i % 8,
+            test_fp: 7 + i / 8,
+            allowed: i % 3 == 0,
+        })
+        .collect();
+    let second = vec![
+        Record {
+            allowed: !first[5].allowed,
+            ..first[5]
+        },
+        first[9],
+        Record {
+            model_fp: 999,
+            test_fp: 7,
+            allowed: true,
+        },
+    ];
+    let mut records = first.clone();
+    records.extend(&second);
+    let live = live_map(&records);
+    let bytes = v1_log(&[&first, &second]);
+
+    // Read as it stands: every record, in order.
+    let path = temp_path("v1-read");
+    std::fs::write(&path, &bytes).unwrap();
+    let back = read_log(&path).unwrap();
+    assert_eq!(back.records, records);
+    assert_eq!(back.valid_bytes, bytes.len() as u64);
+    assert!(back.tail.is_none());
+    assert_eq!(version_of(&path), 1, "reading leaves the file alone");
+
+    // Compaction: the live set, at the current version.
+    let stats = compact(&path).unwrap();
+    assert_eq!((stats.records_in, stats.records_out), (43, 41));
+    assert_eq!(version_of(&path), VERSION);
+    assert_eq!(live_map(&read_log(&path).unwrap().records), live);
+    std::fs::remove_file(&path).unwrap();
+
+    // The first append-open: same verdicts and tiers as the v1 file held,
+    // then the file is current and takes appends.
+    let path = temp_path("v1-open");
+    std::fs::write(&path, &bytes).unwrap();
+    let store = assert_opens_to(&path, &live, records.len() as u64);
+    assert_eq!(version_of(&path), VERSION);
+    store.cache().insert((5, 5), true);
+    assert_eq!(store.stats().appended, 1);
+    drop(store);
+    let mut expected = live.clone();
+    expected.insert((5, 5), true);
+    assert_eq!(live_map(&read_log(&path).unwrap().records), expected);
+    drop(assert_opens_to(&path, &expected, expected.len() as u64));
+    std::fs::remove_file(&path).unwrap();
+
+    // A torn v1 tail is shed by the upgrade.
+    let path = temp_path("v1-torn");
+    let mut torn = bytes.clone();
+    torn.truncate(bytes.len() - 3);
+    std::fs::write(&path, &torn).unwrap();
+    let store = DiskCache::open(&path).unwrap();
+    assert!(store.stats().recovered_tail);
+    assert_eq!(store.stats().hydrated, first.len() as u64);
+    drop(store);
+    let back = read_log(&path).unwrap();
+    assert!(back.tail.is_none());
+    assert_eq!(live_map(&back.records), live_map(&first));
+    std::fs::remove_file(&path).unwrap();
+}
+
+#[test]
+fn a_cold_stored_sweep_writes_one_row_per_kept_test() {
+    use mcm_axiomatic::CheckerKind;
+    use mcm_explore::{EngineConfig, Exploration};
+    use mcm_gen::stream::{leaders, StreamBounds};
+    use mcm_models::named;
+
+    let bounds = StreamBounds {
+        max_accesses_per_thread: 2,
+        max_locs: 2,
+        ..StreamBounds::default()
+    };
+    let path = temp_path("size");
+    let _ = std::fs::remove_file(&path);
+    let store = DiskCache::open(&path).unwrap();
+    let (exploration, stats) = Exploration::run_engine_streaming_with(
+        vec![named::sc(), named::tso(), named::pso(), named::rmo()],
+        leaders(&bounds),
+        || CheckerKind::Explicit.build_batch(),
+        &EngineConfig {
+            jobs: Some(2),
+            stream_chunk: 16,
+            ..EngineConfig::default()
+        },
+        Some(store.cache()),
+        mcm_explore::StreamControl::default(),
+    )
+    .unwrap();
+    let rows = exploration.tests.len() as u64;
+    let models = stats.distinct_models as u64;
+    let words = models.div_ceil(64);
+    let written = store.stats();
+    assert!(rows > 16, "the sweep spans several chunks");
+    assert_eq!(written.appended, rows * models, "every verdict of a cold sweep is fresh");
+    // Per frame: payload_len, model_count, the model table, row_count
+    // and the checksum; per row: test_fp and two masks of `words` words.
+    let frame_overhead = 4 + 4 + 8 * models + 4 + 8;
+    let bound = HEADER_LEN + written.flushes * frame_overhead + rows * (8 + 16 * words);
+    assert!(
+        written.bytes <= bound,
+        "{} bytes for {rows} rows of {models} models in {} frames (bound {bound})",
+        written.bytes,
+        written.flushes
+    );
+    assert_eq!(written.bytes, std::fs::metadata(&path).unwrap().len());
+    drop(store);
+    std::fs::remove_file(&path).unwrap();
+}
+
 /// 64-bit FNV-1a, the checksum `docs/STORE_FORMAT.md` pins for
 /// checkpoint payloads.
 fn fnv1a(bytes: &[u8]) -> u64 {
@@ -258,7 +462,7 @@ proptest! {
     fn arbitrary_batches_roundtrip_across_reopen(batches in batches_strategy()) {
         let path = temp_path("roundtrip");
         write_batches(&path, &batches);
-        let flat: Vec<Record> = batches.iter().flatten().copied().collect();
+        let flat = flatten(&batches);
         let back = read_log(&path).unwrap();
         prop_assert!(back.tail.is_none());
         prop_assert_eq!(&back.records, &flat);
@@ -267,7 +471,7 @@ proptest! {
         let (contents, mut writer) = LogWriter::append(&path).unwrap();
         prop_assert_eq!(&contents.records, &flat);
         let extra = Record { model_fp: 999, test_fp: 999, allowed: true };
-        writer.append_batch(&[extra]).unwrap();
+        append(&mut writer, &[extra]);
         drop(writer);
         let again = read_log(&path).unwrap();
         let mut expected = flat.clone();
@@ -281,7 +485,7 @@ proptest! {
         let path = temp_path("truncate");
         write_batches(&path, &batches);
         let full = std::fs::read(&path).unwrap();
-        let flat: Vec<Record> = batches.iter().flatten().copied().collect();
+        let flat = flatten(&batches);
         for cut in 0..=full.len() {
             std::fs::write(&path, &full[..cut]).unwrap();
             // Must never panic and never invent or corrupt a verdict.
@@ -310,7 +514,7 @@ proptest! {
             }
             // The log stays writable after recovery.
             let (_, mut writer) = LogWriter::append(&path).unwrap();
-            writer.append_batch(&[Record { model_fp: 1, test_fp: 1, allowed: false }]).unwrap();
+            append(&mut writer, &[Record { model_fp: 1, test_fp: 1, allowed: false }]);
         }
         std::fs::remove_file(&path).unwrap();
     }
@@ -329,8 +533,7 @@ proptest! {
     fn compaction_preserves_the_live_set(batches in batches_strategy()) {
         let path = temp_path("compact");
         write_batches(&path, &batches);
-        let flat: Vec<Record> = batches.iter().flatten().copied().collect();
-        let before = live_map(&flat);
+        let before = live_map(&flatten(&batches));
         let stats = compact(&path).unwrap();
         let back = read_log(&path).unwrap();
         prop_assert!(back.tail.is_none());
