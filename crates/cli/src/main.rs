@@ -1,18 +1,18 @@
 //! `mcm` — compare memory consistency models with bounded litmus tests.
 //!
-//! The command-line face of the workspace: a thin renderer over the
-//! [`mcm_query`] API. Every subcommand parses its flags into a query,
-//! runs it, and prints the typed report in the requested `--format`
-//! (human text by default, schema-versioned JSON / CSV / DOT on demand).
+//! The command-line face of the workspace, and a client of the wire
+//! format (`mcm_query::wire`): every subcommand turns its flags into the
+//! request document `mcm serve` would take, parses it the way the server
+//! does, runs the query, and prints the typed report in the requested
+//! `--format` (human text by default, schema-versioned JSON / CSV / DOT
+//! on demand). See the `mcm_cli` library for the flag tables.
 //!
 //! Exit codes: `0` success, `1` run failure (unreadable file, parse
 //! error), `2` usage error (unknown command, flag, model or format).
 
 use std::process::ExitCode;
 
-mod commands;
-
-use commands::CliError;
+use mcm_cli::CliError;
 
 const USAGE: &str = "\
 mcm — compare memory consistency models with bounded litmus tests
@@ -123,7 +123,8 @@ fn take_trace_out(args: &mut Vec<String>) -> Result<Option<String>, CliError> {
     let mut i = 0;
     while i < args.len() {
         if args[i] == "--trace-out" {
-            if i + 1 >= args.len() {
+            // A value that looks like a flag is the next option, not a file.
+            if args.get(i + 1).is_none_or(|value| value.starts_with("--")) {
                 return Err(CliError::Usage(
                     "--trace-out needs a FILE argument".to_string(),
                 ));
@@ -180,23 +181,10 @@ fn main() -> ExitCode {
 
 fn dispatch(args: &[String]) -> Result<(), CliError> {
     match args.first().map(String::as_str) {
-        Some("check") => commands::check(&args[1..]),
-        Some("compare") => commands::compare(&args[1..]),
-        Some("explore") => commands::explore(&args[1..]),
-        Some("distinguish") => commands::distinguish_cmd(&args[1..]),
-        Some("analyze") => commands::analyze(&args[1..]),
-        Some("synth") => commands::synth(&args[1..]),
-        Some("suite") => commands::suite(&args[1..]),
-        Some("catalog") => commands::catalog(&args[1..]),
-        Some("figures") => commands::figures(&args[1..]),
-        Some("parse") => commands::parse(&args[1..]),
-        Some("serve") => commands::serve(&args[1..]),
         Some("help" | "--help" | "-h") | None => {
             print!("{USAGE}");
             Ok(())
         }
-        Some(other) => Err(CliError::Usage(format!(
-            "unknown command `{other}`; try `mcm help`"
-        ))),
+        Some(command) => mcm_cli::run(command, &args[1..]),
     }
 }

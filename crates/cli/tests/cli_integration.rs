@@ -468,6 +468,27 @@ fn parsed_json(args: &[&str]) -> mcm_core::json::Json {
     doc
 }
 
+/// Asserts that the CLI's `--format json` document is the one the wire
+/// request `request` gives when run in-process, as `mcm serve` runs it
+/// (`elapsed_ms` and `timings` vary run to run, so both sides drop them).
+fn assert_same_as_wire(cli: &mcm_core::json::Json, request: mcm_core::json::Json) {
+    use mcm_query::wire::WireRequest;
+    let parsed = WireRequest::from_json(&request).expect("the wire request parses");
+    let report = parsed.spec.run(None).expect("the wire request runs").report;
+    let rendered = report.render(mcm_query::Format::Json).expect("renders json");
+    let mut wire = mcm_core::json::Json::parse(&rendered).expect("re-parses");
+    let mut cli = cli.clone();
+    for doc in [&mut wire, &mut cli] {
+        doc.strip_keys(&["elapsed_ms", "timings"]);
+    }
+    assert_eq!(cli, wire, "CLI and wire documents differ for {}", request.compact());
+}
+
+/// Parses a request document written as JSON text.
+fn wire_doc(text: &str) -> mcm_core::json::Json {
+    mcm_core::json::Json::parse(text).expect("test requests are valid JSON")
+}
+
 #[test]
 fn every_subcommand_speaks_json() {
     let dir = std::env::temp_dir().join("mcm-cli-test");
@@ -485,22 +506,46 @@ fn every_subcommand_speaks_json() {
 
     let doc = parsed_json(&["check", "TSO", path, "--format", "json"]);
     assert_eq!(kind(&doc), "check");
+    let litmus = std::fs::read_to_string(path).unwrap();
+    let inline = mcm_core::json::Json::object([("inline", mcm_core::json::Json::from(litmus))]);
+    assert_same_as_wire(
+        &doc,
+        mcm_core::json::Json::object([
+            ("query", mcm_core::json::Json::from("check")),
+            ("model", mcm_core::json::Json::from("TSO")),
+            ("tests", inline),
+        ]),
+    );
     let doc = parsed_json(&["compare", "TSO", "x86", "--format", "json"]);
     assert_eq!(kind(&doc), "compare");
     assert_eq!(doc.get("relation").and_then(mcm_core::json::Json::as_str), Some("equivalent"));
+    assert_same_as_wire(&doc, wire_doc(r#"{"query": "compare", "left": "TSO", "right": "x86"}"#));
     let doc = parsed_json(&["explore", "--models", "SC,TSO,IBM370", "--format", "json"]);
     assert_eq!(kind(&doc), "sweep");
     assert_eq!(doc.get("models").and_then(mcm_core::json::Json::as_array).unwrap().len(), 3);
+    assert_same_as_wire(
+        &doc,
+        wire_doc(r#"{"query": "sweep", "models": "SC,TSO,IBM370"}"#),
+    );
     let doc = parsed_json(&[
         "explore", "--stream", "--max-accesses", "2", "--max-locs", "2", "--limit", "50",
         "--models", "SC,TSO", "--format", "json",
     ]);
     assert!(!doc.get("stream").unwrap().is_null(), "streamed sweep documents carry bounds");
+    assert_same_as_wire(
+        &doc,
+        wire_doc(
+            r#"{"query": "sweep", "models": "SC,TSO",
+                "tests": {"stream": {"max_accesses": 2, "max_locs": 2, "limit": 50}}}"#,
+        ),
+    );
     let doc = parsed_json(&["distinguish", "SC", "TSO", "--format", "json"]);
     assert_eq!(kind(&doc), "distinguish");
+    assert_same_as_wire(&doc, wire_doc(r#"{"query": "distinguish", "models": ["SC", "TSO"]}"#));
     let doc = parsed_json(&["analyze", "SC", "TSO", "--format", "json"]);
     assert_eq!(kind(&doc), "analyze");
     assert_eq!(doc.get("models").and_then(mcm_core::json::Json::as_array).unwrap().len(), 2);
+    assert_same_as_wire(&doc, wire_doc(r#"{"query": "analyze", "models": "SC,TSO"}"#));
     let doc = parsed_json(&[
         "synth", "SC", "TSO", "--max-accesses", "2", "--max-locs", "2", "--format", "json",
     ]);
@@ -510,16 +555,38 @@ fn every_subcommand_speaks_json() {
         Some(4),
         "SB is the shortest SC/TSO separator"
     );
+    assert_same_as_wire(
+        &doc,
+        wire_doc(
+            r#"{"query": "synth", "left": "SC", "right": "TSO",
+                "bounds": {"max_accesses": 2, "max_locs": 2}}"#,
+        ),
+    );
+    let doc = parsed_json(&[
+        "synth", "--matrix", "SC", "TSO", "--max-accesses", "2", "--max-locs", "2", "--format",
+        "json",
+    ]);
+    assert_eq!(kind(&doc), "synth");
+    assert_same_as_wire(
+        &doc,
+        wire_doc(
+            r#"{"query": "synth_matrix", "models": ["SC", "TSO"],
+                "bounds": {"max_accesses": 2, "max_locs": 2}}"#,
+        ),
+    );
     let doc = parsed_json(&["suite", "--no-deps", "--format", "json"]);
     assert_eq!(doc.get("corollary1_bound").and_then(mcm_core::json::Json::as_u64), Some(124));
+    assert_same_as_wire(&doc, wire_doc(r#"{"query": "suite", "with_deps": false}"#));
     let doc = parsed_json(&["catalog", "--format", "json"]);
     assert_eq!(kind(&doc), "catalog");
+    assert_same_as_wire(&doc, wire_doc(r#"{"query": "catalog"}"#));
     let doc = parsed_json(&["parse", path, "--format", "json"]);
     assert_eq!(doc.get("count").and_then(mcm_core::json::Json::as_u64), Some(1));
     let doc = parsed_json(&["figures", "counts", "--format", "json"]);
     assert_eq!(kind(&doc), "figures");
     assert!(doc.get("fig1").unwrap().is_null());
     assert!(!doc.get("counts").unwrap().is_null());
+    assert_same_as_wire(&doc, wire_doc(r#"{"query": "figures", "which": "counts"}"#));
 }
 
 #[test]
@@ -615,10 +682,16 @@ fn trace_out_writes_a_balanced_chrome_trace() {
 
 #[test]
 fn trace_out_without_a_file_is_a_usage_error() {
-    let (ok, _, stderr) = mcm(&["explore", "--models", "SC,TSO", "--trace-out"]);
-    assert!(!ok);
-    assert!(stderr.contains("--trace-out"), "{stderr}");
-    assert_eq!(mcm_code(&["explore", "--models", "SC,TSO", "--trace-out"]), 2);
+    // A following flag is not a file name: it must not be swallowed.
+    for args in [
+        &["explore", "--models", "SC,TSO", "--trace-out"][..],
+        &["explore", "--models", "SC,TSO", "--trace-out", "--no-deps"][..],
+    ] {
+        let (ok, _, stderr) = mcm(args);
+        assert!(!ok);
+        assert!(stderr.contains("--trace-out"), "{stderr}");
+        assert_eq!(mcm_code(args), 2);
+    }
 }
 
 #[test]

@@ -13,6 +13,18 @@ pub enum QueryError {
     /// The request names something that does not exist or combines
     /// options that cannot go together (a usage error).
     InvalidSpec(String),
+    /// A request field holds a malformed or out-of-range value (a usage
+    /// error). The field's path is data, so a front end that filled it
+    /// from its own syntax (the CLI's flags) can name what its user typed.
+    BadValue {
+        /// The field's dotted path in the request (`tests.stream.limit`).
+        field: String,
+        /// The field as the message names it (`stream limit`).
+        label: String,
+        /// What is wrong, without the field's name (`needs a positive
+        /// integer, got 0`).
+        problem: String,
+    },
     /// The report type cannot be rendered in the requested format (a
     /// usage error): e.g. `csv` of a synthesis report.
     Unsupported {
@@ -41,7 +53,9 @@ impl QueryError {
     pub fn is_usage(&self) -> bool {
         matches!(
             self,
-            QueryError::InvalidSpec(_) | QueryError::Unsupported { .. }
+            QueryError::InvalidSpec(_)
+                | QueryError::BadValue { .. }
+                | QueryError::Unsupported { .. }
         )
     }
 
@@ -58,6 +72,7 @@ impl fmt::Display for QueryError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             QueryError::InvalidSpec(message) => write!(f, "{message}"),
+            QueryError::BadValue { label, problem, .. } => write!(f, "{label} {problem}"),
             QueryError::Unsupported { report, format } => {
                 write!(f, "{report} reports cannot be rendered as {format}")
             }
@@ -77,6 +92,12 @@ mod tests {
     #[test]
     fn usage_classification_follows_the_exit_code_contract() {
         assert!(QueryError::InvalidSpec("x".into()).is_usage());
+        assert!(QueryError::BadValue {
+            field: "engine.jobs".into(),
+            label: "engine jobs".into(),
+            problem: "needs a positive integer, got 0".into(),
+        }
+        .is_usage());
         assert!(QueryError::Unsupported {
             report: "synth",
             format: "csv"

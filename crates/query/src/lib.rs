@@ -75,7 +75,7 @@ pub use reports::{
     SynthMatrix, SynthPair, SynthReport, Timings, TimingsCapture, WarmSummary,
     TIMINGS_SCHEMA_VERSION,
 };
-pub use resolve::{model_set, models_use_dependencies, ModelSpec};
+pub use resolve::{models_use_dependencies, ModelSpec};
 pub use source::TestSource;
 
 // The types a query is built from, re-exported so callers (the CLI

@@ -47,6 +47,17 @@ impl Format {
     }
 }
 
+impl std::str::FromStr for Format {
+    type Err = QueryError;
+
+    /// [`Format::from_name`], as a usage error naming the choices.
+    fn from_str(name: &str) -> Result<Format, QueryError> {
+        Format::from_name(name).ok_or_else(|| {
+            QueryError::InvalidSpec(format!("unknown format `{name}`; try text|json|csv|dot"))
+        })
+    }
+}
+
 impl std::fmt::Display for Format {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.write_str(self.name())

@@ -1,5 +1,4 @@
-//! Model- and model-set-name resolution, shared by every query kind (and
-//! by the CLI, which parses flags straight into these types).
+//! Model- and model-set-name resolution, shared by every query kind.
 
 use mcm_core::MemoryModel;
 use mcm_models::{named, DigitModel};
@@ -33,25 +32,6 @@ pub fn model(name: &str) -> Result<MemoryModel, QueryError> {
         })
 }
 
-/// Resolves a model-set specification string (the CLI's `--models`),
-/// shared by `explore`, `distinguish` and `synth --matrix`:
-///
-/// * `figure4` (aliases `fig4`, `36`) — the 36 dependency-free digit
-///   models drawn in Figure 4;
-/// * `90` (aliases `full`, `all`) — the paper's full §4.2 space of 90
-///   dependency-discriminating digit models;
-/// * `named` — the named hardware models of §2.4;
-/// * anything else — a comma-separated list of model names, each resolved
-///   by [`model`] (e.g. `SC,TSO,M1032`).
-///
-/// # Errors
-///
-/// [`QueryError::InvalidSpec`] when the spec names no models or contains
-/// an unknown name.
-pub fn model_set(spec: &str) -> Result<Vec<MemoryModel>, QueryError> {
-    ModelSpec::parse(spec).resolve()
-}
-
 /// A declarative model-space choice — one leg of a query. Holds either a
 /// symbolic set name (resolved lazily, so specs can be built without
 /// touching the model catalog) or an explicit list of built models.
@@ -71,8 +51,17 @@ pub enum ModelSpec {
 }
 
 impl ModelSpec {
-    /// Parses a specification string: the symbolic set names of
-    /// [`model_set`], or a comma-separated name list as the fallback.
+    /// Parses a model-set specification string (the CLI's `--models`, the
+    /// wire's `models`):
+    ///
+    /// * `figure4` (aliases `fig4`, `36`) — the 36 dependency-free digit
+    ///   models drawn in Figure 4;
+    /// * `90` (aliases `full`, `all`) — the paper's full §4.2 space of 90
+    ///   dependency-discriminating digit models;
+    /// * `named` — the named hardware models of §2.4;
+    /// * anything else — a comma-separated list of model names, each
+    ///   resolved by [`model`] (e.g. `SC,TSO,M1032`).
+    ///
     /// Never fails — unknown names surface from [`ModelSpec::resolve`].
     #[must_use]
     pub fn parse(spec: &str) -> ModelSpec {
@@ -149,12 +138,12 @@ mod tests {
 
     #[test]
     fn model_sets_resolve() {
-        assert_eq!(model_set("figure4").unwrap().len(), 36);
-        assert_eq!(model_set("36").unwrap().len(), 36);
-        assert_eq!(model_set("90").unwrap().len(), 90);
-        assert_eq!(model_set("full").unwrap().len(), 90);
-        assert_eq!(model_set("named").unwrap().len(), 8);
-        let listed = model_set("SC, TSO,M1032").unwrap();
+        assert_eq!(ModelSpec::parse("figure4").resolve().unwrap().len(), 36);
+        assert_eq!(ModelSpec::parse("36").resolve().unwrap().len(), 36);
+        assert_eq!(ModelSpec::parse("90").resolve().unwrap().len(), 90);
+        assert_eq!(ModelSpec::parse("full").resolve().unwrap().len(), 90);
+        assert_eq!(ModelSpec::parse("named").resolve().unwrap().len(), 8);
+        let listed = ModelSpec::parse("SC, TSO,M1032").resolve().unwrap();
         assert_eq!(listed.len(), 3);
         assert_eq!(listed[0].name(), "SC");
         assert_eq!(listed[2].name(), "M1032");
@@ -162,9 +151,9 @@ mod tests {
 
     #[test]
     fn bad_model_sets_are_errors() {
-        assert!(model_set("SC,powerpc").is_err());
-        assert!(model_set(",, ,").is_err());
-        assert!(model_set("SC,powerpc").unwrap_err().is_usage());
+        assert!(ModelSpec::parse("SC,powerpc").resolve().is_err());
+        assert!(ModelSpec::parse(",, ,").resolve().is_err());
+        assert!(ModelSpec::parse("SC,powerpc").resolve().unwrap_err().is_usage());
     }
 
     #[test]
@@ -176,8 +165,8 @@ mod tests {
 
     #[test]
     fn dependency_detection_matches_the_formulas() {
-        assert!(models_use_dependencies(&model_set("90").unwrap()));
-        assert!(!models_use_dependencies(&model_set("figure4").unwrap()));
+        assert!(models_use_dependencies(&ModelSpec::parse("90").resolve().unwrap()));
+        assert!(!models_use_dependencies(&ModelSpec::parse("figure4").resolve().unwrap()));
         assert!(models_use_dependencies(&[named::rmo()]));
         assert!(!models_use_dependencies(&[named::sc(), named::tso()]));
     }

@@ -34,6 +34,23 @@
 //! format is deliberately **hermetic**: there is no file-backed source,
 //! so a server executing wire requests never touches the filesystem.
 //!
+//! A malformed or out-of-range integer or shard is a
+//! [`QueryError::BadValue`], which carries the field's dotted path
+//! (`tests.stream.limit`) next to its message.
+//!
+//! ## The CLI is a wire client
+//!
+//! Each `mcm` subcommand turns its flags into a request document and
+//! parses it with [`WireRequest::from_json`], then names the flag behind a
+//! [`QueryError::BadValue`] path. Only what this format forbids stays in
+//! the CLI: file sources (`check FILE`, `parse FILE`, `analyze --tests
+//! FILE`), side outputs (`--out`, `--csv`, `--dot`, `--store`,
+//! `--checkpoint`, `--resume`, `--trace-out`) and `serve`'s flags. So do
+//! two rules: the template suite has the dependency idioms iff some model
+//! observes them, and `mcm explore` defaults to all 90 models where a bare
+//! `{"query": "sweep"}` is Figure 4's 36, so the CLI always writes
+//! `models` and `tests`.
+//!
 //! ## Example
 //!
 //! ```
@@ -47,6 +64,7 @@
 //! assert!(body.contains("equivalent"));
 //! ```
 
+use std::ops::RangeInclusive;
 use std::sync::Arc;
 
 use mcm_axiomatic::CheckerKind;
@@ -79,8 +97,9 @@ impl WireRequest {
     /// # Errors
     ///
     /// [`QueryError::InvalidSpec`] for JSON that fails to parse, is not
-    /// an object, names an unknown query kind or field, or carries a
-    /// malformed value.
+    /// an object, or names an unknown query kind or field;
+    /// [`QueryError::BadValue`], carrying the field's path, for a
+    /// malformed or out-of-range integer or shard.
     pub fn parse(text: &str) -> Result<WireRequest, QueryError> {
         let doc = Json::parse(text)
             .map_err(|e| QueryError::InvalidSpec(format!("request is not valid JSON: {e}")))?;
@@ -91,17 +110,12 @@ impl WireRequest {
     ///
     /// # Errors
     ///
-    /// [`QueryError::InvalidSpec`] as for [`WireRequest::parse`].
+    /// As for [`WireRequest::parse`].
     pub fn from_json(doc: &Json) -> Result<WireRequest, QueryError> {
         let pairs = expect_object(doc, "request")?;
         let format = match get(pairs, "format") {
             None => Format::Json,
-            Some(v) => {
-                let name = as_str(v, "format")?;
-                Format::from_name(name).ok_or_else(|| {
-                    invalid(format!("unknown format `{name}`; try text|json|csv|dot"))
-                })?
-            }
+            Some(v) => as_str(v, "format")?.parse()?,
         };
         Ok(WireRequest {
             spec: QuerySpec::from_json(doc)?,
@@ -171,8 +185,7 @@ impl QuerySpec {
     ///
     /// # Errors
     ///
-    /// [`QueryError::InvalidSpec`] for an unknown kind, unknown fields,
-    /// or malformed values.
+    /// As for [`WireRequest::parse`].
     pub fn from_json(doc: &Json) -> Result<QuerySpec, QueryError> {
         let pairs = expect_object(doc, "request")?;
         let kind = as_str(
@@ -263,7 +276,7 @@ fn parse_sweep(pairs: &[(String, Json)]) -> Result<QuerySpec, QueryError> {
     set(&mut query.models, parse_models(pairs)?);
     set(&mut query.source, parse_tests(pairs)?);
     set(&mut query.checker, parse_checker(pairs)?);
-    parse_engine(pairs, &mut query.engine)?;
+    parse_engine(pairs, &mut query.engine).map_err(under("engine"))?;
     set(&mut query.cache, opt_bool(pairs, "cache")?.map(Some));
     set(
         &mut query.warm_figure4_demo,
@@ -291,7 +304,7 @@ fn parse_distinguish(pairs: &[(String, Json)]) -> Result<QuerySpec, QueryError> 
         opt_bool(pairs, "with_deps")?.map(|with_deps| TestSource::TemplateSuite { with_deps }),
     );
     set(&mut query.checker, parse_checker(pairs)?);
-    parse_engine(pairs, &mut query.engine)?;
+    parse_engine(pairs, &mut query.engine).map_err(under("engine"))?;
     set(&mut query.cache, opt_bool(pairs, "cache")?.map(Some));
     Ok(QuerySpec::Distinguish(query))
 }
@@ -334,23 +347,12 @@ fn parse_synth_options(
             "bounds",
             &["max_accesses", "max_locs", "fences", "deps"],
         )?;
-        parse_space(inner, "bounds", &mut query.bounds)?;
+        parse_space(inner, "bounds", &mut query.bounds).map_err(under("bounds"))?;
     }
     if let Some(n) = opt_int(pairs, "max_size")? {
-        let bounds = &query.bounds;
-        let range = bounds.min_total()..=bounds.max_total();
-        query.max_size = Some(
-            usize::try_from(n)
-                .ok()
-                .filter(|n| range.contains(n))
-                .ok_or_else(|| {
-                    invalid(format!(
-                        "max_size needs {}..={} for these bounds, got {n}",
-                        range.start(),
-                        range.end()
-                    ))
-                })?,
-        );
+        let range = query.bounds.min_total()..=query.bounds.max_total();
+        let size = in_range(n, range, "max_size", "max_size".into(), " for these bounds")?;
+        query.max_size = Some(size);
     }
     set(&mut query.verbose, opt_bool(pairs, "verbose")?);
     Ok(QuerySpec::Synth(query))
@@ -434,7 +436,7 @@ fn parse_source(value: &Json) -> Result<TestSource, QueryError> {
                         with_deps: opt_bool(inner, "with_deps")?.unwrap_or(false),
                     })
                 }
-                "stream" => parse_stream(body),
+                "stream" => parse_stream(body).map_err(under("tests.stream")),
                 "inline" => Ok(TestSource::Inline(
                     as_str(body, "tests.inline")?.to_string(),
                 )),
@@ -470,7 +472,7 @@ fn parse_stream(body: &Json) -> Result<TestSource, QueryError> {
         Some(v) => Some(
             as_str(v, "tests.stream.shard")?
                 .parse::<Shard>()
-                .map_err(|e| invalid(format!("stream shard: {e}")))?,
+                .map_err(|e| bad_value("shard", "stream shard:", e))?,
         ),
     };
     Ok(TestSource::Stream {
@@ -488,16 +490,11 @@ fn parse_space(
     bounds: &mut StreamBounds,
 ) -> Result<(), QueryError> {
     if let Some(n) = opt_int(inner, "max_accesses")? {
-        bounds.max_accesses_per_thread = usize::try_from(n)
-            .ok()
-            .filter(|n| (1..=4).contains(n))
-            .ok_or_else(|| invalid(format!("{what} max_accesses needs 1..=4, got {n}")))?;
+        let label = format!("{what} max_accesses");
+        bounds.max_accesses_per_thread = in_range(n, 1..=4, "max_accesses", label, "")?;
     }
     if let Some(n) = opt_int(inner, "max_locs")? {
-        bounds.max_locs = u8::try_from(n)
-            .ok()
-            .filter(|&n| n >= 1)
-            .ok_or_else(|| invalid(format!("{what} max_locs needs 1..=255, got {n}")))?;
+        bounds.max_locs = in_range(n, 1..=255, "max_locs", format!("{what} max_locs"), "")?;
     }
     set(&mut bounds.include_fences, opt_bool(inner, "fences")?);
     set(&mut bounds.include_deps, opt_bool(inner, "deps")?);
@@ -545,6 +542,25 @@ fn parse_engine(pairs: &[(String, Json)], config: &mut EngineConfig) -> Result<(
 
 fn invalid(message: impl Into<String>) -> QueryError {
     QueryError::InvalidSpec(message.into())
+}
+
+/// A value error on the field `field` (a key here; [`under`] roots it).
+fn bad_value(field: &str, label: impl Into<String>, problem: impl Into<String>) -> QueryError {
+    QueryError::BadValue {
+        field: field.to_string(),
+        label: label.into(),
+        problem: problem.into(),
+    }
+}
+
+/// Roots the path of a value error raised inside the sub-object at `path`.
+fn under(path: &'static str) -> impl Fn(QueryError) -> QueryError {
+    move |mut err| {
+        if let QueryError::BadValue { field, .. } = &mut err {
+            field.insert_str(0, &format!("{path}."));
+        }
+        err
+    }
 }
 
 fn expect_object<'a>(value: &'a Json, what: &str) -> Result<&'a [(String, Json)], QueryError> {
@@ -610,8 +626,29 @@ fn opt_int(pairs: &[(String, Json)], key: &str) -> Result<Option<i64>, QueryErro
         Some(v) => v
             .as_i64()
             .map(Some)
-            .ok_or_else(|| invalid(format!("`{key}` must be an integer"))),
+            .ok_or_else(|| bad_value(key, format!("`{key}`"), "must be an integer")),
     }
+}
+
+/// `n` as a `T` inside `range`, or a value error on `key` that names the
+/// range (`{label} needs 1..=4{note}, got 9`).
+fn in_range<T>(
+    n: i64,
+    range: RangeInclusive<T>,
+    key: &str,
+    label: String,
+    note: &str,
+) -> Result<T, QueryError>
+where
+    T: TryFrom<i64> + PartialOrd + std::fmt::Display,
+{
+    T::try_from(n)
+        .ok()
+        .filter(|v| range.contains(v))
+        .ok_or_else(|| {
+            let (lo, hi) = (range.start(), range.end());
+            bad_value(key, label, format!("needs {lo}..={hi}{note}, got {n}"))
+        })
 }
 
 fn opt_positive(
@@ -624,7 +661,7 @@ fn opt_positive(
             usize::try_from(n)
                 .ok()
                 .filter(|&n| n >= 1)
-                .ok_or_else(|| invalid(format!("{what} needs a positive integer, got {n}")))
+                .ok_or_else(|| bad_value(key, what, format!("needs a positive integer, got {n}")))
         })
         .transpose()
 }
@@ -752,6 +789,44 @@ mod tests {
         ] {
             let err = WireRequest::parse(bad).expect_err(bad);
             assert!(err.is_usage(), "`{bad}` must be a usage error, got {err}");
+        }
+    }
+
+    #[test]
+    fn value_errors_carry_the_field_path() {
+        for (text, field, message) in [
+            (
+                r#"{"query": "sweep", "tests": {"stream": {"limit": 0}}}"#,
+                "tests.stream.limit",
+                "stream limit needs a positive integer, got 0",
+            ),
+            (
+                r#"{"query": "sweep", "tests": {"stream": {"shard": "2/2"}}}"#,
+                "tests.stream.shard",
+                r#"stream shard: shard must be i/n with i < n, got "2/2""#,
+            ),
+            (
+                r#"{"query": "distinguish", "engine": {"jobs": "many"}}"#,
+                "engine.jobs",
+                "`jobs` must be an integer",
+            ),
+            (
+                r#"{"query": "synth_matrix", "bounds": {"max_locs": 0}}"#,
+                "bounds.max_locs",
+                "bounds max_locs needs 1..=255, got 0",
+            ),
+            (
+                r#"{"query": "synth", "left": "SC", "right": "TSO", "max_size": 99}"#,
+                "max_size",
+                "max_size needs 2..=6 for these bounds, got 99",
+            ),
+        ] {
+            let err = WireRequest::parse(text).expect_err(text);
+            assert_eq!(err.to_string(), message, "{text}");
+            let QueryError::BadValue { field: path, .. } = &err else {
+                panic!("{text}: expected a value error, got {err:?}");
+            };
+            assert_eq!(path, field, "{text}");
         }
     }
 
