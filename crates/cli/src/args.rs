@@ -113,6 +113,16 @@ impl<'a> Args<'a> {
         &self.positional
     }
 
+    /// [`Args::positional`], for a command that takes at most `most`.
+    pub(crate) fn positional_at_most(&self, most: usize) -> Result<&[&'a str], CliError> {
+        match self.positional.get(most) {
+            Some(extra) => Err(usage(format!(
+                "unexpected argument `{extra}`; try `mcm help`"
+            ))),
+            None => Ok(&self.positional),
+        }
+    }
+
     /// The first option given that only a streamed sweep takes.
     pub(crate) fn stream_only(&self) -> Option<&'static str> {
         self.given.iter().find_map(|(opt, _)| match opt.to {

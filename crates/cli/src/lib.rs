@@ -135,8 +135,14 @@ fn invocation<'a>(command: &str, args: &'a [String]) -> Result<(WireRequest, Arg
         "synth" => (SYNTH, synth),
         "check" => (CHECK, check),
         "compare" => (COMPARE, compare),
-        "suite" => (SUITE, |args| args.request("suite", Vec::new())),
-        "catalog" => (&[], |args| args.request("catalog", Vec::new())),
+        "suite" => (SUITE, |args| {
+            args.positional_at_most(0)?;
+            args.request("suite", Vec::new())
+        }),
+        "catalog" => (&[], |args| {
+            args.positional_at_most(0)?;
+            args.request("catalog", Vec::new())
+        }),
         "figures" => (FIGURES, figures),
         other => return Err(usage(format!("unknown command `{other}`; try `mcm help`"))),
     };
@@ -260,6 +266,7 @@ fn named_models(args: &Args) -> Result<Option<Json>, CliError> {
 /// `mcm explore`: a `sweep` over the template suite, or over the streamed
 /// leader enumeration with `--stream`.
 fn explore(args: &Args) -> Result<WireRequest, CliError> {
+    args.positional_at_most(0)?;
     let stream = args.has("--stream");
     if !stream {
         // Accepting a stream-only option without --stream would silently
@@ -377,7 +384,7 @@ fn compare(args: &Args) -> Result<WireRequest, CliError> {
 
 /// `mcm figures <fig1|fig2|fig3|fig4|counts|all>`.
 fn figures(args: &Args) -> Result<WireRequest, CliError> {
-    let which = args.positional().first().copied().unwrap_or("all");
+    let which = args.positional_at_most(1)?.first().map_or("all", |w| *w);
     args.request("figures", vec![("which", Json::from(which))])
 }
 
@@ -406,6 +413,10 @@ fn serve(args: &[String]) -> Result<(), CliError> {
     let args = Args::new(SERVE, args)?;
     if !args.positional().is_empty() {
         return Err(usage("serve takes no positional arguments"));
+    }
+    // Each request names its own format; the server writes no file.
+    if let Some(flag) = ["--format", "--out"].into_iter().find(|&f| args.has(f)) {
+        return Err(usage(format!("serve does not take {flag}")));
     }
     let number = |name: &str, default: usize| match args.value(name) {
         None => Ok(default),

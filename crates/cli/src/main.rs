@@ -92,7 +92,8 @@ COMMANDS:
     help                      this message
 
 OUTPUT:
-    Every command accepts --format text|json|csv|dot and --out FILE.
+    Every command but serve accepts --format text|json|csv|dot and
+    --out FILE (a served request names its own format).
     JSON documents are schema-versioned and round-trip through the
     in-tree parser (mcm_core::json); csv renders verdict matrices and
     dot renders lattices, where the report has one.

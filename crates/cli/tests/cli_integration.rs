@@ -431,6 +431,44 @@ fn usage_errors_exit_2() {
 }
 
 #[test]
+fn extra_positional_arguments_are_rejected_not_ignored() {
+    for args in [
+        &["catalog", "foo"][..],
+        &["suite", "x", "y"],
+        &["figures", "fig3", "bogus"],
+        &["explore", "SC", "TSO", "--models", "figure4", "--stream", "--limit", "5"],
+    ] {
+        assert_eq!(mcm_code(args), 2, "{args:?}");
+        let (_, _, stderr) = mcm(args);
+        assert!(stderr.contains("unexpected argument"), "{args:?}: {stderr}");
+    }
+    // The positionals these commands do take still work.
+    assert_eq!(mcm_code(&["figures", "fig3"]), 0);
+    assert_eq!(mcm_code(&["distinguish", "SC", "TSO"]), 0);
+}
+
+#[test]
+fn serve_rejects_output_options_before_binding() {
+    // `/nonexistent/x` and an unknown format would only fail later: the
+    // usage error must come first, without the server ever binding.
+    for output_options in [
+        &["--format", "yaml", "--out", "/nonexistent/x"][..],
+        &["--format", "json"],
+        &["--out", "/nonexistent/x"],
+    ] {
+        let args = [&["serve", "--addr", "127.0.0.1:0"][..], output_options].concat();
+        let output = Command::new(env!("CARGO_BIN_EXE_mcm"))
+            .args(&args)
+            .output()
+            .expect("binary runs");
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert_eq!(output.status.code(), Some(2), "{args:?}: {stderr}");
+        assert!(stderr.contains("serve does not take"), "{args:?}: {stderr}");
+        assert!(!stderr.contains("listening"), "{args:?}: {stderr}");
+    }
+}
+
+#[test]
 fn run_failures_exit_1() {
     // A well-formed request on an unreadable file is a run failure.
     assert_eq!(mcm_code(&["check", "TSO", "/no/such/file.litmus"]), 1);

@@ -8,21 +8,20 @@
 //! * [`Exploration::run_engine_streaming_with`] — **the** sweep engine:
 //!   consumes any test iterator (typically `mcm_gen::stream::leaders`,
 //!   which yields one canonical representative per symmetry orbit
-//!   without materialising the raw space) in fixed-size chunks, runs each
-//!   chunk through formula dedup, optional canonicalization, the
-//!   [`VerdictCache`], the sweep prefilter and a work-stealing test-major
-//!   grid, and grows the verdict vectors incrementally. On two or more
-//!   jobs the calling thread pulls and deduplicates the next chunk while
-//!   the grid checks the current one, so up to two chunks of pulled tests
-//!   are alive at once, besides the kept tests and their verdict bits; a
+//!   without materialising the raw space) in fixed-size chunks and checks
+//!   every test it yields, in order: each chunk runs through formula
+//!   dedup, the [`VerdictCache`], the sweep prefilter and a work-stealing
+//!   test-major grid, and the verdict vectors grow incrementally. On two
+//!   or more jobs the calling thread pulls the next chunk while the grid
+//!   checks the current one, so up to two chunks of pulled tests are
+//!   alive at once, besides the kept tests and their verdict bits; a
 //!   [`StreamControl`] adds per-chunk checkpoints and resume.
 //!
-//! [`Exploration::run_engine`] is that core over a `Vec`: it collapses
-//! the suite to orbit representatives when asked, streams them through
-//! the core as a single chunk, and expands the verdicts back over the
-//! input order.
+//! [`Exploration::run_engine`] is that core over a `Vec`, and the one
+//! place the engine canonicalizes: it collapses the suite to orbit
+//! representatives when asked, streams them through the core as a single
+//! chunk, and expands the verdicts back over the input order.
 
-use std::collections::HashSet;
 use std::sync::atomic::{AtomicU8, AtomicUsize, Ordering};
 
 use mcm_analyze::SweepPrefilter;
@@ -38,16 +37,19 @@ use crate::verdict::{Relation, VerdictVector};
 /// [`Exploration::run_engine_streaming_with`].
 #[derive(Clone, Debug)]
 pub struct EngineConfig {
-    /// Collapse the suite to canonical symmetry-orbit representatives
-    /// before checking (verdict-preserving, see [`mcm_gen::canon`]). The
-    /// streaming engine applies this per chunk (plus a cross-chunk
-    /// fingerprint set), so feeding it an already-canonical leader stream
-    /// makes this a no-op.
+    /// Collapse a materialized suite to canonical symmetry-orbit
+    /// representatives before checking, and expand the verdicts back over
+    /// the input afterwards (verdict-preserving, see [`mcm_gen::canon`]).
+    /// Only [`Exploration::run_engine`] reads it. A streamed sweep has
+    /// nothing to collapse, because a leader stream is already one
+    /// representative per orbit, so
+    /// [`Exploration::run_engine_streaming_with`] checks every test it is
+    /// given whatever this says.
     pub canonicalize: bool,
     /// Worker threads; `None` uses all available cores, `Some(1)` runs
     /// the whole sweep on the calling thread. On two or more, the calling
     /// thread is one of the grid's workers: a streamed sweep has it pull
-    /// and deduplicate the next chunk first, then join the grid.
+    /// the next chunk first, then join the grid.
     pub jobs: Option<usize>,
     /// Tests pulled per chunk by the streaming engine. On two or more
     /// jobs the next chunk is pulled while the current one is checked, so
@@ -67,18 +69,6 @@ impl Default for EngineConfig {
             canonicalize: false,
             jobs: None,
             stream_chunk: 4096,
-        }
-    }
-}
-
-impl EngineConfig {
-    /// Canonicalization on, all cores — the configuration the CLI uses
-    /// when `--canonicalize` is passed.
-    #[must_use]
-    pub fn canonicalizing() -> Self {
-        EngineConfig {
-            canonicalize: true,
-            ..EngineConfig::default()
         }
     }
 }
@@ -151,16 +141,18 @@ impl SweepStats {
 /// Everything [`Exploration::run_engine_streaming_with`] needs to pick a
 /// sweep back up where a previous process left off: how far into the
 /// (deterministic) test stream it got, the verdict rows grown so far, and
-/// the accumulated counters. The kept tests themselves are *not* stored —
-/// on resume the engine replays the consumed prefix of the stream through
-/// the (cheap) dedup layer only, re-deriving them without a single
-/// checker call. `mcm-store`'s `checkpoint` module serializes this to
-/// disk.
+/// the accumulated counters. The tests themselves are *not* stored — on
+/// resume the engine pulls the consumed prefix of the stream again,
+/// without a single checker call. `mcm-store`'s `checkpoint` module
+/// serializes this to disk.
 #[derive(Clone, Debug, PartialEq)]
 pub struct StreamCheckpoint {
     /// Tests consumed from the input iterator so far.
     pub tests_streamed: u64,
-    /// Tests kept after dedup — the length of every verdict row.
+    /// Tests checked — the length of every verdict row. A streamed sweep
+    /// checks every test it pulls, so this always equals
+    /// [`StreamCheckpoint::tests_streamed`]; resume rejects a checkpoint
+    /// where the two differ.
     pub tests_kept: u64,
     /// Distinct-formula row fingerprints, in row order. Resume validates
     /// these against the new run's model list: a checkpoint taken over
@@ -281,16 +273,6 @@ struct ModelSide<'a> {
     prefilter: Option<&'a SweepPrefilter>,
 }
 
-/// One chunk pulled from a streamed sweep's input and deduplicated.
-struct Pulled {
-    /// Tests taken from the input iterator.
-    pulled: usize,
-    /// The tests that will be checked, with their cache fingerprints when
-    /// the dedup layer computed them (canonicalizing sweeps only).
-    tests: Vec<LitmusTest>,
-    fps: Option<Vec<u64>>,
-}
-
 /// The shared sweep core, test-major: the unit of parallel work is a
 /// **test row** — one execution checked against every distinct-formula
 /// model at once through a [`BatchChecker`] — scheduled work-stealing
@@ -303,8 +285,8 @@ struct Pulled {
 /// grouped into provably-agreeing sets, so the checker sees one
 /// representative per group and the verdict fans out (and is cached once
 /// per member). The worker that claims a row computes its cache
-/// fingerprint when `fps` does not carry it (only canonicalizing sweeps
-/// know it up front), and builds its [`mcm_core::Execution`] only when
+/// fingerprint (when there is a cache), and builds its
+/// [`mcm_core::Execution`] only when
 /// some model's verdict is missing from the cache: warm rows cost neither
 /// an execution nor checker work, and cold rows amortize candidate
 /// enumeration / encoding across the whole model space.
@@ -319,7 +301,6 @@ struct Pulled {
 fn sweep_grid<F>(
     side: &ModelSide<'_>,
     tests: &[LitmusTest],
-    fps: Option<&[u64]>,
     make_checker: &F,
     config: &EngineConfig,
     cache: Option<&VerdictCache>,
@@ -377,10 +358,10 @@ where
             let end = (start + ROW_BATCH).min(reps);
             for rep in start..end {
                 missing_rows.clear();
-                let fp = match (&cached, fps) {
-                    (None, _) => 0,
-                    (Some(_), Some(fps)) => fps[rep],
-                    (Some(_), None) => canon::fingerprint(&tests[rep]),
+                let fp = if cached.is_some() {
+                    canon::fingerprint(&tests[rep])
+                } else {
+                    0
                 };
                 match &cached {
                     Some((cache, ids)) => {
@@ -549,7 +530,6 @@ impl Exploration {
             (tests, None)
         };
         let core = EngineConfig {
-            canonicalize: false,
             stream_chunk: reps.len().max(1),
             ..config.clone()
         };
@@ -599,25 +579,24 @@ impl Exploration {
     /// The iterator and the checkpoint hook are only ever used on the
     /// calling thread, so neither needs to be `Send`.
     ///
-    /// With [`EngineConfig::canonicalize`], each chunk is additionally
-    /// collapsed to orbit representatives and representatives already seen
-    /// in *earlier* chunks are dropped (a cross-chunk fingerprint set), so
-    /// non-canonical streams are deduplicated on the fly. Duplicates are
-    /// dropped from the returned [`Exploration`], whose `tests` are the
-    /// kept representatives in stream order.
+    /// Every test the iterator yields is checked, in order: the returned
+    /// [`Exploration`]'s `tests` are exactly the stream. There is no dedup
+    /// layer here and [`EngineConfig::canonicalize`] is not read, because
+    /// a leader stream is already one representative per orbit. A suite
+    /// with symmetric duplicates goes through [`Exploration::run_engine`],
+    /// which collapses it first.
     ///
     /// Per-chunk [`StreamControl`] adds a checkpoint hook observing a
     /// [`StreamCheckpoint`] after every chunk (and able to stop the sweep
     /// early), and an optional resume state from an earlier run.
     ///
-    /// On resume the engine replays the already-consumed prefix of the
-    /// stream through the dedup layer only — no checker is ever called
-    /// for replayed tests — then restores the verdict rows and counters
-    /// from the checkpoint and continues. Because the stream and the
-    /// dedup layer are deterministic, an interrupted-and-resumed sweep
-    /// produces bit-identical verdicts to an uninterrupted one (the
+    /// On resume the engine pulls the already-consumed prefix of the
+    /// stream again — no checker is ever called for it — then restores
+    /// the verdict rows and counters from the checkpoint and continues.
+    /// Because the stream is deterministic, an interrupted-and-resumed
+    /// sweep produces bit-identical verdicts to an uninterrupted one (the
     /// resume-correctness tests assert exactly this). Errors when the
-    /// checkpoint does not match the current models, stream or config.
+    /// checkpoint does not match the current models or stream.
     pub fn run_engine_streaming_with<I, F>(
         models: Vec<MemoryModel>,
         tests: I,
@@ -643,43 +622,15 @@ impl Exploration {
             let refs: Vec<&MemoryModel> = rows.row_models.iter().map(|&m| &models[m]).collect();
             SweepPrefilter::new(&refs)
         });
-        let jobs = resolve_jobs(config);
         let chunk_size = config.stream_chunk.max(1);
         let mut iter = tests.into_iter();
         let mut kept: Vec<LitmusTest> = Vec::new();
         let mut row_verdicts: Vec<VerdictVector> =
             (0..rows.row_models.len()).map(|_| VerdictVector::new(0)).collect();
-        let mut seen: HashSet<u64> = HashSet::new();
         let mut stats = SweepStats {
             distinct_models: rows.row_models.len(),
             semantic_merged_models: rows.semantic_merged,
             ..SweepStats::default()
-        };
-
-        // The shared dedup layer: collapses a pulled chunk to the tests
-        // that will actually be checked. Canonicalizing sweeps get the
-        // kept tests' fingerprints for free; otherwise the grid worker
-        // that claims a test fingerprints it, off the calling thread.
-        // Used identically by the live loop and the resume replay, so a
-        // replayed prefix keeps exactly the tests the original run kept.
-        let dedup = |chunk: Vec<LitmusTest>,
-                     seen: &mut HashSet<u64>|
-         -> (Vec<LitmusTest>, Option<Vec<u64>>) {
-            if config.canonicalize {
-                let _canon_span = mcm_obs::trace::span("engine.canon");
-                let canonical = canon::dedup_parallel(&chunk, jobs);
-                let mut batch = Vec::with_capacity(canonical.tests.len());
-                let mut fps = Vec::with_capacity(canonical.tests.len());
-                for (test, fp) in canonical.tests.into_iter().zip(canonical.fingerprints) {
-                    if seen.insert(fp) {
-                        batch.push(test);
-                        fps.push(fp);
-                    }
-                }
-                (batch, Some(fps))
-            } else {
-                (chunk, None)
-            }
         };
 
         if let Some(state) = control.resume.take() {
@@ -688,7 +639,8 @@ impl Exploration {
                     "checkpoint was taken over a different model list".to_string(),
                 ));
             }
-            if state.row_verdicts.len() != rows.model_fps.len()
+            if state.tests_kept != state.tests_streamed
+                || state.row_verdicts.len() != rows.model_fps.len()
                 || state
                     .row_verdicts
                     .iter()
@@ -698,103 +650,78 @@ impl Exploration {
                     "checkpoint verdict rows are inconsistent".to_string(),
                 ));
             }
-            // Replay the consumed prefix: pull the same chunks and re-run
-            // only the dedup layer to rebuild the kept tests and the
-            // cross-chunk fingerprint set — no checker work.
+            // Pull the consumed prefix again: no checker work.
             let _replay_span = mcm_obs::trace::span("engine.replay");
-            let mut replayed = 0u64;
-            while replayed < state.tests_streamed {
-                let want = chunk_size.min((state.tests_streamed - replayed) as usize);
-                let chunk: Vec<LitmusTest> = iter.by_ref().take(want).collect();
-                if chunk.is_empty() {
-                    return Err(ResumeError(
-                        "stream is shorter than the checkpoint cursor".to_string(),
-                    ));
-                }
-                replayed += chunk.len() as u64;
-                let (batch, _) = dedup(chunk, &mut seen);
-                kept.extend(batch);
-            }
-            if kept.len() as u64 != state.tests_kept {
+            kept.extend(iter.by_ref().take(state.tests_streamed as usize));
+            if (kept.len() as u64) < state.tests_streamed {
                 return Err(ResumeError(
-                    "replayed stream prefix kept a different test count".to_string(),
+                    "stream is shorter than the checkpoint cursor".to_string(),
                 ));
             }
             row_verdicts = state.row_verdicts;
             stats = state.stats;
         }
 
-        // The leader phase plus dedup: pulls the next chunk out of the
-        // (lazily enumerated) test stream and collapses it; `None` once
-        // the stream is exhausted. Always on the calling thread: the
-        // iterator need not be `Send`.
-        let pull = |iter: &mut I::IntoIter, seen: &mut HashSet<u64>| -> Option<Pulled> {
-            let chunk: Vec<LitmusTest> = {
-                let _lead_span = mcm_obs::trace::span("engine.lead");
-                iter.by_ref().take(chunk_size).collect()
-            };
-            if chunk.is_empty() {
-                return None;
-            }
-            let pulled = chunk.len();
-            let (tests, fps) = dedup(chunk, seen);
-            Some(Pulled { pulled, tests, fps })
+        // The leader phase: pulls the next chunk out of the (lazily
+        // enumerated) test stream; `None` once the stream is exhausted.
+        // Always on the calling thread: the iterator need not be `Send`.
+        let pull = |iter: &mut I::IntoIter| -> Option<Vec<LitmusTest>> {
+            let _lead_span = mcm_obs::trace::span("engine.lead");
+            let chunk: Vec<LitmusTest> = iter.by_ref().take(chunk_size).collect();
+            (!chunk.is_empty()).then_some(chunk)
         };
         // With two or more jobs the calling thread pulls chunk k+1 while
         // the grid checks chunk k. Chunk k+1's grid starts only after
         // chunk k is merged and its checkpoint hook returned, so results,
         // counters, cache contents and checkpoints do not depend on the
         // overlap; an early stop only drops the prefetched chunk.
-        let mut next = pull(&mut iter, &mut seen);
-        while let Some(Pulled { pulled, tests: batch, fps }) = next {
+        let mut next = pull(&mut iter);
+        while let Some(batch) = next {
             let _chunk_span =
-                mcm_obs::trace::span_with("engine.chunk", &[("tests", &pulled.to_string())]);
-            stats.tests_streamed += pulled as u64;
-            stats.peak_batch = stats.peak_batch.max(pulled);
+                mcm_obs::trace::span_with("engine.chunk", &[("tests", &batch.len().to_string())]);
+            stats.tests_streamed += batch.len() as u64;
+            stats.peak_batch = stats.peak_batch.max(batch.len());
             // `Some` once the grid has pulled the next chunk (or found the
             // stream exhausted) on the calling thread.
-            let mut prefetched: Option<Option<Pulled>> = None;
-            if !batch.is_empty() {
-                let (bits, grid_stats) = sweep_grid(
-                    &ModelSide {
-                        models: &models,
-                        rows: &rows,
-                        prefilter: prefilter.as_ref(),
-                    },
-                    &batch,
-                    fps.as_deref(),
-                    &make_checker,
-                    config,
-                    cache,
-                    &mut || prefetched = Some(pull(&mut iter, &mut seen)),
-                );
-                stats.absorb(grid_stats);
-                for (r, vector) in row_verdicts.iter_mut().enumerate() {
-                    for &allowed in &bits[r * batch.len()..(r + 1) * batch.len()] {
-                        vector.push(allowed);
-                    }
+            let mut prefetched = None;
+            let (bits, grid_stats) = sweep_grid(
+                &ModelSide {
+                    models: &models,
+                    rows: &rows,
+                    prefilter: prefilter.as_ref(),
+                },
+                &batch,
+                &make_checker,
+                config,
+                cache,
+                &mut || prefetched = Some(pull(&mut iter)),
+            );
+            stats.absorb(grid_stats);
+            for (r, vector) in row_verdicts.iter_mut().enumerate() {
+                for &allowed in &bits[r * batch.len()..(r + 1) * batch.len()] {
+                    vector.push(allowed);
                 }
-                kept.extend(batch);
             }
+            kept.extend(batch);
             stats.total_pairs = models.len() as u64 * stats.tests_streamed;
             stats.unique_pairs = (rows.row_models.len() * kept.len()) as u64;
             stats.canonical_tests = kept.len();
             if let Some(hook) = control.on_checkpoint.as_mut() {
+                // Lend the rows to the hook instead of copying them per chunk.
                 let state = StreamCheckpoint {
                     tests_streamed: stats.tests_streamed,
                     tests_kept: kept.len() as u64,
                     model_fps: rows.model_fps.clone(),
-                    row_verdicts: row_verdicts.clone(),
+                    row_verdicts: std::mem::take(&mut row_verdicts),
                     stats,
                 };
-                if !hook(&state) {
+                let go_on = hook(&state);
+                row_verdicts = state.row_verdicts;
+                if !go_on {
                     break;
                 }
             }
-            next = match prefetched {
-                Some(chunk) => chunk,
-                None => pull(&mut iter, &mut seen),
-            };
+            next = prefetched.unwrap_or_else(|| pull(&mut iter));
         }
         let verdicts: Vec<VerdictVector> = rows
             .row_of
@@ -964,7 +891,10 @@ mod tests {
             models,
             tests,
             || Box::new(BatchExplicitChecker::new()),
-            &EngineConfig::canonicalizing(),
+            &EngineConfig {
+                canonicalize: true,
+                ..EngineConfig::default()
+            },
             None,
         );
         assert_eq!(seq.verdicts, engine.verdicts);
@@ -1099,31 +1029,6 @@ mod tests {
             stats.checker_calls + stats.prefilter_saved_calls,
             stats.unique_pairs
         );
-    }
-
-    #[test]
-    fn streaming_engine_dedups_non_canonical_streams() {
-        // Feed every test twice: with canonicalization on, the second
-        // copies must be dropped across chunks and the verdicts unchanged.
-        let models = vec![named::sc(), named::tso()];
-        let tests = catalog::all_tests();
-        let doubled: Vec<LitmusTest> =
-            tests.iter().chain(tests.iter()).cloned().collect();
-        let (streamed, stats) = stream(
-            models.clone(),
-            doubled,
-            &EngineConfig {
-                canonicalize: true,
-                stream_chunk: 4,
-                ..EngineConfig::default()
-            },
-            None,
-        );
-        assert_eq!(stats.tests_streamed, 2 * tests.len() as u64);
-        assert!(streamed.tests.len() <= tests.len());
-        // Relations over the deduplicated suite agree with the plain run.
-        let seq = Exploration::run(models, tests, &ExplicitChecker::new());
-        assert_eq!(seq.relation(0, 1), streamed.relation(0, 1));
     }
 
     #[test]

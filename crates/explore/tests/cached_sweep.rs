@@ -61,7 +61,10 @@ fn second_sweep_hits_the_cache_for_every_pair() {
                 calls: Arc::clone(&calls),
             }) as Box<dyn BatchChecker>
         };
-        let config = EngineConfig::canonicalizing();
+        let config = EngineConfig {
+            canonicalize: true,
+            ..EngineConfig::default()
+        };
 
         let (first, first_stats) =
             Exploration::run_engine(models.clone(), tests.clone(), factory, &config, Some(&cache));
@@ -198,7 +201,10 @@ fn canonicalization_reduces_unique_pairs_on_the_paper_suite() {
         models,
         tests,
         || Box::new(BatchExplicitChecker::new()),
-        &EngineConfig::canonicalizing(),
+        &EngineConfig {
+            canonicalize: true,
+            ..EngineConfig::default()
+        },
         None,
     );
     assert_eq!(stats.total_pairs, total);

@@ -3,8 +3,8 @@
 //! of that may show: kept tests, names, verdicts, `SweepStats`, every
 //! checkpoint and the cache contents must equal the single-job sweep,
 //! which runs everything on the calling thread, for every chunk size,
-//! with and without a cache, with and without canonicalization, and when
-//! a checkpoint hook stops the sweep early.
+//! with and without a cache, and when a checkpoint hook stops the sweep
+//! early.
 
 use std::cell::RefCell;
 
@@ -33,8 +33,8 @@ fn models() -> Vec<MemoryModel> {
 }
 
 /// A non-canonical stream: the raw space repeats every orbit under
-/// several namings, so canonicalization drops tests within and across
-/// chunks and cached sweeps hit entries of earlier chunks.
+/// several namings, so cached sweeps hit entries of earlier chunks and
+/// of the same chunk.
 fn raw_tests() -> Vec<LitmusTest> {
     let bounds = StreamBounds {
         max_accesses_per_thread: 2,
@@ -55,13 +55,7 @@ struct Outcome {
 
 /// One sweep; the hook records every checkpoint and stops the sweep
 /// after `stop_after` chunks when given.
-fn sweep(
-    jobs: usize,
-    chunk: usize,
-    canonicalize: bool,
-    cached: bool,
-    stop_after: Option<usize>,
-) -> Outcome {
+fn sweep(jobs: usize, chunk: usize, cached: bool, stop_after: Option<usize>) -> Outcome {
     let cache = cached.then(VerdictCache::new);
     let checkpoints = RefCell::new(Vec::new());
     let (exploration, stats) = Exploration::run_engine_streaming_with(
@@ -69,9 +63,9 @@ fn sweep(
         raw_tests(),
         factory,
         &EngineConfig {
-            canonicalize,
             jobs: Some(jobs),
             stream_chunk: chunk,
+            ..EngineConfig::default()
         },
         cache.as_ref(),
         StreamControl {
@@ -139,20 +133,12 @@ fn assert_same(label: &str, want: &Outcome, got: &Outcome) {
 #[test]
 fn every_job_count_matches_the_single_job_sweep() {
     for chunk in [1, 7, 4096] {
-        for canonicalize in [false, true] {
-            for cached in [false, true] {
-                let single = sweep(1, chunk, canonicalize, cached, None);
-                assert!(!single.checkpoints.is_empty());
-                for jobs in [2, 3] {
-                    let label = format!(
-                        "chunk {chunk}, jobs {jobs}, canonicalize {canonicalize}, cache {cached}"
-                    );
-                    assert_same(
-                        &label,
-                        &single,
-                        &sweep(jobs, chunk, canonicalize, cached, None),
-                    );
-                }
+        for cached in [false, true] {
+            let single = sweep(1, chunk, cached, None);
+            assert!(!single.checkpoints.is_empty());
+            for jobs in [2, 3] {
+                let label = format!("chunk {chunk}, jobs {jobs}, cache {cached}");
+                assert_same(&label, &single, &sweep(jobs, chunk, cached, None));
             }
         }
     }
@@ -161,25 +147,16 @@ fn every_job_count_matches_the_single_job_sweep() {
 #[test]
 fn an_early_stop_leaves_what_the_single_job_sweep_leaves() {
     for chunk in [1, 7] {
-        for canonicalize in [false, true] {
-            for stop_after in [1, 3, 10] {
-                let single = sweep(1, chunk, canonicalize, true, Some(stop_after));
-                assert_eq!(single.checkpoints.len(), stop_after);
-                assert!(
-                    single.stats.tests_streamed < raw_tests().len() as u64,
-                    "the stop must cut the sweep short"
-                );
-                for jobs in [2, 3] {
-                    let label = format!(
-                        "chunk {chunk}, jobs {jobs}, canonicalize {canonicalize}, \
-                         stop after {stop_after}"
-                    );
-                    assert_same(
-                        &label,
-                        &single,
-                        &sweep(jobs, chunk, canonicalize, true, Some(stop_after)),
-                    );
-                }
+        for stop_after in [1, 3, 10] {
+            let single = sweep(1, chunk, true, Some(stop_after));
+            assert_eq!(single.checkpoints.len(), stop_after);
+            assert!(
+                single.stats.tests_streamed < raw_tests().len() as u64,
+                "the stop must cut the sweep short"
+            );
+            for jobs in [2, 3] {
+                let label = format!("chunk {chunk}, jobs {jobs}, stop after {stop_after}");
+                assert_same(&label, &single, &sweep(jobs, chunk, true, Some(stop_after)));
             }
         }
     }

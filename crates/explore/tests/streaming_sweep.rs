@@ -2,15 +2,17 @@
 //! path: same verdict per (model, orbit), same lattice.
 //!
 //! The CI streaming-smoke job runs this file: the identity on tiny
-//! bounds, plus a check that 2,000-leader prefixes of the size-3 and
-//! size-4 streams never split a truly equivalent model pair.
+//! bounds, a check that 2,000-leader prefixes of the size-3 and size-4
+//! streams never split a truly equivalent model pair, and a check that
+//! every stream the query layer builds is already one test per orbit (why
+//! the stream core has no dedup layer).
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 
 use mcm_axiomatic::{BatchChecker, BatchExplicitChecker};
-use mcm_core::MemoryModel;
+use mcm_core::{LitmusTest, MemoryModel};
 use mcm_explore::{paper, EngineConfig, Exploration, Relation, StreamControl};
-use mcm_gen::stream::{self, StreamBounds};
+use mcm_gen::stream::{self, Shard, StreamBounds};
 use mcm_gen::{canon, naive};
 use proptest::prelude::*;
 
@@ -39,7 +41,10 @@ fn materialized_verdicts(models: &[MemoryModel]) -> Vec<HashMap<u64, bool>> {
         models.to_vec(),
         raw,
         factory,
-        &EngineConfig::canonicalizing(),
+        &EngineConfig {
+            canonicalize: true,
+            ..EngineConfig::default()
+        },
         None,
     );
     expl.verdicts
@@ -105,7 +110,10 @@ fn streamed_lattice_equals_materialized_lattice() {
         models,
         raw,
         factory,
-        &EngineConfig::canonicalizing(),
+        &EngineConfig {
+            canonicalize: true,
+            ..EngineConfig::default()
+        },
         None,
     );
     for i in 0..mat_expl.models.len() {
@@ -186,6 +194,48 @@ fn size3_and_size4_prefixes_split_no_truly_equivalent_pair() {
                 truth.models[j].name(),
             );
         }
+    }
+}
+
+/// Why the stream core needs no dedup layer of its own: on every stream
+/// the query layer builds (default bounds, with fences and deps, the
+/// size-4 box, each stripe of a 3-way shard), canonicalization keeps every
+/// leader, in order, unchanged and under its own name, and no two leaders
+/// share an orbit fingerprint. Collapsing a chunk, or dropping tests seen
+/// in earlier chunks, would remove nothing.
+#[test]
+fn leader_streams_are_already_one_test_per_orbit() {
+    let with_fences_and_deps = StreamBounds {
+        include_fences: true,
+        include_deps: true,
+        ..StreamBounds::default()
+    };
+    let first = |bounds: &StreamBounds| stream::leaders(bounds).take(3_000).collect();
+    let mut prefixes: Vec<(String, Vec<LitmusTest>)> = vec![
+        ("default".into(), first(&StreamBounds::default())),
+        ("fences+deps".into(), first(&with_fences_and_deps)),
+        ("size-4".into(), first(&StreamBounds::size4(4))),
+    ];
+    for i in 0..3 {
+        let shard = Shard::new(i, 3).expect("a valid shard");
+        let leaders = stream::leaders_sharded(&StreamBounds::default(), shard);
+        prefixes.push((format!("shard {i}/3"), leaders.take(1_000).collect()));
+    }
+    for (label, tests) in prefixes {
+        assert!(!tests.is_empty(), "{label}: the stream yields leaders");
+        let suite = canon::dedup(&tests);
+        assert_eq!(suite.tests, tests, "{label}: dedup changed the stream");
+        assert_eq!(
+            suite.class_of,
+            (0..tests.len()).collect::<Vec<_>>(),
+            "{label}: dedup merged leaders"
+        );
+        let distinct: HashSet<u64> = suite.fingerprints.iter().copied().collect();
+        assert_eq!(
+            distinct.len(),
+            tests.len(),
+            "{label}: two leaders share an orbit fingerprint"
+        );
     }
 }
 

@@ -38,7 +38,9 @@ pub struct SweepMeta {
     pub limit: Option<u64>,
     /// `--shard i/n` partition the sweep ran under, if any.
     pub shard: Option<Shard>,
-    /// Whether the engine canonicalized per chunk.
+    /// The sweep's `EngineConfig::canonicalize` flag, recorded as part of
+    /// its identity. The streamed engine checks every leader whatever the
+    /// flag says, so it no longer shapes the stream.
     pub canonicalize: bool,
     /// Tests materialized per chunk — checkpoints land on chunk
     /// boundaries, so the cursor is only meaningful at the same chunking.
