@@ -50,7 +50,6 @@ const EXPLORE: &[Opt] = &[
     opt("--models", Text, Wire("models")),
     opt("--checker", Text, Wire("checker")),
     opt("--no-deps", ON, Cli),
-    opt("--canonicalize", ON, Wire("engine.canonicalize")),
     opt("--cache", ON, Wire("cache")),
     opt("--jobs", Int, Wire("engine.jobs")),
     opt("--csv", Text, Cli),
@@ -67,8 +66,8 @@ const EXPLORE: &[Opt] = &[
     opt("--resume", Text, CliStream),
 ];
 
-/// `distinguish` takes `explore`'s model and engine options: its first six.
-const DISTINGUISH: &[Opt] = EXPLORE.split_at(6).0;
+/// `distinguish` takes `explore`'s model and engine options: its first five.
+const DISTINGUISH: &[Opt] = EXPLORE.split_at(5).0;
 
 const ANALYZE: &[Opt] = &[
     opt("--models", Text, Wire("models")),

@@ -33,8 +33,8 @@ COMMANDS:
                               answered per test over shared work
                               [--models figure4|90|named|M1,M2,...]
                               [--checker explicit|sat|monolithic]
-                              [--no-deps] [--canonicalize] [--cache]
-                              [--jobs N] [--csv FILE] [--dot FILE]
+                              [--no-deps] [--cache] [--jobs N]
+                              [--csv FILE] [--dot FILE]
                               [--stream] sweep the streamed leader
                               enumeration instead of the template suite,
                               never materializing the raw space:
@@ -50,7 +50,7 @@ COMMANDS:
     distinguish [MODEL...]    minimum distinguishing test set for the
                               given models (or the whole digit space)
                               [--models SPEC] [--checker C] [--no-deps]
-                              [--canonicalize] [--cache] [--jobs N]
+                              [--cache] [--jobs N]
     analyze [MODEL...]        static semantic analysis — no litmus test
                               is ever executed: the strength lattice
                               over the model set, statically proven

@@ -431,6 +431,22 @@ fn usage_errors_exit_2() {
 }
 
 #[test]
+fn canonicalize_is_not_an_option() {
+    for args in [
+        &["explore", "--canonicalize"][..],
+        &["distinguish", "SC", "TSO", "--canonicalize"][..],
+    ] {
+        let output = Command::new(env!("CARGO_BIN_EXE_mcm"))
+            .args(args)
+            .output()
+            .expect("binary runs");
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert_eq!(output.status.code(), Some(2), "{args:?}: {stderr}");
+        assert!(stderr.contains("--canonicalize"), "{args:?}: {stderr}");
+    }
+}
+
+#[test]
 fn extra_positional_arguments_are_rejected_not_ignored() {
     for args in [
         &["catalog", "foo"][..],

@@ -103,17 +103,9 @@ impl Spelling {
             self.option("--checker", checker);
             self.field("checker", checker);
         }
-        let mut engine = Vec::new();
-        if tape.coin() {
-            self.flag("--canonicalize");
-            engine.push(("canonicalize", Json::Bool(true)));
-        }
         if let Some(jobs) = tape.maybe(1, 4) {
             self.option("--jobs", jobs);
-            engine.push(("jobs", Json::from(jobs)));
-        }
-        if !engine.is_empty() {
-            self.field("engine", Json::object(engine));
+            self.field("engine", Json::object([("jobs", Json::from(jobs))]));
         }
     }
 

@@ -5,8 +5,8 @@
 //! * [`verdict`] — per-model verdict vectors over a suite and the
 //!   equivalent / stronger / weaker / incomparable classification;
 //! * [`space`] — the sweep engine: running a model space against a suite
-//!   sequentially, or work-stealing across cores with symmetry
-//!   canonicalization and verdict memoization;
+//!   sequentially, or work-stealing across cores with formula dedup,
+//!   prefiltering and verdict memoization;
 //! * [`cache`] — the fingerprint-keyed verdict cache shared across
 //!   sweeps;
 //! * [`lattice`] — equivalence classes and the transitively reduced

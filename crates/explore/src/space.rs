@@ -17,10 +17,12 @@
 //!   alive at once, besides the kept tests and their verdict bits; a
 //!   [`StreamControl`] adds per-chunk checkpoints and resume.
 //!
-//! [`Exploration::run_engine`] is that core over a `Vec`, and the one
-//! place the engine canonicalizes: it collapses the suite to orbit
-//! representatives when asked, streams them through the core as a single
-//! chunk, and expands the verdicts back over the input order.
+//! [`Exploration::run_engine`] is that core over a `Vec`, as a single
+//! chunk. No engine layer canonicalizes: symmetry reduction (§2.3)
+//! happens before a sweep, in the leader stream and the symmetry-
+//! irredundant templates, and the [`VerdictCache`] keys tests by orbit
+//! fingerprint, so a later sweep re-checks no symmetric variant of a test
+//! an earlier one checked.
 
 use std::sync::atomic::{AtomicU8, AtomicUsize, Ordering};
 
@@ -37,15 +39,6 @@ use crate::verdict::{Relation, VerdictVector};
 /// [`Exploration::run_engine_streaming_with`].
 #[derive(Clone, Debug)]
 pub struct EngineConfig {
-    /// Collapse a materialized suite to canonical symmetry-orbit
-    /// representatives before checking, and expand the verdicts back over
-    /// the input afterwards (verdict-preserving, see [`mcm_gen::canon`]).
-    /// Only [`Exploration::run_engine`] reads it. A streamed sweep has
-    /// nothing to collapse, because a leader stream is already one
-    /// representative per orbit, so
-    /// [`Exploration::run_engine_streaming_with`] checks every test it is
-    /// given whatever this says.
-    pub canonicalize: bool,
     /// Worker threads; `None` uses all available cores, `Some(1)` runs
     /// the whole sweep on the calling thread. On two or more, the calling
     /// thread is one of the grid's workers: a streamed sweep has it pull
@@ -66,7 +59,6 @@ const ROW_BATCH: usize = 4;
 impl Default for EngineConfig {
     fn default() -> Self {
         EngineConfig {
-            canonicalize: false,
             jobs: None,
             stream_chunk: 4096,
         }
@@ -79,8 +71,9 @@ mcm_obs::counter_table! {
     pub struct SweepStats {
         /// `models × tests`: the naive cost before any engine layer.
         total_pairs: u64 = counter,
-        /// Work items after formula dedup and canonicalization:
-        /// `distinct formulas × orbit representatives`.
+        /// Work items after formula dedup: `distinct formulas × tests
+        /// checked`. (The name predates the removal of the engine's
+        /// canonicalization layer; it stays for schema stability.)
         unique_pairs: u64 = counter,
         /// Verdicts answered by the [`VerdictCache`] instead of a checker,
         /// both tiers.
@@ -89,9 +82,13 @@ mcm_obs::counter_table! {
         /// hydrated from a durable store (disk tier) rather than computed
         /// earlier in this process.
         cache_hits_disk: u64 = counter,
-        /// Actual checker invocations (`unique_pairs - cache_hits`).
+        /// Actual checker invocations (`unique_pairs - cache_hits -
+        /// prefilter_saved_calls`).
         checker_calls: u64 = counter,
-        /// Orbit representatives actually checked.
+        /// Tests checked: every test the sweep was given, so this equals
+        /// [`SweepStats::tests_streamed`]. (The name predates the removal
+        /// of the engine's canonicalization layer; it stays for schema
+        /// stability.)
         canonical_tests: usize = counter,
         /// Distinct must-not-reorder formulas actually checked.
         distinct_models: usize = counter,
@@ -493,14 +490,12 @@ impl Exploration {
     }
 
     /// The materialized sweep: [`Exploration::run_engine_streaming_with`]
-    /// over a `Vec`, returning verdicts in the input order.
+    /// over a `Vec`, as one cold chunk. Every test is checked, in input
+    /// order:
     ///
     /// 1. models with semantically identical must-not-reorder formulas are
     ///    checked once (`TSO` and `x86` share a row);
-    /// 2. with [`EngineConfig::canonicalize`], tests are collapsed to one
-    ///    representative per symmetry orbit up front (fanned over the
-    ///    worker budget) and the verdicts expanded back afterwards;
-    /// 3. with a [`VerdictCache`], rows answered in an earlier sweep — by
+    /// 2. with a [`VerdictCache`], rows answered in an earlier sweep — by
     ///    either entry point, the keys are the same orbit fingerprints —
     ///    are never re-checked.
     ///
@@ -520,49 +515,19 @@ impl Exploration {
         F: Fn() -> Box<dyn BatchChecker> + Sync,
     {
         let _span = mcm_obs::trace::span_with("engine.run", &[("tests", &tests.len().to_string())]);
-        let (reps, expand) = if config.canonicalize {
-            let canonical = {
-                let _canon_span = mcm_obs::trace::span("engine.canon");
-                canon::dedup_parallel(&tests, resolve_jobs(config))
-            };
-            (canonical.tests, Some((tests, canonical.class_of)))
-        } else {
-            (tests, None)
-        };
-        let core = EngineConfig {
-            stream_chunk: reps.len().max(1),
+        let one_chunk = EngineConfig {
+            stream_chunk: tests.len().max(1),
             ..config.clone()
         };
-        let (swept, mut stats) = Exploration::run_engine_streaming_with(
+        Exploration::run_engine_streaming_with(
             models,
-            reps,
+            tests,
             make_checker,
-            &core,
+            &one_chunk,
             cache,
             StreamControl::default(),
         )
-        .expect("a cold sweep cannot fail to resume");
-        let exploration = match expand {
-            None => swept,
-            Some((tests, class_of)) => Exploration {
-                verdicts: swept
-                    .verdicts
-                    .iter()
-                    .map(|rep_verdicts| {
-                        let mut vector = VerdictVector::new(class_of.len());
-                        for (t, &rep) in class_of.iter().enumerate() {
-                            vector.set(t, rep_verdicts.allowed(rep));
-                        }
-                        vector
-                    })
-                    .collect(),
-                models: swept.models,
-                tests,
-            },
-        };
-        stats.total_pairs = (exploration.models.len() * exploration.tests.len()) as u64;
-        stats.tests_streamed = exploration.tests.len() as u64;
-        (exploration, stats)
+        .expect("a cold sweep cannot fail to resume")
     }
 
     /// The sweep engine core, bounded-memory and streaming.
@@ -581,10 +546,8 @@ impl Exploration {
     ///
     /// Every test the iterator yields is checked, in order: the returned
     /// [`Exploration`]'s `tests` are exactly the stream. There is no dedup
-    /// layer here and [`EngineConfig::canonicalize`] is not read, because
-    /// a leader stream is already one representative per orbit. A suite
-    /// with symmetric duplicates goes through [`Exploration::run_engine`],
-    /// which collapses it first.
+    /// layer, because a leader stream is already one representative per
+    /// orbit.
     ///
     /// Per-chunk [`StreamControl`] adds a checkpoint hook observing a
     /// [`StreamCheckpoint`] after every chunk (and able to stop the sweep
@@ -877,38 +840,6 @@ mod tests {
             None,
         );
         assert_eq!(seq.verdicts, par.verdicts);
-    }
-
-    #[test]
-    fn canonicalizing_engine_matches_sequential() {
-        let models = vec![named::sc(), named::tso(), named::x86(), named::pso(), named::rmo()];
-        // The comparison suite contains the paper's catalog tests, which
-        // are symmetric variants of template instances — so the orbit
-        // quotient is strictly smaller than the suite.
-        let tests = crate::paper::comparison_tests(true);
-        let seq = Exploration::run(models.clone(), tests.clone(), &ExplicitChecker::new());
-        let (engine, stats) = Exploration::run_engine(
-            models,
-            tests,
-            || Box::new(BatchExplicitChecker::new()),
-            &EngineConfig {
-                canonicalize: true,
-                ..EngineConfig::default()
-            },
-            None,
-        );
-        assert_eq!(seq.verdicts, engine.verdicts);
-        // TSO and x86 share a formula row; the suite has symmetric orbits.
-        assert_eq!(stats.distinct_models, 4);
-        assert!(stats.canonical_tests < engine.tests.len());
-        assert!(stats.unique_pairs < stats.total_pairs);
-        assert_eq!(stats.cache_hits, 0);
-        assert_eq!(
-            stats.checker_calls + stats.prefilter_saved_calls,
-            stats.unique_pairs
-        );
-        assert_eq!(stats.tests_streamed, engine.tests.len() as u64);
-        assert_eq!(stats.peak_batch, stats.canonical_tests);
     }
 
     #[test]

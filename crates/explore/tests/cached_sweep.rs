@@ -61,10 +61,7 @@ fn second_sweep_hits_the_cache_for_every_pair() {
                 calls: Arc::clone(&calls),
             }) as Box<dyn BatchChecker>
         };
-        let config = EngineConfig {
-            canonicalize: true,
-            ..EngineConfig::default()
-        };
+        let config = EngineConfig::default();
 
         let (first, first_stats) =
             Exploration::run_engine(models.clone(), tests.clone(), factory, &config, Some(&cache));
@@ -72,11 +69,18 @@ fn second_sweep_hits_the_cache_for_every_pair() {
         assert!(first_calls > 0, "cold sweep must invoke the checker");
         assert_eq!(first_stats.checker_calls, first_calls);
         assert_eq!(first_stats.cache_hits, 0, "cold cache cannot hit");
-        // The prefilter fans each group verdict out to every member, so the
-        // cache holds one entry per (row, test) pair, not per checker call.
+        // One grid checks every test, symmetric duplicates included: the
+        // prefilter fans each group verdict out to every member, so checked
+        // plus saved calls cover every (row, test) pair.
         assert_eq!(
-            cache.len() as u64,
-            first_stats.checker_calls + first_stats.prefilter_saved_calls
+            first_stats.checker_calls + first_stats.prefilter_saved_calls,
+            (first_stats.distinct_models * tests.len()) as u64
+        );
+        // The cache keys tests by orbit fingerprint, so duplicates share an
+        // entry: it holds one per (row, orbit) pair.
+        assert_eq!(
+            cache.len(),
+            first_stats.distinct_models * canon::dedup(&tests).len()
         );
 
         let (second, second_stats) =
@@ -94,64 +98,53 @@ fn second_sweep_hits_the_cache_for_every_pair() {
 
 /// Both entry points key verdicts by orbit fingerprint, so whatever one
 /// computed answers the other: after a cold sweep through either path, a
-/// sweep through the other makes no checker call — with canonicalization
-/// off and on, in both orders. Verdict logs written by either path stay
-/// warm for both.
+/// sweep through the other makes no checker call, in both orders. Verdict
+/// logs written by either path stay warm for both.
 #[test]
 fn materialized_and_streamed_sweeps_share_cache_keys() {
     let (models, tests) = space();
-    for canonicalize in [false, true] {
-        let config = EngineConfig {
-            canonicalize,
-            stream_chunk: 7,
-            ..EngineConfig::default()
+    let config = EngineConfig {
+        stream_chunk: 7,
+        ..EngineConfig::default()
+    };
+    for materialized_first in [true, false] {
+        let cache = VerdictCache::new();
+        let calls = Arc::new(AtomicU64::new(0));
+        let factory = || {
+            Box::new(CountingChecker {
+                inner: ExplicitChecker::new(),
+                calls: Arc::clone(&calls),
+            }) as Box<dyn BatchChecker>
         };
-        for materialized_first in [true, false] {
-            let cache = VerdictCache::new();
-            let calls = Arc::new(AtomicU64::new(0));
-            let factory = || {
-                Box::new(CountingChecker {
-                    inner: ExplicitChecker::new(),
-                    calls: Arc::clone(&calls),
-                }) as Box<dyn BatchChecker>
-            };
-            let materialized = || {
-                Exploration::run_engine(
-                    models.clone(),
-                    tests.clone(),
-                    factory,
-                    &config,
-                    Some(&cache),
-                )
+        let materialized = || {
+            Exploration::run_engine(models.clone(), tests.clone(), factory, &config, Some(&cache))
                 .1
+        };
+        let streamed = || {
+            Exploration::run_engine_streaming_with(
+                models.clone(),
+                tests.clone(),
+                factory,
+                &config,
+                Some(&cache),
+                StreamControl::default(),
+            )
+            .unwrap()
+            .1
+        };
+        let (cold, warm): (&dyn Fn() -> SweepStats, &dyn Fn() -> SweepStats) =
+            if materialized_first {
+                (&materialized, &streamed)
+            } else {
+                (&streamed, &materialized)
             };
-            let streamed = || {
-                Exploration::run_engine_streaming_with(
-                    models.clone(),
-                    tests.clone(),
-                    factory,
-                    &config,
-                    Some(&cache),
-                    StreamControl::default(),
-                )
-                .unwrap()
-                .1
-            };
-            let (cold, warm): (&dyn Fn() -> SweepStats, &dyn Fn() -> SweepStats) =
-                if materialized_first {
-                    (&materialized, &streamed)
-                } else {
-                    (&streamed, &materialized)
-                };
-            let context =
-                format!("canonicalize={canonicalize} materialized_first={materialized_first}");
-            assert!(cold().checker_calls > 0, "{context}: cold sweep");
-            let cold_calls = calls.load(Ordering::Relaxed);
-            let warm_stats = warm();
-            assert_eq!(warm_stats.checker_calls, 0, "{context}: warm sweep");
-            assert_eq!(warm_stats.cache_hits, warm_stats.unique_pairs, "{context}");
-            assert_eq!(calls.load(Ordering::Relaxed), cold_calls, "{context}");
-        }
+        let context = format!("materialized_first={materialized_first}");
+        assert!(cold().checker_calls > 0, "{context}: cold sweep");
+        let cold_calls = calls.load(Ordering::Relaxed);
+        let warm_stats = warm();
+        assert_eq!(warm_stats.checker_calls, 0, "{context}: warm sweep");
+        assert_eq!(warm_stats.cache_hits, warm_stats.unique_pairs, "{context}");
+        assert_eq!(calls.load(Ordering::Relaxed), cold_calls, "{context}");
     }
 }
 
@@ -188,8 +181,11 @@ fn cache_is_shared_across_different_model_subsets() {
     assert_eq!(warm_expl.verdicts, direct.verdicts);
 }
 
+/// The catalog + template suite holds symmetric duplicates (catalog tests
+/// are symmetric variants of template instances), and a sweep checks each
+/// of them: no engine layer collapses a suite to its orbits.
 #[test]
-fn canonicalization_reduces_unique_pairs_on_the_paper_suite() {
+fn the_paper_suite_holds_symmetric_duplicates_and_a_sweep_checks_each() {
     let models = vec![named::sc(), named::tso()];
     let tests = mcm_explore::paper::comparison_tests(true);
     assert!(
@@ -197,20 +193,17 @@ fn canonicalization_reduces_unique_pairs_on_the_paper_suite() {
         "the catalog + template suite holds symmetric duplicates"
     );
     let total = (models.len() * tests.len()) as u64;
-    let (_, stats) = Exploration::run_engine(
+    let (swept, stats) = Exploration::run_engine(
         models,
-        tests,
+        tests.clone(),
         || Box::new(BatchExplicitChecker::new()),
-        &EngineConfig {
-            canonicalize: true,
-            ..EngineConfig::default()
-        },
+        &EngineConfig::default(),
         None,
     );
+    assert_eq!(swept.tests, tests);
     assert_eq!(stats.total_pairs, total);
-    assert!(
-        stats.unique_pairs < total,
-        "canonicalization found no symmetric duplicates: {stats:?}"
-    );
-    assert!(stats.reduction_factor() > 1.0);
+    assert_eq!(stats.tests_streamed, tests.len() as u64);
+    assert_eq!(stats.canonical_tests, tests.len());
+    assert_eq!(stats.unique_pairs, total, "SC and TSO take a row each");
+    assert_eq!(stats.checker_calls + stats.prefilter_saved_calls, total);
 }

@@ -65,7 +65,6 @@ fn sweep(jobs: usize, chunk: usize, cached: bool, stop_after: Option<usize>) -> 
         &EngineConfig {
             jobs: Some(jobs),
             stream_chunk: chunk,
-            ..EngineConfig::default()
         },
         cache.as_ref(),
         StreamControl {

@@ -4,9 +4,9 @@
 //! for a deterministic leader stream, a sweep checkpointed after any
 //! chunk and resumed from that checkpoint produces a final exploration
 //! and [`SweepStats`] **bit-identical** to the uninterrupted run — the
-//! resumed process replays the consumed stream prefix through the cheap
-//! dedup layer only (zero checker calls for it) and continues where the
-//! dead process stopped.
+//! resumed process pulls the consumed stream prefix again without
+//! checking it (zero checker calls for it) and continues where the dead
+//! process stopped.
 
 use std::cell::RefCell;
 
@@ -35,7 +35,6 @@ fn config(chunk: usize) -> EngineConfig {
     EngineConfig {
         stream_chunk: chunk,
         jobs: Some(1),
-        ..EngineConfig::default()
     }
 }
 

@@ -30,31 +30,36 @@ fn tiny_bounds() -> StreamBounds {
     }
 }
 
-/// Sweeps the materialized raw space with canonicalization and returns
-/// each model's verdict keyed by orbit fingerprint.
-fn materialized_verdicts(models: &[MemoryModel]) -> Vec<HashMap<u64, bool>> {
-    let raw = naive::enumerate_tests_raw(
-        &tiny_bounds(),
-        usize::MAX,
-    );
-    let (expl, _) = Exploration::run_engine(
-        models.to_vec(),
-        raw,
-        factory,
-        &EngineConfig {
-            canonicalize: true,
-            ..EngineConfig::default()
-        },
-        None,
-    );
+/// Sweeps the materialized raw space as it is, symmetric duplicates and
+/// all: every raw test is checked.
+fn raw_sweep(models: &[MemoryModel]) -> Exploration {
+    let raw = naive::enumerate_tests_raw(&tiny_bounds(), usize::MAX);
+    let (expl, stats) =
+        Exploration::run_engine(models.to_vec(), raw, factory, &EngineConfig::default(), None);
+    assert_eq!(stats.canonical_tests, expl.tests.len());
+    expl
+}
+
+/// Each model's verdict keyed by orbit fingerprint, asserting on the way
+/// that every test of an orbit gets the same verdict (§2.3).
+fn orbit_verdicts(expl: &Exploration) -> Vec<HashMap<u64, bool>> {
     expl.verdicts
         .iter()
-        .map(|vector| {
-            expl.tests
-                .iter()
-                .enumerate()
-                .map(|(t, test)| (canon::fingerprint(test), vector.allowed(t)))
-                .collect()
+        .zip(&expl.models)
+        .map(|(vector, model)| {
+            let mut by_orbit = HashMap::new();
+            for (t, test) in expl.tests.iter().enumerate() {
+                let allowed = vector.allowed(t);
+                let first = *by_orbit.entry(canon::fingerprint(test)).or_insert(allowed);
+                assert_eq!(
+                    first,
+                    allowed,
+                    "{} splits the orbit of {}",
+                    model.name(),
+                    test.name()
+                );
+            }
+            by_orbit
         })
         .collect()
 }
@@ -77,7 +82,8 @@ fn streamed(models: Vec<MemoryModel>, chunk: usize) -> (Exploration, mcm_explore
 #[test]
 fn streamed_lattice_equals_materialized_lattice() {
     let models = paper::digit_space_models(false);
-    let materialized = materialized_verdicts(&models);
+    let mat_expl = raw_sweep(&models);
+    let materialized = orbit_verdicts(&mat_expl);
     let (stream_expl, stats) = streamed(models.clone(), 64);
     // Orbit-for-orbit: every streamed leader's verdict matches the verdict
     // of its orbit in the materialized sweep, for every model.
@@ -102,20 +108,6 @@ fn streamed_lattice_equals_materialized_lattice() {
     }
     // The lattice (pairwise relations) is therefore identical too; check
     // it directly as the CI smoke assertion.
-    let raw = naive::enumerate_tests_raw(
-        &tiny_bounds(),
-        usize::MAX,
-    );
-    let (mat_expl, _) = Exploration::run_engine(
-        models,
-        raw,
-        factory,
-        &EngineConfig {
-            canonicalize: true,
-            ..EngineConfig::default()
-        },
-        None,
-    );
     for i in 0..mat_expl.models.len() {
         for j in 0..mat_expl.models.len() {
             assert_eq!(
@@ -247,7 +239,7 @@ proptest! {
         chunk in 1usize..48,
     ) {
         let models = vec![paper::digit_space_models(false)[digit].clone()];
-        let materialized = materialized_verdicts(&models);
+        let materialized = orbit_verdicts(&raw_sweep(&models));
         let (stream_expl, _) = streamed(models, chunk);
         for (t, test) in stream_expl.tests.iter().enumerate() {
             let fp = canon::fingerprint(test);

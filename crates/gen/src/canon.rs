@@ -16,8 +16,10 @@
 //! a canonical representative (the lexicographically least encoding over
 //! all thread permutations, with names normalised to first-use order), a
 //! 64-bit [`fingerprint`] of that representative, and a [`dedup`] pass
-//! that collapses a generated suite to its orbit representatives before
-//! any checker runs.
+//! that collapses a suite to its orbit representatives. Sweeps never
+//! call it: the leader stream ([`crate::stream`]) yields one
+//! representative per orbit to begin with, and a verdict cache keys tests
+//! by [`fingerprint`].
 //!
 //! ## Example
 //!
@@ -173,44 +175,15 @@ impl CanonicalSuite {
     }
 }
 
-/// Collapses a suite to one representative per symmetry orbit.
+/// Collapses a suite to one representative per symmetry orbit: the
+/// first test of each orbit, canonicalized.
 #[must_use]
 pub fn dedup(tests: &[LitmusTest]) -> CanonicalSuite {
-    merge(tests.iter().map(canonical).collect(), tests.len())
-}
-
-/// [`dedup`] with the per-test canonicalization (the dominant cost —
-/// each test is independent and pure) fanned out over `jobs` threads.
-/// The orbit merge itself stays sequential to preserve first-seen
-/// representative order, identical to [`dedup`].
-#[must_use]
-pub fn dedup_parallel(tests: &[LitmusTest], jobs: usize) -> CanonicalSuite {
-    let jobs = jobs.max(1).min(tests.len());
-    if jobs <= 1 || tests.len() < 64 {
-        return dedup(tests);
-    }
-    let chunk = tests.len().div_ceil(jobs);
-    let canonicals: Vec<Canonical> = std::thread::scope(|scope| {
-        let handles: Vec<_> = tests
-            .chunks(chunk)
-            .map(|part| scope.spawn(|| part.iter().map(canonical).collect::<Vec<_>>()))
-            .collect();
-        handles
-            .into_iter()
-            .flat_map(|h| h.join().expect("canonicalization workers do not panic"))
-            .collect()
-    });
-    merge(canonicals, tests.len())
-}
-
-/// Sequential orbit merge: first occurrence of an encoding becomes the
-/// representative.
-fn merge(canonicals: Vec<Canonical>, original_len: usize) -> CanonicalSuite {
     let mut reps: Vec<LitmusTest> = Vec::new();
     let mut fingerprints: Vec<u64> = Vec::new();
-    let mut class_of: Vec<usize> = Vec::with_capacity(original_len);
+    let mut class_of: Vec<usize> = Vec::with_capacity(tests.len());
     let mut seen: HashMap<Vec<u8>, usize> = HashMap::new();
-    for canonical in canonicals {
+    for canonical in tests.iter().map(canonical) {
         let next = reps.len();
         let class = *seen.entry(canonical.encoding).or_insert(next);
         if class == next {
@@ -223,7 +196,7 @@ fn merge(canonicals: Vec<Canonical>, original_len: usize) -> CanonicalSuite {
         tests: reps,
         fingerprints,
         class_of,
-        original_len,
+        original_len: tests.len(),
     }
 }
 

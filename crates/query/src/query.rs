@@ -12,7 +12,7 @@ use mcm_explore::{
 };
 use mcm_gen::{count, stream, template_suite, StreamBounds};
 use mcm_models::catalog;
-use mcm_store::{CheckpointFile, DiskCache, SweepMeta};
+use mcm_store::{checkpoint, CheckpointFile, DiskCache, SweepMeta};
 use mcm_synth::SynthBounds;
 
 use crate::error::QueryError;
@@ -176,7 +176,7 @@ pub struct SweepQuery {
     /// The checker backend (built test-major via
     /// [`CheckerKind::build_batch`]).
     pub checker: CheckerKind,
-    /// Engine tuning: canonicalization, worker count, stream chunk size.
+    /// Engine tuning: worker count, stream chunk size.
     pub engine: EngineConfig,
     /// Verdict memoization: `Some(true)` asks for a [`VerdictCache`],
     /// `Some(false)` refuses one, `None` lets the runner decide — a server
@@ -373,7 +373,7 @@ impl SweepQuery {
                     bounds: *bounds,
                     limit: limit.map(|l| l as u64),
                     shard: *shard,
-                    canonicalize: self.engine.canonicalize,
+                    canonicalize: false,
                     stream_chunk: self.engine.stream_chunk as u64,
                 };
                 let resume = match &self.resume {
@@ -384,7 +384,15 @@ impl SweepQuery {
                             // Cold start: the checkpoint was never written
                             // (first run of a `--checkpoint F --resume F` loop).
                             None => None,
-                            Some(ckpt) if ckpt.meta != meta => {
+                            // The `canonicalize` byte that older builds
+                            // could set never changed a streamed sweep, so
+                            // it is no part of the sweep's identity.
+                            Some(ckpt)
+                                if SweepMeta {
+                                    canonicalize: false,
+                                    ..ckpt.meta
+                                } != meta =>
+                            {
                                 return Err(QueryError::InvalidSpec(format!(
                                     "checkpoint {} was taken over a different sweep \
                                      (bounds, limit, shard or engine chunking differ)",
@@ -402,11 +410,7 @@ impl SweepQuery {
                 };
                 if let Some(path) = &self.checkpoint {
                     control.on_checkpoint = Some(Box::new(|state| {
-                        let file = CheckpointFile {
-                            meta,
-                            state: state.clone(),
-                        };
-                        match file.save(path) {
+                        match checkpoint::save(path, &meta, state) {
                             Ok(()) => saves.set(saves.get() + 1),
                             Err(_) => save_errors.set(save_errors.get() + 1),
                         }

@@ -520,12 +520,7 @@ fn parse_engine(pairs: &[(String, Json)], config: &mut EngineConfig) -> Result<(
         return Ok(());
     };
     let inner = expect_object(value, "engine")?;
-    check_named_fields(
-        inner,
-        "engine",
-        &["canonicalize", "jobs", "stream_chunk"],
-    )?;
-    set(&mut config.canonicalize, opt_bool(inner, "canonicalize")?);
+    check_named_fields(inner, "engine", &["jobs", "stream_chunk"])?;
     set(
         &mut config.jobs,
         opt_positive(inner, "jobs", "engine jobs")?.map(Some),
@@ -789,6 +784,16 @@ mod tests {
         ] {
             let err = WireRequest::parse(bad).expect_err(bad);
             assert!(err.is_usage(), "`{bad}` must be a usage error, got {err}");
+        }
+    }
+
+    #[test]
+    fn engine_canonicalize_is_an_unknown_field() {
+        for kind in ["sweep", "distinguish"] {
+            let text = format!(r#"{{"query": "{kind}", "engine": {{"canonicalize": true}}}}"#);
+            let err = WireRequest::parse(&text).expect_err(&text);
+            assert!(err.is_usage(), "{text}: {err}");
+            assert_eq!(err.to_string(), "unknown engine field `canonicalize`", "{text}");
         }
     }
 

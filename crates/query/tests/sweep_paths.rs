@@ -12,6 +12,8 @@
 //!   same log the way a restarted process would, makes zero checker
 //!   calls, answers every lookup from the disk tier, appends nothing and
 //!   reproduces the cold outcome bit for bit;
+//! * a checkpoint with its `canonicalize` byte set, as older builds
+//!   wrote it, resumes to the uninterrupted run's CSV and counters;
 //! * `Query::check` on the catalog gives the reference checker's verdicts
 //!   and witness text under every `CheckerKind`, and each backend's
 //!   witness re-validates.
@@ -20,10 +22,15 @@ use std::path::{Path, PathBuf};
 
 use mcm_axiomatic::hb::required_edges;
 use mcm_axiomatic::{explain, BatchChecker, ExplicitChecker, Verdict};
-use mcm_explore::{distinguish, paper, EngineConfig, Exploration, Lattice};
-use mcm_gen::stream::StreamBounds;
+use mcm_explore::{
+    distinguish, paper, EngineConfig, Exploration, Lattice, StreamCheckpoint, StreamControl,
+};
+use mcm_gen::stream::{self, StreamBounds};
 use mcm_models::{catalog, named};
-use mcm_query::{CheckerKind, ModelSpec, Query, SweepReport, TestSource};
+use mcm_query::{
+    CheckerKind, Format, ModelSpec, Query, Render, SweepQuery, SweepReport, TestSource,
+};
+use mcm_store::{checkpoint, SweepMeta};
 
 /// One worker, no cache: deterministic counters on both paths.
 fn one_job() -> EngineConfig {
@@ -114,22 +121,30 @@ fn scratch(name: &str) -> PathBuf {
     dir.join(format!("{}-{name}", std::process::id()))
 }
 
+/// The bounds of `--stream --max-accesses 2 --max-locs 2`.
+fn tiny_bounds() -> StreamBounds {
+    StreamBounds {
+        max_accesses_per_thread: 2,
+        threads: 2,
+        max_locs: 2,
+        include_fences: false,
+        include_deps: false,
+    }
+}
+
+/// `mcm explore --models figure4 --stream --max-accesses 2 --max-locs 2`.
+fn tiny_stream_sweep() -> SweepQuery {
+    Query::sweep().models(ModelSpec::Figure4).tests(TestSource::Stream {
+        bounds: tiny_bounds(),
+        limit: None,
+        shard: None,
+    })
+}
+
 /// The query `mcm explore --models figure4 --stream --max-accesses 2
 /// --max-locs 2 --store FILE` builds, on one worker.
 fn stored_sweep(log: &Path) -> SweepReport {
-    Query::sweep()
-        .models(ModelSpec::Figure4)
-        .tests(TestSource::Stream {
-            bounds: StreamBounds {
-                max_accesses_per_thread: 2,
-                threads: 2,
-                max_locs: 2,
-                include_fences: false,
-                include_deps: false,
-            },
-            limit: None,
-            shard: None,
-        })
+    tiny_stream_sweep()
         .engine(one_job())
         .store(log)
         .run()
@@ -181,6 +196,77 @@ fn warm_from_disk_sweep_makes_no_checker_calls() {
     );
 
     let _ = std::fs::remove_file(&log);
+}
+
+/// Older builds had an engine option that a checkpoint recorded in its
+/// `canonicalize` byte. It never changed a streamed sweep, so a checkpoint
+/// with the byte set resumes like any other, to the uninterrupted run's
+/// CSV and counters; any other meta mismatch is still refused.
+#[test]
+fn a_checkpoint_with_the_canonicalize_byte_set_resumes_bit_identically() {
+    let engine = EngineConfig {
+        stream_chunk: 16,
+        ..one_job()
+    };
+    let whole = tiny_stream_sweep()
+        .engine(engine.clone())
+        .run()
+        .expect("streamed sweep cannot fail");
+    // The state a process killed after two chunks leaves behind.
+    let mut cut = None;
+    Exploration::run_engine_streaming_with(
+        paper::digit_space_models(false),
+        stream::leaders(&tiny_bounds()),
+        || CheckerKind::Explicit.build_batch(),
+        &engine,
+        None,
+        StreamControl {
+            on_checkpoint: Some(Box::new(|state: &StreamCheckpoint| {
+                cut = Some(state.clone());
+                state.tests_streamed < 32
+            })),
+            resume: None,
+        },
+    )
+    .expect("a cold sweep cannot fail to resume");
+    let state = cut.expect("the sweep reached a checkpoint");
+    assert_eq!(state.tests_streamed, 32);
+    assert!(state.tests_streamed < whole.stats.tests_streamed, "the cut is mid-stream");
+
+    let path = scratch("canonicalize.ckpt");
+    let save = |stream_chunk: u64| {
+        let meta = SweepMeta {
+            bounds: tiny_bounds(),
+            limit: None,
+            shard: None,
+            canonicalize: true,
+            stream_chunk,
+        };
+        checkpoint::save(&path, &meta, &state).expect("save the checkpoint");
+    };
+    save(16);
+    let resumed = tiny_stream_sweep()
+        .engine(engine.clone())
+        .resume(&path)
+        .run()
+        .expect("the byte is no part of the sweep's identity");
+    let resumed_at = resumed.checkpoint.as_ref().and_then(|c| c.resumed_at);
+    assert_eq!(resumed_at, Some(32));
+    assert_eq!(
+        resumed.render(Format::Csv).unwrap(),
+        whole.render(Format::Csv).unwrap()
+    );
+    assert_eq!(resumed.stats, whole.stats);
+
+    // Different chunking is a different sweep, byte or no byte.
+    save(17);
+    let err = tiny_stream_sweep()
+        .engine(engine)
+        .resume(&path)
+        .run()
+        .expect_err("a checkpoint at another chunking is refused");
+    assert!(err.to_string().contains("different sweep"), "{err}");
+    let _ = std::fs::remove_file(&path);
 }
 
 #[test]

@@ -38,9 +38,10 @@ pub struct SweepMeta {
     pub limit: Option<u64>,
     /// `--shard i/n` partition the sweep ran under, if any.
     pub shard: Option<Shard>,
-    /// The sweep's `EngineConfig::canonicalize` flag, recorded as part of
-    /// its identity. The streamed engine checks every leader whatever the
-    /// flag says, so it no longer shapes the stream.
+    /// A byte kept for the layout's sake: older builds recorded an engine
+    /// option here that never changed a streamed sweep. Written `false`
+    /// by the query layer, and no part of a checkpoint's identity on
+    /// resume.
     pub canonicalize: bool,
     /// Tests materialized per chunk — checkpoints land on chunk
     /// boundaries, so the cursor is only meaningful at the same chunking.
@@ -60,9 +61,8 @@ fn invalid(msg: impl Into<String>) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, msg.into())
 }
 
-fn encode_payload(ckpt: &CheckpointFile) -> Vec<u8> {
+fn encode_payload(meta: &SweepMeta, state: &StreamCheckpoint) -> Vec<u8> {
     let mut out = Vec::new();
-    let meta = &ckpt.meta;
     put_u64(&mut out, meta.bounds.max_accesses_per_thread as u64);
     put_u64(&mut out, meta.bounds.threads as u64);
     put_u8(&mut out, meta.bounds.max_locs);
@@ -76,7 +76,6 @@ fn encode_payload(ckpt: &CheckpointFile) -> Vec<u8> {
     put_bool(&mut out, meta.canonicalize);
     put_u64(&mut out, meta.stream_chunk);
 
-    let state = &ckpt.state;
     put_u64(&mut out, state.tests_streamed);
     put_u64(&mut out, state.tests_kept);
     put_u32(
@@ -175,30 +174,37 @@ fn decode_payload(payload: &[u8]) -> Option<CheckpointFile> {
     })
 }
 
+/// Atomically writes a checkpoint of `state`, taken over the sweep
+/// `meta`, to `path` (build in a `.tmp` sibling, fsync, rename over) — a
+/// crash mid-save leaves the previous checkpoint readable. Borrows both
+/// halves, so a per-chunk checkpoint hook saves the engine's state
+/// without copying its verdict rows.
+pub fn save(path: &Path, meta: &SweepMeta, state: &StreamCheckpoint) -> io::Result<()> {
+    let payload = encode_payload(meta, state);
+    let mut out = Vec::with_capacity(12 + payload.len() + 8);
+    out.extend_from_slice(&MAGIC);
+    put_u32(&mut out, VERSION);
+    let checksum = fnv1a(&payload);
+    out.extend_from_slice(&payload);
+    put_u64(&mut out, checksum);
+    let mut file_name = path
+        .file_name()
+        .ok_or_else(|| invalid(format!("{} has no file name", path.display())))?
+        .to_os_string();
+    file_name.push(".tmp");
+    let tmp = path.with_file_name(file_name);
+    {
+        let mut file = File::create(&tmp)?;
+        file.write_all(&out)?;
+        file.sync_data()?;
+    }
+    std::fs::rename(&tmp, path)
+}
+
 impl CheckpointFile {
-    /// Atomically writes the checkpoint to `path` (build in a `.tmp`
-    /// sibling, fsync, rename over) — a crash mid-save leaves the
-    /// previous checkpoint readable.
+    /// [`save`] of this checkpoint's meta and state.
     pub fn save(&self, path: &Path) -> io::Result<()> {
-        let payload = encode_payload(self);
-        let mut out = Vec::with_capacity(12 + payload.len() + 8);
-        out.extend_from_slice(&MAGIC);
-        put_u32(&mut out, VERSION);
-        let checksum = fnv1a(&payload);
-        out.extend_from_slice(&payload);
-        put_u64(&mut out, checksum);
-        let mut file_name = path
-            .file_name()
-            .ok_or_else(|| invalid(format!("{} has no file name", path.display())))?
-            .to_os_string();
-        file_name.push(".tmp");
-        let tmp = path.with_file_name(file_name);
-        {
-            let mut file = File::create(&tmp)?;
-            file.write_all(&out)?;
-            file.sync_data()?;
-        }
-        std::fs::rename(&tmp, path)
+        save(path, &self.meta, &self.state)
     }
 
     /// Loads the checkpoint at `path`. A missing file is `Ok(None)` —

@@ -264,7 +264,6 @@ fn an_early_stopped_stream_appends_the_same_verdicts_on_any_job_count() {
             &EngineConfig {
                 jobs: Some(jobs),
                 stream_chunk: 16,
-                ..EngineConfig::default()
             },
             Some(store.cache()),
             StreamControl {
@@ -386,7 +385,6 @@ fn a_cold_stored_sweep_writes_one_row_per_kept_test() {
         &EngineConfig {
             jobs: Some(2),
             stream_chunk: 16,
-            ..EngineConfig::default()
         },
         Some(store.cache()),
         mcm_explore::StreamControl::default(),
