@@ -708,6 +708,7 @@ fn trace_out_writes_a_balanced_chrome_trace() {
         "query.load",
         "engine.run",
         "engine.grid",
+        "engine.grid.worker",
         "query.report",
     ] {
         assert_eq!(phase_count(name, "B"), phase_count(name, "E"), "{name}");

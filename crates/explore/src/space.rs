@@ -11,10 +11,10 @@
 //!   without materialising the raw space) in fixed-size chunks and checks
 //!   every test it yields, in order: each chunk runs through formula
 //!   dedup, the [`VerdictCache`], the sweep prefilter and a work-stealing
-//!   test-major grid, and the verdict vectors grow incrementally. On two
-//!   or more jobs the calling thread pulls the next chunk while the grid
-//!   checks the current one, so up to two chunks of pulled tests are
-//!   alive at once, besides the kept tests and their verdict bits; a
+//!   test-major grid that writes one verdict row per test. On two or more
+//!   jobs the calling thread pulls the next chunk while the grid checks
+//!   the current one, so up to two chunks of pulled tests are alive at
+//!   once, besides the kept tests and their verdict rows; a
 //!   [`StreamControl`] adds per-chunk checkpoints and resume.
 //!
 //! [`Exploration::run_engine`] is that core over a `Vec`, as a single
@@ -24,7 +24,7 @@
 //! fingerprint, so a later sweep re-checks no symmetric variant of a test
 //! an earlier one checked.
 
-use std::sync::atomic::{AtomicU8, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
 use mcm_analyze::SweepPrefilter;
 use mcm_axiomatic::{BatchChecker, BatchStats};
@@ -32,7 +32,7 @@ use mcm_core::{LitmusTest, MemoryModel};
 use mcm_gen::canon;
 use mcm_sat::SolverStats;
 
-use crate::cache::{RowLookup, VerdictCache};
+use crate::cache::{ModelIds, RowLookup, VerdictCache, VerdictRows};
 use crate::verdict::{Relation, VerdictVector};
 
 /// Tuning knobs for [`Exploration::run_engine`] and
@@ -137,29 +137,93 @@ impl SweepStats {
 ///
 /// Everything [`Exploration::run_engine_streaming_with`] needs to pick a
 /// sweep back up where a previous process left off: how far into the
-/// (deterministic) test stream it got, the verdict rows grown so far, and
-/// the accumulated counters. The tests themselves are *not* stored — on
+/// (deterministic) test stream it got, the verdict rows so far, and the
+/// accumulated counters. The tests themselves are *not* stored — on
 /// resume the engine pulls the consumed prefix of the stream again,
-/// without a single checker call. `mcm-store`'s `checkpoint` module
-/// serializes this to disk.
+/// without a single checker call. The engine keeps its state in this
+/// form; `mcm-store`'s `checkpoint` module serializes it to disk.
 #[derive(Clone, Debug, PartialEq)]
 pub struct StreamCheckpoint {
     /// Tests consumed from the input iterator so far.
     pub tests_streamed: u64,
-    /// Tests checked — the length of every verdict row. A streamed sweep
-    /// checks every test it pulls, so this always equals
-    /// [`StreamCheckpoint::tests_streamed`]; resume rejects a checkpoint
-    /// where the two differ.
+    /// Tests checked, one verdict row each. A streamed sweep checks every
+    /// test it pulls, so this equals [`StreamCheckpoint::tests_streamed`];
+    /// resume rejects a checkpoint where the two differ.
     pub tests_kept: u64,
-    /// Distinct-formula row fingerprints, in row order. Resume validates
+    /// Distinct-formula model fingerprints, in row order. Resume validates
     /// these against the new run's model list: a checkpoint taken over
     /// different models is rejected, not silently misapplied.
     pub model_fps: Vec<u64>,
-    /// Per-row verdict vectors over the kept tests (row order matches
-    /// [`StreamCheckpoint::model_fps`]).
-    pub row_verdicts: Vec<VerdictVector>,
+    /// The kept tests' verdicts, one row per test in test order: test
+    /// `t`'s row is words `t·w..t·w+w`, `w = ⌈model_fps.len() / 64⌉`,
+    /// and bit `m % 64` of word `m / 64` is set when the model at
+    /// position `m` of [`StreamCheckpoint::model_fps`] allows the test.
+    pub rows: Vec<u64>,
     /// Engine counters accumulated up to the checkpoint.
     pub stats: SweepStats,
+}
+
+impl StreamCheckpoint {
+    /// The per-model column view of [`StreamCheckpoint::rows`]: one
+    /// [`VerdictVector`] over the kept tests per model of `model_fps`.
+    /// Panics unless there are `tests_kept` rows.
+    #[must_use]
+    pub fn columns(&self) -> Vec<VerdictVector> {
+        let (models, tests) = (self.model_fps.len(), self.tests_kept as usize);
+        assert_eq!(self.rows.len(), tests * VerdictRows::words(models));
+        let words = transpose(&self.rows, tests, models);
+        let w = tests.div_ceil(64);
+        (0..models)
+            .map(|m| VerdictVector::from_words(words[m * w..(m + 1) * w].to_vec(), tests))
+            .collect::<Option<_>>()
+            .expect("no verdict past the last test")
+    }
+
+    /// The inverse of [`StreamCheckpoint::columns`]: the test rows of
+    /// per-model `columns`, each over `tests` tests.
+    #[must_use]
+    pub fn rows_from_columns(columns: &[VerdictVector], tests: usize) -> Vec<u64> {
+        assert!(columns.iter().all(|c| c.len() == tests), "ragged columns");
+        let words: Vec<u64> = columns.iter().flat_map(|c| c.words()).copied().collect();
+        transpose(&words, columns.len(), tests)
+    }
+}
+
+/// Transposes a bit matrix of `rows` rows of `cols` bits, each row
+/// `⌈cols / 64⌉` words with column `c` at bit `c % 64` of word `c / 64`,
+/// into `cols` rows of `rows` bits, in 64×64 blocks. A block row packs
+/// `64 / lane` rows of a narrow slice: two-model rows fill a block per
+/// 2,048 rows, not per 64.
+fn transpose(src: &[u64], rows: usize, cols: usize) -> Vec<u64> {
+    let (sw, dw) = (cols.div_ceil(64), rows.div_ceil(64));
+    let mut dst = vec![0; cols * dw];
+    for g in 0..sw {
+        let width = (cols - 64 * g).min(64);
+        let (lane, keep) = (width.next_power_of_two(), u64::MAX >> (64 - width));
+        for i in (0..dw).step_by(64 / lane) {
+            let packed = (64 / lane).min(dw - i);
+            let mut block = [0u64; 64];
+            for s in 0..packed {
+                for (j, word) in block.iter_mut().enumerate() {
+                    let x = src.get((64 * (i + s) + j) * sw + g).copied().unwrap_or(0);
+                    *word |= (x & keep) << (s * lane);
+                }
+            }
+            // Swap ever smaller off-diagonal blocks of the 64×64 block.
+            for j in [32, 16, 8, 4, 2, 1] {
+                let low = u64::MAX / ((1 << j) + 1); // low `j` of each `2j` bits
+                for k in (0..64).filter(|k| k & j == 0) {
+                    let t = ((block[k] >> j) ^ block[k + j]) & low;
+                    block[k] ^= t << j;
+                    block[k + j] ^= t;
+                }
+            }
+            for (s, b) in (0..packed).flat_map(|s| (0..width).map(move |b| (s, b))) {
+                dst[(64 * g + b) * dw + i + s] = block[s * lane + b];
+            }
+        }
+    }
+    dst
 }
 
 /// Why a [`StreamCheckpoint`] could not be applied to a resumed sweep.
@@ -201,7 +265,7 @@ pub struct Exploration {
     pub verdicts: Vec<VerdictVector>,
 }
 
-/// Layer 1 of every engine sweep: models with *semantically* identical
+/// The model side of a sweep. Layer 1: models with *semantically* identical
 /// must-not-reorder formulas share a verdict row. Identity is the
 /// analyzer's truth-table key ([`mcm_analyze::SemanticKey`]), which
 /// subsumes structural equality — `Access(x)` and `Read(x) ∨ Write(x)`
@@ -211,10 +275,10 @@ struct FormulaRows {
     row_of: Vec<usize>,
     /// Row index -> first model index with that formula.
     row_models: Vec<usize>,
-    /// Cache fingerprints, parallel to `row_models`.
-    model_fps: Vec<u64>,
     /// Models merged beyond what syntactic formula equality finds.
     semantic_merged: usize,
+    /// Layer 3, over the rows; `None` below two rows.
+    prefilter: Option<SweepPrefilter>,
 }
 
 fn formula_rows(models: &[MemoryModel]) -> FormulaRows {
@@ -239,15 +303,22 @@ fn formula_rows(models: &[MemoryModel]) -> FormulaRows {
             }
         }
     }
-    let model_fps = row_models
-        .iter()
-        .map(|&m| VerdictCache::model_fingerprint(&models[m]))
-        .collect();
+    // Group models that provably agree on a test before calling the
+    // checker ([`SweepPrefilter`]): per test, models whose truth tables
+    // coincide on the valuations its program-order pairs realize force
+    // identical edges, so one group representative is checked and the
+    // verdict fanned out. Sound unconditionally; the skipped calls are
+    // counted in `SweepStats::prefilter_saved_calls`.
+    let prefilter = (row_models.len() >= 2).then(|| {
+        let _span = mcm_obs::trace::span("engine.prefilter");
+        let refs: Vec<&MemoryModel> = row_models.iter().map(|&m| &models[m]).collect();
+        SweepPrefilter::new(&refs)
+    });
     FormulaRows {
         semantic_merged: syntactic_rows - row_models.len(),
         row_of,
         row_models,
-        model_fps,
+        prefilter,
     }
 }
 
@@ -260,14 +331,6 @@ fn resolve_jobs(config: &EngineConfig) -> usize {
                 .unwrap_or(1)
         })
         .max(1)
-}
-
-/// The model side of a sweep, fixed across every chunk: the full model
-/// list, its distinct-formula rows, and the optional prefilter over them.
-struct ModelSide<'a> {
-    models: &'a [MemoryModel],
-    rows: &'a FormulaRows,
-    prefilter: Option<&'a SweepPrefilter>,
 }
 
 /// The shared sweep core, test-major: the unit of parallel work is a
@@ -293,24 +356,20 @@ struct ModelSide<'a> {
 /// one more worker (the streaming engine pulls its next chunk there).
 /// With one job nothing is spawned and `meanwhile` is not called.
 ///
-/// Returns the row-major allowed bits (`bits[row * tests.len() + rep]`)
+/// Returns the tests' verdict rows, laid out as [`StreamCheckpoint::rows`],
 /// and the grid's layer counters.
 fn sweep_grid<F>(
-    side: &ModelSide<'_>,
+    models: &[MemoryModel],
+    rows: &FormulaRows,
     tests: &[LitmusTest],
     make_checker: &F,
     config: &EngineConfig,
-    cache: Option<&VerdictCache>,
+    cached: Option<&(&VerdictCache, ModelIds)>,
     meanwhile: &mut dyn FnMut(),
-) -> (Vec<bool>, SweepStats)
+) -> (Vec<u64>, SweepStats)
 where
     F: Fn() -> Box<dyn BatchChecker> + Sync,
 {
-    let ModelSide {
-        models,
-        rows,
-        prefilter,
-    } = *side;
     let _span = mcm_obs::trace::span_with(
         "engine.grid",
         &[
@@ -321,6 +380,7 @@ where
     let jobs = resolve_jobs(config);
     let reps = tests.len();
     let row_count = rows.row_models.len();
+    let w = VerdictRows::words(row_count);
     let workers = jobs.min(reps.div_ceil(ROW_BATCH)).max(1);
 
     // The distinct-formula models, cloned once per sweep so rows that
@@ -332,18 +392,20 @@ where
         .map(|&m| models[m].clone())
         .collect();
 
-    // Shared state: a claim cursor over test rows, one result cell per
-    // (row, test) pair (0 = unset, 1 = forbidden, 2 = allowed). Each
-    // worker counts into its own `SweepStats`, merged after the join.
+    // Shared state: a claim cursor over test rows, and `w` allowed words
+    // per test, stored once by the test's worker and read after the join
+    // (so `Relaxed`). Each worker counts into its own `SweepStats`.
     let cursor = AtomicUsize::new(0);
-    let results: Vec<AtomicU8> = (0..row_count * reps).map(|_| AtomicU8::new(0)).collect();
-    // The rows' cache model ids, resolved once for the whole grid.
-    let cached = cache.map(|cache| (cache, cache.model_ids(&rows.model_fps)));
+    let slots: Vec<AtomicU64> = (0..reps * w).map(|_| AtomicU64::new(0)).collect();
 
     let work = || {
+        // Outermost on a spawned thread, so its drop flushes the thread's
+        // trace buffer (scoped threads join before TLS destructors run).
+        let _span = mcm_obs::trace::span("engine.grid.worker");
         let checker = make_checker();
-        let mut local_batch = cached.as_ref().map(|(_, ids)| ids.rows_buf());
+        let mut local_batch = cached.map(|(_, ids)| ids.rows_buf());
         let mut counts = SweepStats::default();
+        let mut row = vec![0u64; w];
         let mut missing_rows: Vec<usize> = Vec::new();
         let mut missing_models: Vec<MemoryModel> = Vec::new();
         let mut lookup = RowLookup::default();
@@ -354,68 +416,61 @@ where
             }
             let end = (start + ROW_BATCH).min(reps);
             for rep in start..end {
+                row.fill(0);
                 missing_rows.clear();
-                let fp = if cached.is_some() {
-                    canon::fingerprint(&tests[rep])
-                } else {
-                    0
-                };
-                match &cached {
+                let fp = cached.map_or(0, |_| canon::fingerprint(&tests[rep]));
+                match cached {
                     Some((cache, ids)) => {
                         cache.lookup_row(ids, fp, &mut lookup);
                         counts.cache_hits += lookup.hits_ram + lookup.hits_disk;
                         counts.cache_hits_disk += lookup.hits_disk;
-                        for (row, &memoized) in lookup.verdicts.iter().enumerate() {
+                        for (r, &memoized) in lookup.verdicts.iter().enumerate() {
                             match memoized {
-                                Some(allowed) => {
-                                    results[row * reps + rep]
-                                        .store(if allowed { 2 } else { 1 }, Ordering::Relaxed);
-                                }
-                                None => missing_rows.push(row),
+                                Some(allowed) => row[r / 64] |= u64::from(allowed) << (r % 64),
+                                None => missing_rows.push(r),
                             }
                         }
                     }
                     None => missing_rows.extend(0..row_count),
                 }
-                if missing_rows.is_empty() {
-                    continue;
-                }
-                let exec = tests[rep].execution();
-                // Layer 3: group rows whose formulas provably agree on
-                // this test; only group representatives reach the checker.
-                let groups: Vec<Vec<usize>> = match prefilter {
-                    Some(pf) if missing_rows.len() > 1 => pf.group_rows(&exec, &missing_rows),
-                    _ => missing_rows.iter().map(|&r| vec![r]).collect(),
-                };
-                if prefilter.is_some() {
-                    counts.prefilter_groups += groups.len() as u64;
-                    counts.prefilter_saved_calls += (missing_rows.len() - groups.len()) as u64;
-                }
-                counts.checker_calls += groups.len() as u64;
-                let verdicts = if groups.len() == row_count {
-                    checker.check_all_executions(&exec, &row_models)
-                } else {
-                    // Partial coverage — the common case once the
-                    // prefilter groups rows: batch only the group
-                    // representatives. `MemoryModel` clones share their
-                    // name and formula, so this costs O(1) per group.
-                    missing_models.clear();
-                    missing_models.extend(groups.iter().map(|g| row_models[g[0]].clone()));
-                    checker.check_all_executions(&exec, &missing_models)
-                };
-                for (group, verdict) in groups.iter().zip(&verdicts) {
-                    for &row in group {
-                        results[row * reps + rep]
-                            .store(if verdict.allowed { 2 } else { 1 }, Ordering::Relaxed);
+                if !missing_rows.is_empty() {
+                    let exec = tests[rep].execution();
+                    // Layer 3: group rows whose formulas provably agree
+                    // on this test; only representatives are checked.
+                    let groups: Vec<Vec<usize>> = match &rows.prefilter {
+                        Some(pf) if missing_rows.len() > 1 => pf.group_rows(&exec, &missing_rows),
+                        _ => missing_rows.iter().map(|&r| vec![r]).collect(),
+                    };
+                    if rows.prefilter.is_some() {
+                        counts.prefilter_groups += groups.len() as u64;
+                        counts.prefilter_saved_calls += (missing_rows.len() - groups.len()) as u64;
                     }
-                }
-                if let (Some(local), Some((_, ids))) = (local_batch.as_mut(), &cached) {
-                    local.push_row(fp);
+                    counts.checker_calls += groups.len() as u64;
+                    let verdicts = if groups.len() == row_count {
+                        checker.check_all_executions(&exec, &row_models)
+                    } else {
+                        // Partial coverage — the common case once the
+                        // prefilter groups rows: batch only the group
+                        // representatives. `MemoryModel` clones share their
+                        // name and formula, so this costs O(1) per group.
+                        missing_models.clear();
+                        missing_models.extend(groups.iter().map(|g| row_models[g[0]].clone()));
+                        checker.check_all_executions(&exec, &missing_models)
+                    };
                     for (group, verdict) in groups.iter().zip(&verdicts) {
-                        for &row in group {
-                            local.set(ids.position(row), verdict.allowed);
+                        for &r in group {
+                            row[r / 64] |= u64::from(verdict.allowed) << (r % 64);
                         }
                     }
+                    if let (Some(local), Some((_, ids))) = (local_batch.as_mut(), cached) {
+                        local.push_row(fp);
+                        for &r in &missing_rows {
+                            local.set(ids.position(r), row[r / 64] >> (r % 64) & 1 == 1);
+                        }
+                    }
+                }
+                for (slot, &word) in slots[rep * w..(rep + 1) * w].iter().zip(&row) {
+                    slot.store(word, Ordering::Relaxed);
                 }
             }
         }
@@ -427,18 +482,7 @@ where
         vec![work()]
     } else {
         std::thread::scope(|scope| {
-            let handles: Vec<_> = (1..workers)
-                .map(|_| {
-                    scope.spawn(|| {
-                        // Outermost span of this worker thread: its drop
-                        // flushes the thread's trace buffer, which scoped
-                        // threads must do themselves (they are joined
-                        // before TLS destructors run).
-                        let _span = mcm_obs::trace::span("engine.grid.worker");
-                        work()
-                    })
-                })
-                .collect();
+            let handles: Vec<_> = (1..workers).map(|_| scope.spawn(work)).collect();
             meanwhile();
             // Join the grid unless the spawned workers already claimed
             // every row (a checker built for no row is wasted work).
@@ -456,16 +500,13 @@ where
     };
     let mut stats = SweepStats::default();
     for (local, counts) in outcomes {
-        if let (Some((cache, _)), Some(local)) = (&cached, local) {
+        if let (Some((cache, _)), Some(local)) = (cached, local) {
             cache.merge_rows(local.as_rows());
         }
         stats.absorb(counts);
     }
-    let bits = results
-        .into_iter()
-        .map(|slot| slot.into_inner() == 2)
-        .collect();
-    (bits, stats)
+    let words = slots.into_iter().map(AtomicU64::into_inner).collect();
+    (words, stats)
 }
 
 impl Exploration {
@@ -537,10 +578,11 @@ impl Exploration {
     /// representative per symmetry orbit of a bounded space — in chunks of
     /// [`EngineConfig::stream_chunk`] tests, runs each chunk through the
     /// formula-dedup + [`VerdictCache`] + prefilter + work-stealing grid,
-    /// and grows per-model [`VerdictVector`]s incrementally. The raw space
-    /// behind the iterator is never materialized; peak memory is one
+    /// and appends its verdict rows to a [`StreamCheckpoint`], whose
+    /// [`StreamCheckpoint::columns`] are built once, at the end. The raw
+    /// space behind the iterator is never materialized; peak memory is one
     /// chunk (two on two or more jobs, which pull the next chunk while
-    /// checking this one) plus the kept tests and their verdict bits.
+    /// checking this one) plus the kept tests and their verdict rows.
     /// The iterator and the checkpoint hook are only ever used on the
     /// calling thread, so neither needs to be `Send`.
     ///
@@ -574,56 +616,44 @@ impl Exploration {
     {
         let _span = mcm_obs::trace::span("engine.stream");
         let rows = formula_rows(&models);
-        // Group models that provably agree on a test before calling the
-        // checker ([`SweepPrefilter`]): per test, models whose truth tables
-        // coincide on the valuations its program-order pairs realize force
-        // identical edges, so one group representative is checked and the
-        // verdict fanned out. Sound unconditionally; the skipped calls are
-        // counted in `SweepStats::prefilter_saved_calls`.
-        let prefilter = (rows.row_models.len() >= 2).then(|| {
-            let _span = mcm_obs::trace::span("engine.prefilter");
-            let refs: Vec<&MemoryModel> = rows.row_models.iter().map(|&m| &models[m]).collect();
-            SweepPrefilter::new(&refs)
-        });
         let chunk_size = config.stream_chunk.max(1);
         let mut iter = tests.into_iter();
         let mut kept: Vec<LitmusTest> = Vec::new();
-        let mut row_verdicts: Vec<VerdictVector> =
-            (0..rows.row_models.len()).map(|_| VerdictVector::new(0)).collect();
-        let mut stats = SweepStats {
-            distinct_models: rows.row_models.len(),
-            semantic_merged_models: rows.semantic_merged,
-            ..SweepStats::default()
+        let mut state = StreamCheckpoint {
+            tests_streamed: 0,
+            tests_kept: 0,
+            model_fps: (rows.row_models.iter())
+                .map(|&m| VerdictCache::model_fingerprint(&models[m]))
+                .collect(),
+            rows: Vec::new(),
+            stats: SweepStats {
+                distinct_models: rows.row_models.len(),
+                semantic_merged_models: rows.semantic_merged,
+                ..SweepStats::default()
+            },
         };
 
-        if let Some(state) = control.resume.take() {
-            if state.model_fps != rows.model_fps {
-                return Err(ResumeError(
-                    "checkpoint was taken over a different model list".to_string(),
-                ));
+        if let Some(resumed) = control.resume.take() {
+            let reject = |why: &str| Err(ResumeError(why.to_string()));
+            if resumed.model_fps != state.model_fps {
+                return reject("checkpoint was taken over a different model list");
             }
-            if state.tests_kept != state.tests_streamed
-                || state.row_verdicts.len() != rows.model_fps.len()
-                || state
-                    .row_verdicts
-                    .iter()
-                    .any(|v| v.len() as u64 != state.tests_kept)
+            let w = VerdictRows::words(state.model_fps.len()) as u64;
+            if resumed.tests_kept != resumed.tests_streamed
+                || resumed.tests_kept.checked_mul(w) != Some(resumed.rows.len() as u64)
             {
-                return Err(ResumeError(
-                    "checkpoint verdict rows are inconsistent".to_string(),
-                ));
+                return reject("checkpoint verdict rows are inconsistent");
             }
             // Pull the consumed prefix again: no checker work.
             let _replay_span = mcm_obs::trace::span("engine.replay");
-            kept.extend(iter.by_ref().take(state.tests_streamed as usize));
-            if (kept.len() as u64) < state.tests_streamed {
-                return Err(ResumeError(
-                    "stream is shorter than the checkpoint cursor".to_string(),
-                ));
+            kept.extend(iter.by_ref().take(resumed.tests_streamed as usize));
+            if (kept.len() as u64) < resumed.tests_streamed {
+                return reject("stream is shorter than the checkpoint cursor");
             }
-            row_verdicts = state.row_verdicts;
-            stats = state.stats;
+            state = resumed;
         }
+        // The rows' cache model ids, resolved once for the whole sweep.
+        let cached = cache.map(|cache| (cache, cache.model_ids(&state.model_fps)));
 
         // The leader phase: pulls the next chunk out of the (lazily
         // enumerated) test stream; `None` once the stream is exhausted.
@@ -642,62 +672,45 @@ impl Exploration {
         while let Some(batch) = next {
             let _chunk_span =
                 mcm_obs::trace::span_with("engine.chunk", &[("tests", &batch.len().to_string())]);
+            let stats = &mut state.stats;
             stats.tests_streamed += batch.len() as u64;
             stats.peak_batch = stats.peak_batch.max(batch.len());
             // `Some` once the grid has pulled the next chunk (or found the
             // stream exhausted) on the calling thread.
             let mut prefetched = None;
-            let (bits, grid_stats) = sweep_grid(
-                &ModelSide {
-                    models: &models,
-                    rows: &rows,
-                    prefilter: prefilter.as_ref(),
-                },
+            let (batch_rows, grid_stats) = sweep_grid(
+                &models,
+                &rows,
                 &batch,
                 &make_checker,
                 config,
-                cache,
+                cached.as_ref(),
                 &mut || prefetched = Some(pull(&mut iter)),
             );
             stats.absorb(grid_stats);
-            for (r, vector) in row_verdicts.iter_mut().enumerate() {
-                for &allowed in &bits[r * batch.len()..(r + 1) * batch.len()] {
-                    vector.push(allowed);
-                }
-            }
             kept.extend(batch);
             stats.total_pairs = models.len() as u64 * stats.tests_streamed;
             stats.unique_pairs = (rows.row_models.len() * kept.len()) as u64;
             stats.canonical_tests = kept.len();
+            state.tests_streamed = stats.tests_streamed;
+            state.tests_kept = kept.len() as u64;
+            state.rows.extend(batch_rows);
             if let Some(hook) = control.on_checkpoint.as_mut() {
-                // Lend the rows to the hook instead of copying them per chunk.
-                let state = StreamCheckpoint {
-                    tests_streamed: stats.tests_streamed,
-                    tests_kept: kept.len() as u64,
-                    model_fps: rows.model_fps.clone(),
-                    row_verdicts: std::mem::take(&mut row_verdicts),
-                    stats,
-                };
-                let go_on = hook(&state);
-                row_verdicts = state.row_verdicts;
-                if !go_on {
+                if !hook(&state) {
                     break;
                 }
             }
             next = prefetched.unwrap_or_else(|| pull(&mut iter));
         }
-        let verdicts: Vec<VerdictVector> = rows
-            .row_of
-            .iter()
-            .map(|&row| row_verdicts[row].clone())
-            .collect();
+        let columns = state.columns();
+        let verdicts = rows.row_of.iter().map(|&r| columns[r].clone()).collect();
         Ok((
             Exploration {
                 models,
                 tests: kept,
                 verdicts,
             },
-            stats,
+            state.stats,
         ))
     }
 
@@ -1040,6 +1053,95 @@ mod tests {
         assert_eq!(seq.verdicts, engine.verdicts);
         assert_eq!(stats.distinct_models, 1);
         assert_eq!(stats.semantic_merged_models, 1);
+    }
+
+    #[test]
+    fn columns_and_rows_are_inverse_across_word_boundaries() {
+        // 70 models take two words per test row, and 130 tests three words
+        // per column; 3 models pack 16 test rows into each block row.
+        for (models, tests) in [(70, 130), (3, 3000)] {
+            columns_and_rows_are_inverse(models, tests);
+        }
+    }
+
+    fn columns_and_rows_are_inverse(models: usize, tests: usize) {
+        let columns: Vec<VerdictVector> = (0..models)
+            .map(|m| {
+                let mut column = VerdictVector::new(tests);
+                for t in (0..tests).filter(|t| (m * 7 + t * 3) % 5 == 0) {
+                    column.set(t, true);
+                }
+                column
+            })
+            .collect();
+        let state = StreamCheckpoint {
+            tests_streamed: tests as u64,
+            tests_kept: tests as u64,
+            model_fps: (0..models as u64).collect(),
+            rows: StreamCheckpoint::rows_from_columns(&columns, tests),
+            stats: SweepStats::default(),
+        };
+        let w = models.div_ceil(64);
+        assert_eq!(state.rows.len(), w * tests);
+        for t in 0..tests {
+            for (m, column) in columns.iter().enumerate() {
+                let bit = state.rows[w * t + m / 64] >> (m % 64) & 1;
+                assert_eq!(bit == 1, column.allowed(t), "test {t}, model {m}");
+            }
+        }
+        assert_eq!(state.columns(), columns);
+    }
+
+    #[test]
+    fn resume_rejects_rows_that_do_not_match_the_cursor() {
+        let models = vec![named::sc(), named::tso(), named::pso()];
+        let config = EngineConfig {
+            jobs: Some(1),
+            stream_chunk: 4,
+        };
+        let sweep = |resume: Option<StreamCheckpoint>| {
+            let mut last = None;
+            let result = Exploration::run_engine_streaming_with(
+                models.clone(),
+                catalog::all_tests(),
+                || Box::new(BatchExplicitChecker::new()),
+                &config,
+                None,
+                StreamControl {
+                    on_checkpoint: Some(Box::new(|state: &StreamCheckpoint| {
+                        last = Some(state.clone());
+                        false
+                    })),
+                    resume,
+                },
+            )
+            .map(|_| ());
+            (result, last)
+        };
+        let (cold, first) = sweep(None);
+        assert_eq!(cold, Ok(()));
+        let first = first.expect("one chunk was checked");
+        assert_eq!(first.rows.len(), 4, "one word per test over 3 rows");
+        let (resumed, _) = sweep(Some(first.clone()));
+        assert_eq!(resumed, Ok(()), "the untouched checkpoint resumes");
+
+        let mut short_rows = first.clone();
+        short_rows.rows.pop();
+        let mut long_rows = first.clone();
+        long_rows.rows.push(0);
+        let mut fewer_kept = first.clone();
+        fewer_kept.tests_kept -= 1;
+        fewer_kept.rows.pop();
+        for (label, bad) in [
+            ("rows short of tests_kept", short_rows),
+            ("rows past tests_kept", long_rows),
+            ("tests_kept below tests_streamed", fewer_kept),
+        ] {
+            let (result, hooked) = sweep(Some(bad));
+            let inconsistent = "checkpoint verdict rows are inconsistent".to_string();
+            assert_eq!(result, Err(ResumeError(inconsistent)), "{label}");
+            assert!(hooked.is_none(), "{label}: no chunk ran on the bad state");
+        }
     }
 
     #[test]

@@ -37,20 +37,6 @@ impl VerdictVector {
         self.len == 0
     }
 
-    /// Appends the verdict of a new test, growing the suite by one.
-    ///
-    /// The streaming sweep discovers its suite incrementally (one batch of
-    /// orbit leaders at a time), so its verdict vectors grow as tests
-    /// arrive instead of being sized up front.
-    pub fn push(&mut self, allowed: bool) {
-        let i = self.len;
-        if self.bits.len() * 64 == i {
-            self.bits.push(0);
-        }
-        self.len += 1;
-        self.set(i, allowed);
-    }
-
     /// Sets the verdict of test `i`.
     pub fn set(&mut self, i: usize, allowed: bool) {
         assert!(i < self.len, "test index out of range");
@@ -196,23 +182,6 @@ mod tests {
     }
 
     #[test]
-    fn push_grows_across_word_boundaries() {
-        let mut grown = VerdictVector::new(0);
-        let mut preset = VerdictVector::new(130);
-        for i in 0..130 {
-            let allowed = i % 3 == 0;
-            grown.push(allowed);
-            preset.set(i, allowed);
-        }
-        assert_eq!(grown, preset);
-        assert_eq!(grown.len(), 130);
-        // Pushing onto a pre-sized vector continues where it left off.
-        preset.push(true);
-        assert_eq!(preset.len(), 131);
-        assert!(preset.allowed(130));
-    }
-
-    #[test]
     fn set_get_roundtrip_across_word_boundaries() {
         let mut v = VerdictVector::new(130);
         v.set(0, true);
@@ -228,10 +197,7 @@ mod tests {
 
     #[test]
     fn words_roundtrip_and_reject_corruption() {
-        let mut v = VerdictVector::new(0);
-        for i in 0..130 {
-            v.push(i % 5 == 0);
-        }
+        let v = vector(&(0..130).map(|i| i % 5 == 0).collect::<Vec<_>>());
         let rebuilt = VerdictVector::from_words(v.words().to_vec(), v.len()).unwrap();
         assert_eq!(rebuilt, v);
         // Wrong word count and dirty padding bits are both rejected.

@@ -85,11 +85,11 @@ fn encode_payload(meta: &SweepMeta, state: &StreamCheckpoint) -> Vec<u8> {
     for &fp in &state.model_fps {
         put_u64(&mut out, fp);
     }
-    put_u32(
-        &mut out,
-        u32::try_from(state.row_verdicts.len()).expect("row count fits u32"),
-    );
-    for row in &state.row_verdicts {
+    // Format v1 stores the per-model column view of the engine's test rows.
+    let columns = state.columns();
+    let row_count = u32::try_from(columns.len()).expect("model count fits u32");
+    put_u32(&mut out, row_count);
+    for row in &columns {
         put_u64(&mut out, row.len() as u64);
         let words = row.words();
         put_u32(&mut out, u32::try_from(words.len()).expect("word count fits u32"));
@@ -139,7 +139,7 @@ fn decode_payload(payload: &[u8]) -> Option<CheckpointFile> {
     if row_count != model_count {
         return None;
     }
-    let mut row_verdicts = Vec::with_capacity(row_count.min(r.remaining() / 8));
+    let mut columns = Vec::with_capacity(row_count.min(r.remaining() / 8));
     for _ in 0..row_count {
         let len = usize::try_from(r.u64()?).ok()?;
         if len as u64 != tests_kept {
@@ -150,7 +150,7 @@ fn decode_payload(payload: &[u8]) -> Option<CheckpointFile> {
         for _ in 0..word_count {
             words.push(r.u64()?);
         }
-        row_verdicts.push(VerdictVector::from_words(words, len)?);
+        columns.push(VerdictVector::from_words(words, len)?);
     }
     let stats = SweepStats::from_values(&mut || r.u64())?;
     if r.remaining() != 0 {
@@ -168,7 +168,7 @@ fn decode_payload(payload: &[u8]) -> Option<CheckpointFile> {
             tests_streamed,
             tests_kept,
             model_fps,
-            row_verdicts,
+            rows: StreamCheckpoint::rows_from_columns(&columns, usize::try_from(tests_kept).ok()?),
             stats,
         },
     })
@@ -300,13 +300,12 @@ mod tests {
                 tests_streamed: 130,
                 tests_kept: 90,
                 model_fps: vec![0xaaaa, 0xbbbb, 0xcccc],
-                row_verdicts: (0..3)
-                    .map(|i| {
-                        let mut row = VerdictVector::new(0);
-                        for j in 0..90u64 {
-                            row.push((i + j) % 3 == 0);
-                        }
-                        row
+                // Model `i` allows test `j` when `(i + j) % 3 == 0`.
+                rows: (0..90u64)
+                    .map(|j| {
+                        (0..3)
+                            .filter(|i| (i + j) % 3 == 0)
+                            .fold(0, |row, i| row | 1 << i)
                     })
                     .collect(),
                 stats,
@@ -386,5 +385,33 @@ mod tests {
         std::fs::remove_file(&path).unwrap();
         let hex: String = saved.iter().map(|b| format!("{b:02x}")).collect();
         assert_eq!(hex, SAMPLE_V1.concat(), "checkpoint byte layout moved");
+    }
+
+    #[test]
+    fn checkpoint_digest_is_pinned() {
+        let path = temp_path("digest");
+        sample().save(&path).unwrap();
+        let saved = std::fs::read(&path).unwrap();
+        std::fs::remove_file(&path).unwrap();
+        assert_eq!(
+            fnv1a(&saved),
+            0x2c70_8e55_95df_e503,
+            "checkpoint bytes moved"
+        );
+    }
+
+    #[test]
+    fn load_then_save_is_byte_identical() {
+        let path = temp_path("resave");
+        sample().save(&path).unwrap();
+        let saved = std::fs::read(&path).unwrap();
+        let loaded = CheckpointFile::load(&path).unwrap().unwrap();
+        loaded.save(&path).unwrap();
+        assert_eq!(
+            std::fs::read(&path).unwrap(),
+            saved,
+            "load then save moved bytes"
+        );
+        std::fs::remove_file(&path).unwrap();
     }
 }

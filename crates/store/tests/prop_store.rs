@@ -552,7 +552,7 @@ proptest! {
         kept in 0u64..130,
         fps in proptest::collection::vec(0u64..1000, 1..4),
     ) {
-        use mcm_explore::{StreamCheckpoint, SweepStats, VerdictVector};
+        use mcm_explore::{StreamCheckpoint, SweepStats};
         use mcm_gen::StreamBounds;
         use mcm_store::SweepMeta;
         let rows = fps.len();
@@ -568,13 +568,11 @@ proptest! {
                 tests_streamed: kept + 7,
                 tests_kept: kept,
                 model_fps: fps,
-                row_verdicts: (0..rows)
-                    .map(|i| {
-                        let mut row = VerdictVector::new(0);
-                        for j in 0..kept {
-                            row.push((i as u64 + j).is_multiple_of(2));
-                        }
-                        row
+                rows: (0..kept)
+                    .map(|j| {
+                        (0..rows as u64)
+                            .filter(|i| (i + j).is_multiple_of(2))
+                            .fold(0, |row, i| row | 1 << i)
                     })
                     .collect(),
                 stats: SweepStats::default(),
