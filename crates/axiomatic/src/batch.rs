@@ -23,16 +23,6 @@
 //!   [`mcm_sat::Solver::solve_with_assumptions`] over its forced ordering
 //!   literals, and a satisfying assignment also decides every other group
 //!   whose forced pairs hold in it.
-//! * [`BatchSatChecker`] builds **one** incremental SAT encoding per test
-//!   — ordering variables, coherence, read-from selectors — and loads
-//!   each group's program-order units guarded by an activation literal
-//!   ([`crate::sat_common::GuardedSink`]). One
-//!   [`mcm_sat::Solver::solve_with_assumptions`] call per group answers
-//!   the row, with learnt clauses carried from model to model: the same
-//!   selection trick `mcm-synth`'s activation ladders use to serve every
-//!   test shape from one solver. (On a concrete execution the formula's
-//!   atoms are constants, so the guarded units *are* its Tseitin encoding
-//!   restricted to this test.)
 //!
 //! [`crate::ExplicitChecker`] answers the row one cell at a time, sharing
 //! nothing: it is the sequential reference every batched path is
@@ -43,15 +33,12 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 use mcm_core::{EventId, Execution, LitmusTest, MemoryModel};
-use mcm_sat::{SatResult, Solver, SolverStats};
+use mcm_sat::SolverStats;
 
 use crate::checker::{Verdict, Witness};
 use crate::co::enumerate_co_orders;
 use crate::hb::{base_edges, collect_edges, forced_po_pairs};
-use crate::rf::{enumerate_rf_maps, read_candidates};
-use crate::sat_common::{
-    add_rf_selector_clauses, extract_rf, ClauseSink, GuardedSink, OrderVars,
-};
+use crate::rf::enumerate_rf_maps;
 
 mcm_obs::counter_table! {
     /// Work counters of a batched checker: how much per-test work was shared
@@ -70,9 +57,8 @@ mcm_obs::counter_table! {
         shared_candidates: u64 = counter,
         /// Per-group acyclicity checks actually performed (explicit path).
         group_evals: u64 = counter,
-        /// Assumption-selected solver queries (SAT paths): one per group on
-        /// the monolithic path's shared row encoding; one per undecided group
-        /// and read-from map on the per-rf path.
+        /// Assumption-selected solver queries (SAT path): one per undecided
+        /// group and read-from map.
         assumption_solves: u64 = counter,
     }
 }
@@ -224,7 +210,7 @@ pub(crate) fn group_models(exec: &Execution, models: &[MemoryModel]) -> ModelGro
 #[derive(Clone, Debug, Default)]
 pub struct BatchExplicitChecker {
     /// Amortization counters; interior mutability because the trait takes
-    /// `&self` (mirrors the SAT checkers' stats cells).
+    /// `&self` (mirrors the SAT checker's stats cells).
     stats: Cell<BatchStats>,
 }
 
@@ -314,123 +300,6 @@ impl BatchChecker for BatchExplicitChecker {
     }
 }
 
-/// Batched admissibility via one incremental SAT encoding per test, with
-/// each model group's program-order units selected by assumption
-/// literals.
-///
-/// The base encoding is model-free — partial order, coherence and
-/// read-from selectors; the only model-dependent clauses are guarded
-/// units `¬g_i ∨ o(x, y)`, one activation literal `g_i` per distinct
-/// forced-program-order group.
-/// Solving the row is then one `solve_with_assumptions(&[g_i])` per
-/// group on the same solver, so conflict clauses learnt for one model
-/// prune the search for the next.
-#[derive(Clone, Debug, Default)]
-pub struct BatchSatChecker {
-    stats: Cell<BatchStats>,
-    solver_stats: Cell<SolverStats>,
-}
-
-impl BatchSatChecker {
-    /// Creates the checker.
-    #[must_use]
-    pub fn new() -> Self {
-        BatchSatChecker::default()
-    }
-}
-
-impl BatchChecker for BatchSatChecker {
-    fn name(&self) -> &'static str {
-        "monolithic"
-    }
-
-    fn check_all_executions(&self, exec: &Execution, models: &[MemoryModel]) -> Vec<Verdict> {
-        let started = mcm_obs::Stopwatch::start();
-        let mut stats = self.stats.get();
-        let solves_before = stats.assumption_solves;
-        stats.rows += 1;
-        stats.models_checked += models.len() as u64;
-
-        let candidates = read_candidates(exec);
-        if candidates.iter().any(|(_, sources)| sources.is_empty()) {
-            self.stats.set(stats);
-            observe_row(self.name(), started, 0);
-            return models.iter().map(|_| Verdict::forbidden()).collect();
-        }
-
-        let ModelGroups { groups, group_of } = group_models(exec, models);
-        stats.model_groups += groups.len() as u64;
-
-        // The shared, model-free base encoding: one per test.
-        let n = exec.events().len();
-        let mut solver = Solver::new();
-        let order = OrderVars::new(&mut solver, n);
-        order.add_partial_order_clauses(&mut solver);
-        order.add_coherence_clauses(&mut solver, exec);
-        let selectors = add_rf_selector_clauses(&mut solver, exec, &order, &candidates);
-
-        // Each group's must-not-reorder units, guarded by its activation
-        // literal so they are inert unless assumed.
-        let group_lits: Vec<_> = groups
-            .iter()
-            .map(|pairs| {
-                let guard = solver.new_var().positive();
-                let mut guarded = GuardedSink::new(&mut solver, guard);
-                for &(x, y) in pairs {
-                    guarded.emit_clause(&[order.before(x.index(), y.index())]);
-                }
-                guard
-            })
-            .collect();
-
-        let group_verdicts: Vec<Verdict> = groups
-            .iter()
-            .zip(&group_lits)
-            .map(|(pairs, &guard)| {
-                stats.assumption_solves += 1;
-                if solver.solve_with_assumptions(&[guard]) != SatResult::Sat {
-                    return Verdict::forbidden();
-                }
-                // Any satisfying assignment under this guard satisfies
-                // this model's axioms (other groups' guarded clauses are
-                // vacuous or redundant extra orderings), so the decoded
-                // (rf, co) witnesses the verdict.
-                let rf = extract_rf(&solver, &candidates, &selectors);
-                let co = order.extract_co(&solver, exec);
-                let edges = collect_edges(exec, &rf, &co, pairs);
-                debug_assert!(edges.admits_partial_order(exec));
-                Verdict::allowed(Witness {
-                    rf,
-                    co,
-                    hb_edges: edges.labeled,
-                })
-            })
-            .collect();
-
-        let mut sat = self.solver_stats.get();
-        sat.absorb(solver.stats());
-        self.solver_stats.set(sat);
-        self.stats.set(stats);
-        observe_row(
-            self.name(),
-            started,
-            stats.assumption_solves - solves_before,
-        );
-        group_of
-            .iter()
-            .map(|&g| group_verdicts[g].clone())
-            .collect()
-    }
-
-    fn batch_stats(&self) -> Option<BatchStats> {
-        Some(self.stats.get())
-    }
-
-    fn solver_stats(&self) -> Option<SolverStats> {
-        Some(self.solver_stats.get())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -493,21 +362,6 @@ mod tests {
         assert_eq!(batch_witness.hb_edges, cell_witness.hb_edges);
     }
 
-    #[test]
-    fn batch_sat_matches_per_cell_and_counts_work() {
-        let test = sb();
-        let batch = BatchSatChecker::new();
-        let verdicts = batch.check_all(&test, &models());
-        assert!(!verdicts[0].allowed);
-        assert!(verdicts[1].allowed && verdicts[2].allowed);
-        let stats = batch.batch_stats().expect("stats");
-        assert_eq!(stats.assumption_solves, 2, "one solve per group, not per model");
-        assert!(
-            batch.solver_stats().expect("sat-backed").propagations > 0,
-            "solver work is counted"
-        );
-    }
-
     fn lb() -> LitmusTest {
         // Load buffering: R X=1; W Y=1 || R Y=1; W X=1.
         let program = Program::builder()
@@ -527,19 +381,9 @@ mod tests {
 
     #[test]
     fn batch_sat_lb_under_sc_and_weakest() {
-        let checker = BatchSatChecker::new();
+        let checker = crate::BatchRfSatChecker::new();
         assert!(!checker.is_allowed(&models()[0], &lb()));
         assert!(checker.is_allowed(&models()[1], &lb()));
-    }
-
-    #[test]
-    fn batch_sat_witness_decodes_selectors() {
-        let verdict = BatchSatChecker::new().check(&models()[1], &lb());
-        let witness = verdict.witness.expect("allowed");
-        // Both reads read 1, which only the cross-thread writes store.
-        for (_, source) in &witness.rf.pairs {
-            assert!(matches!(source, crate::rf::RfSource::Write(_)));
-        }
     }
 
     #[test]
@@ -553,7 +397,7 @@ mod tests {
         let test = LitmusTest::new("inf", program, outcome).unwrap();
         for checker in [
             Box::new(BatchExplicitChecker::new()) as Box<dyn BatchChecker>,
-            Box::new(BatchSatChecker::new()),
+            Box::new(crate::BatchRfSatChecker::new()),
         ] {
             assert!(checker
                 .check_all(&test, &models())

@@ -70,23 +70,18 @@ pub enum CheckerKind {
     /// [`crate::BatchRfSatChecker`] — the paper's §4.1 architecture: SAT
     /// queries per read-from map.
     Sat,
-    /// [`crate::BatchSatChecker`] — one SAT encoding per test with
-    /// read-from selector variables.
-    Monolithic,
 }
 
 impl CheckerKind {
     /// Every built-in checker kind.
-    pub const ALL: [CheckerKind; 3] =
-        [CheckerKind::Explicit, CheckerKind::Sat, CheckerKind::Monolithic];
+    pub const ALL: [CheckerKind; 2] = [CheckerKind::Explicit, CheckerKind::Sat];
 
-    /// The stable CLI / report name (`explicit`, `sat`, `monolithic`).
+    /// The stable CLI / report name (`explicit`, `sat`).
     #[must_use]
     pub fn name(self) -> &'static str {
         match self {
             CheckerKind::Explicit => "explicit",
             CheckerKind::Sat => "sat",
-            CheckerKind::Monolithic => "monolithic",
         }
     }
 
@@ -101,16 +96,13 @@ impl CheckerKind {
     /// Builds the checker: the shared-candidate enumerator for
     /// [`CheckerKind::Explicit`], one model-free encoding per read-from
     /// map with model groups selected by assumptions for
-    /// [`CheckerKind::Sat`], and one assumption-selected incremental
-    /// encoding per test for [`CheckerKind::Monolithic`]. Each shares the
-    /// row's model-independent work. Its [`crate::BatchChecker::name`] is
-    /// [`CheckerKind::name`].
+    /// [`CheckerKind::Sat`]. Each shares the row's model-independent
+    /// work. Its [`crate::BatchChecker::name`] is [`CheckerKind::name`].
     #[must_use]
     pub fn build_batch(self) -> Box<dyn crate::BatchChecker> {
         match self {
             CheckerKind::Explicit => Box::new(crate::BatchExplicitChecker::new()),
             CheckerKind::Sat => Box::new(crate::BatchRfSatChecker::new()),
-            CheckerKind::Monolithic => Box::new(crate::BatchSatChecker::new()),
         }
     }
 }
@@ -149,8 +141,8 @@ mod tests {
     fn capabilities_match_the_implementations() {
         for kind in CheckerKind::ALL {
             let checker = kind.build_batch();
-            // Every kind shares work across the row; all but the explicit
-            // one are backed by `mcm-sat`.
+            // Every kind shares work across the row; the SAT one is backed
+            // by `mcm-sat`.
             assert!(checker.batch_stats().is_some());
             assert_eq!(
                 checker.solver_stats().is_some(),

@@ -1,7 +1,7 @@
 //! # mcm-axiomatic
 //!
 //! The happens-before semantics of the paper's class of memory models
-//! (§2.2) and three independent admissibility checkers, one per
+//! (§2.2) and two independent admissibility checkers, one per
 //! [`CheckerKind`], each answering a whole row of models per test
 //! through the one checker trait, [`BatchChecker`]:
 //!
@@ -12,16 +12,13 @@
 //! * [`BatchRfSatChecker`] — the paper's §4.1 architecture: read-from maps
 //!   are enumerated, the rest of the axioms become CNF over ordering
 //!   variables solved by `mcm-sat` (the MiniSat substitute), one solver
-//!   per map with the models selected by assumptions;
-//! * [`BatchSatChecker`] — one SAT encoding per test, with read-from
-//!   selector variables and each model group's units guarded by an
-//!   activation literal.
+//!   per map with the models selected by assumptions.
 //!
 //! [`ExplicitChecker`] is the sequential reference: the same enumeration
-//! one cell at a time, sharing nothing across the row. All three backends
+//! one cell at a time, sharing nothing across the row. Both backends
 //! agree with it and are cross-validated by property tests; the
 //! exploration layer uses the explicit backend for speed and the SAT
-//! backends for fidelity to the paper.
+//! backend for fidelity to the paper.
 //!
 //! ## Example
 //!
@@ -65,11 +62,11 @@ pub mod rf;
 pub mod sat_common;
 mod sat_hb;
 
-pub use batch::{BatchChecker, BatchExplicitChecker, BatchSatChecker, BatchStats};
+pub use batch::{BatchChecker, BatchExplicitChecker, BatchStats};
 pub use checker::{CheckerKind, Verdict, Witness};
 pub use explicit::ExplicitChecker;
 pub use hb::EdgeKind;
-pub use sat_common::{ClauseSink, GuardedSink, OrderVars};
+pub use sat_common::{ClauseSink, OrderVars};
 pub use sat_hb::{encode_all_cnf, encode_cnf, BatchRfSatChecker};
 
 /// All built-in checkers, one per [`CheckerKind`], for cross-validation

@@ -1,9 +1,10 @@
-//! Shared CNF scaffolding for the SAT-based checkers.
+//! Shared CNF scaffolding for the SAT encodings of the axioms.
 //!
-//! Both SAT checkers encode an auxiliary strict partial order `o(x, y)`
-//! that must *contain* every forced happens-before edge; such an order
-//! exists iff the forced edge set is acyclic, which is the paper's
-//! admissibility condition. Clauses shared by both encodings:
+//! The per-rf SAT checker and the synthesis engine encode an auxiliary
+//! strict partial order `o(x, y)` that must *contain* every forced
+//! happens-before edge; such an order exists iff the forced edge set is
+//! acyclic, which is the paper's admissibility condition. Clauses shared
+//! by both encodings:
 //!
 //! * antisymmetry — `¬o(x,y) ∨ ¬o(y,x)`;
 //! * transitivity — `o(x,y) ∧ o(y,k) → o(x,k)`;
@@ -14,17 +15,15 @@
 //!   cross-thread pairs get the free disjunction `o(x,y) ∨ o(y,x)`.
 //!
 //! The restriction of `o` to same-location writes doubles as the coherence
-//! order, which is how the read-from axioms (added per checker) refer to
+//! order, which is how the read-from axioms (added per encoding) refer to
 //! it. Ignore-local is *not* a blanket `¬o(y,x)` over program-ordered
 //! pairs: only directly forced orderings must respect program order (see
 //! `hb.rs` on Figure 1), and those cases are handled where the forcing
 //! clause is emitted.
 
-use mcm_core::{EventId, Execution, MemoryModel};
+use mcm_core::{Execution, MemoryModel};
 use mcm_sat::dimacs::Cnf;
 use mcm_sat::{Lit, Solver, Var};
-
-use crate::rf::RfSource;
 
 /// Anything clauses can be emitted into: a live solver, or a [`Cnf`] for
 /// DIMACS export. Exposed so other crates (the synthesis engine) can
@@ -124,8 +123,7 @@ impl OrderVars {
     /// for every same-thread pair the must-not-reorder
     /// function forces. On a concrete execution every formula atom is a
     /// constant, so this *is* the model formula's (degenerate) Tseitin
-    /// encoding over the pair — wrap the sink in a [`GuardedSink`] to emit
-    /// it selected by an assumption literal instead of asserted outright.
+    /// encoding over the pair.
     pub fn add_program_order_units<S: ClauseSink>(
         &self,
         solver: &mut S,
@@ -193,150 +191,4 @@ impl OrderVars {
             .collect();
         crate::co::CoOrder { per_loc }
     }
-}
-
-/// A [`ClauseSink`] adapter that guards every emitted clause with an
-/// activation literal: `emit_clause(C)` becomes `¬g ∨ C`.
-///
-/// Guarded clauses are inert until the guard is assumed true in a
-/// [`Solver::solve_with_assumptions`] call — the same selection trick
-/// `mcm-synth`'s activation ladders use to serve every test shape from one
-/// incremental solver. The batched SAT checker uses it to load each
-/// model's must-not-reorder units into one shared per-test encoding and
-/// select one model per query, keeping learnt clauses across the row.
-pub struct GuardedSink<'a, S: ClauseSink> {
-    inner: &'a mut S,
-    guard: Lit,
-}
-
-impl<'a, S: ClauseSink> GuardedSink<'a, S> {
-    /// Wraps `inner` so every clause is conditioned on `guard`.
-    pub fn new(inner: &'a mut S, guard: Lit) -> Self {
-        GuardedSink { inner, guard }
-    }
-}
-
-impl<S: ClauseSink> ClauseSink for GuardedSink<'_, S> {
-    fn fresh_var(&mut self) -> Var {
-        self.inner.fresh_var()
-    }
-
-    fn emit_clause(&mut self, lits: &[Lit]) {
-        let mut clause = Vec::with_capacity(lits.len() + 1);
-        clause.push(!self.guard);
-        clause.extend_from_slice(lits);
-        self.inner.emit_clause(&clause);
-    }
-}
-
-/// Allocates read-from selector variables and emits the write-read /
-/// read-write axioms conditioned on them — the model-independent read-from
-/// layer of [`crate::BatchSatChecker`]. Returns one selector literal per
-/// candidate source, parallel to `candidates`:
-///
-/// * exactly one selector per read is true;
-/// * selecting the initial value puts the read before every same-location
-///   write (a program-earlier local write rules the selector out outright:
-///   ignore-local);
-/// * selecting a write `z` orders `z` before the read when cross-thread,
-///   and every other same-location write either coherence-before `z` or
-///   (unless ignore-local forbids it) after the read.
-pub fn add_rf_selector_clauses<S: ClauseSink>(
-    sink: &mut S,
-    exec: &Execution,
-    order: &OrderVars,
-    candidates: &[(EventId, Vec<RfSource>)],
-) -> Vec<Vec<Lit>> {
-    let selectors: Vec<Vec<Lit>> = candidates
-        .iter()
-        .map(|(_, sources)| {
-            sources
-                .iter()
-                .map(|_| sink.fresh_var().positive())
-                .collect()
-        })
-        .collect();
-
-    for ((read, sources), sel) in candidates.iter().zip(&selectors) {
-        // Exactly one source per read.
-        sink.emit_clause(sel);
-        for a in 0..sel.len() {
-            for b in (a + 1)..sel.len() {
-                sink.emit_clause(&[!sel[a], !sel[b]]);
-            }
-        }
-        let loc = exec.event(*read).loc().expect("read has a location");
-        for (&lit, &source) in sel.iter().zip(sources.iter()) {
-            match source {
-                RfSource::Init => {
-                    // Selecting init puts the read before every
-                    // same-location write; if one of them is a
-                    // program-earlier local write that forced ordering
-                    // would violate ignore-local, so the selector is
-                    // unusable.
-                    for w in exec.writes_to(loc) {
-                        if exec.po_earlier(w.id, *read) {
-                            sink.emit_clause(&[!lit]);
-                        } else {
-                            sink.emit_clause(&[
-                                !lit,
-                                order.before(read.index(), w.id.index()),
-                            ]);
-                        }
-                    }
-                }
-                RfSource::Write(z) => {
-                    if !exec.same_thread(z, *read) {
-                        sink.emit_clause(&[!lit, order.before(z.index(), read.index())]);
-                    }
-                    for w in exec.writes_to(loc) {
-                        if w.id == z {
-                            continue;
-                        }
-                        let coherence_before = order.before(w.id.index(), z.index());
-                        if exec.po_earlier(w.id, *read) {
-                            // The from-read branch would point backwards
-                            // in program order: coherence must resolve it.
-                            sink.emit_clause(&[!lit, coherence_before]);
-                        } else {
-                            sink.emit_clause(&[
-                                !lit,
-                                coherence_before,
-                                order.before(read.index(), w.id.index()),
-                            ]);
-                        }
-                    }
-                }
-            }
-        }
-    }
-    selectors
-}
-
-/// Reads the read-from map out of a satisfying assignment: for each read,
-/// the source whose selector literal (as allocated by
-/// [`add_rf_selector_clauses`]) is true.
-///
-/// # Panics
-///
-/// Panics if no selector of some read is true — the exactly-one clauses
-/// make that impossible in a satisfying assignment.
-#[must_use]
-pub fn extract_rf(
-    solver: &Solver,
-    candidates: &[(EventId, Vec<RfSource>)],
-    selectors: &[Vec<Lit>],
-) -> crate::rf::RfMap {
-    let pairs = candidates
-        .iter()
-        .zip(selectors)
-        .map(|((read, sources), sel)| {
-            let chosen = sel
-                .iter()
-                .position(|&lit| solver.lit_value_opt(lit) == Some(true))
-                .expect("exactly-one selector is true");
-            (*read, sources[chosen])
-        })
-        .collect();
-    crate::rf::RfMap { pairs }
 }

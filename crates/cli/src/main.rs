@@ -25,14 +25,14 @@ USAGE:
 
 COMMANDS:
     check <MODEL> <FILE>      verdict of every test in a .litmus file
-                              [--checker explicit|sat|monolithic] [--witness]
+                              [--checker explicit|sat] [--witness]
     compare <MODEL> <MODEL>   relation between two models over the
                               complete template suite [--no-deps]
     explore                   the §4.2 exploration of the digit space,
                               test-major batched: every model row is
                               answered per test over shared work
                               [--models figure4|90|named|M1,M2,...]
-                              [--checker explicit|sat|monolithic]
+                              [--checker explicit|sat]
                               [--no-deps] [--cache] [--jobs N]
                               [--csv FILE] [--dot FILE]
                               [--stream] sweep the streamed leader

@@ -98,8 +98,8 @@ impl Spelling {
 
     /// `--checker` and the engine options.
     fn engine(&mut self, tape: &mut Tape) {
-        if let Some(i) = tape.maybe(0, 2) {
-            let checker = ["explicit", "sat", "monolithic"][i];
+        if let Some(i) = tape.maybe(0, 1) {
+            let checker = ["explicit", "sat"][i];
             self.option("--checker", checker);
             self.field("checker", checker);
         }

@@ -649,15 +649,9 @@ impl VerdictCache {
     /// Looks up a whole sweep row — every model fingerprint paired with
     /// one test fingerprint — with one shard lock and one probe. This is
     /// the lookup shape of the test-major engine, whose unit of work is a
-    /// test row, not a cell. Records one hit or miss per key.
-    #[must_use]
-    pub fn get_row(&self, model_fps: &[u64], test_fp: u64) -> Vec<Option<bool>> {
-        self.get_row_tiered(model_fps, test_fp).verdicts
-    }
-
-    /// [`VerdictCache::get_row`] with the hit counts of the lookup split
-    /// by provenance tier, so the sweep engine can attribute row hits to
-    /// RAM vs disk in [`crate::SweepStats`].
+    /// test row, not a cell. Records one hit or miss per key, and returns
+    /// the hit counts split by provenance tier, so the sweep engine can
+    /// attribute row hits to RAM vs disk in [`crate::SweepStats`].
     #[must_use]
     pub fn get_row_tiered(&self, model_fps: &[u64], test_fp: u64) -> RowLookup {
         let mut out = RowLookup::default();
@@ -943,7 +937,7 @@ mod tests {
                 cache.insert((m, 7), m % 2 == 0);
             }
         }
-        let row = cache.get_row(&model_fps, 7);
+        let row = cache.get_row_tiered(&model_fps, 7).verdicts;
         for (i, &m) in model_fps.iter().enumerate() {
             let expected = (m % 3 != 0).then_some(m % 2 == 0);
             assert_eq!(row[i], expected, "row lookup differs at model {m}");
@@ -1008,9 +1002,9 @@ mod tests {
             rows.set(ids.position(i), allowed);
         }
         cache.merge_rows(rows.as_rows());
-        let row = cache.get_row(&subset, 9);
+        let row = cache.get_row_tiered(&subset, 9).verdicts;
         assert_eq!(row, vec![Some(true), Some(false), Some(true), Some(false)]);
-        assert_eq!(cache.get_row(&[1, 2], 9), vec![None, None]);
+        assert_eq!(cache.get_row_tiered(&[1, 2], 9).verdicts, vec![None, None]);
         // A table in another order is not aligned.
         assert!(!cache.intern_table(&[3, 70]).1);
     }

@@ -13,7 +13,7 @@ pub fn sweep_stats_text(stats: &SweepStats) -> String {
     let mut out = String::new();
     let _ = writeln!(
         out,
-        "sweep: {} pairs -> {} unique ({} models x {} canonical tests), \
+        "sweep: {} pairs -> {} after formula dedup ({} distinct formulas x {} tests), \
          {} cache hits, {} checker calls ({:.1}x reduction)",
         stats.total_pairs,
         stats.unique_pairs,

@@ -896,7 +896,7 @@ mod tests {
         let (engine, stats) = Exploration::run_engine(
             models,
             tests,
-            || Box::new(mcm_axiomatic::BatchSatChecker::new()),
+            || Box::new(mcm_axiomatic::BatchRfSatChecker::new()),
             &EngineConfig::default(),
             None,
         );

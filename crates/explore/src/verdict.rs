@@ -54,12 +54,6 @@ impl VerdictVector {
         self.bits[i / 64] >> (i % 64) & 1 == 1
     }
 
-    /// Number of allowed tests.
-    #[must_use]
-    pub fn count_allowed(&self) -> usize {
-        self.bits.iter().map(|w| w.count_ones() as usize).sum()
-    }
-
     /// Pointwise implication: everything this model allows, `other` allows
     /// too. Because weaker models allow more executions, `self.subset_of
     /// (other)` means *self is the stronger (or equal) model* — it
@@ -190,7 +184,7 @@ mod tests {
         v.set(129, true);
         assert!(v.allowed(0) && v.allowed(63) && v.allowed(64) && v.allowed(129));
         assert!(!v.allowed(1) && !v.allowed(65));
-        assert_eq!(v.count_allowed(), 4);
+        assert_eq!((0..130).filter(|&i| v.allowed(i)).count(), 4);
         v.set(64, false);
         assert!(!v.allowed(64));
     }

@@ -1,7 +1,7 @@
 //! Atomic metric primitives and the global series registry.
 //!
 //! Series are identified by a metric name plus a sorted label set
-//! (`mcm_check_latency_us{checker="monolithic"}`). Handles are `Arc`s:
+//! (`mcm_check_latency_us{checker="sat"}`). Handles are `Arc`s:
 //! resolve once (one registry lock), then increment/record lock-free
 //! forever after. Histograms use fixed power-of-two microsecond
 //! buckets, so two histograms merge by adding bucket arrays — exactly
@@ -333,7 +333,7 @@ pub enum Value {
 pub struct SeriesSnapshot {
     /// Metric name, e.g. `mcm_check_latency_us`.
     pub name: String,
-    /// Sorted label pairs, e.g. `[("checker", "monolithic")]`.
+    /// Sorted label pairs, e.g. `[("checker", "sat")]`.
     pub labels: Vec<(String, String)>,
     /// The snapshotted value.
     pub value: Value,

@@ -770,6 +770,7 @@ mod tests {
             r#"{"query": "sweep", "engine": {"jobs": "many"}}"#,
             r#"{"query": "distinguish", "engine": {"prefilter": false}}"#,
             r#"{"query": "sweep", "checker": "oracle"}"#,
+            r#"{"query": "sweep", "checker": "monolithic"}"#,
             r#"{"query": "sweep", "format": "yaml"}"#,
             r#"{"query": "compare", "left": "SC"}"#,
             r#"{"query": "compare", "left": "SC", "right": 4}"#,

@@ -119,7 +119,11 @@ proptest! {
     }
 
     #[test]
-    fn sweep_reports_roundtrip(left in 0usize..8, right in 0usize..8, checker in 0usize..3) {
+    fn sweep_reports_roundtrip(
+        left in 0usize..8,
+        right in 0usize..8,
+        checker in 0usize..CheckerKind::ALL.len(),
+    ) {
         let report = Query::sweep()
             .models(ModelSpec::List(vec![
                 MODEL_POOL[left].to_string(),

@@ -24,9 +24,12 @@
 //! 2. **the allower's axioms** — for every program-ordered slot pair, a
 //!    Tseitin encoding of the model's must-not-reorder formula (over
 //!    symbolic kind/address/dependency atoms) implies the order variable;
-//!    plus coherence, fence and read-from axioms mirroring the
-//!    monolithic checker ([`mcm_axiomatic::BatchSatChecker`]) clause for
-//!    clause;
+//!    plus coherence, fence and read-from axioms: one selector per
+//!    candidate source of each read (the initial value or a
+//!    same-address write), exactly one of them true; a cross-thread
+//!    source happens before the read, and every other same-address
+//!    write is ordered coherence-before the source or (ignore-local
+//!    permitting) after the read;
 //! 3. **blocking clauses** — each enumerated candidate is excluded under
 //!    its own shape guard ([`Solver::block_model_with`]), leaving other
 //!    shapes untouched.
@@ -348,8 +351,8 @@ impl Encoding {
             }
         }
 
-        // Layer 2d: read-from selectors and the monolithic checker's
-        // write-read / read-write axioms, conditioned on the selectors.
+        // Layer 2d: read-from selectors and the write-read / read-write
+        // axioms, conditioned on the selectors.
         for r in 0..n {
             let candidates: Vec<usize> = (0..n)
                 .filter(|&w| {
